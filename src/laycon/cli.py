@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from dataclasses import MISSING, astuple, fields, is_dataclass
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .contracts import certificate_report, mismatch_bound_hess
+from .contracts import ContractSpec, certificate_report, mismatch_bound_hess
 from .erg import ErgConfig, GammaEvaluator
-from .hess import HessParams, LoadProfile, LoadSegment, hess_constraints
+from .hess import ConstraintConfig, HessParams, LoadProfile
 from .iss_cert import (
     IssCertificate,
     coordinate_bound,
@@ -32,7 +36,7 @@ from .iss_cert import (
     ultimate_level_optimized,
 )
 from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_bound
-from .numkit import SpdMatrix, decay_rate, solve_lyapunov
+from .numkit import SpdMatrix, decay_rate
 from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
 from .sim import (
     SimConfig,
@@ -74,217 +78,152 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config <-> bundle
+#
+# Each section is one config dataclass, and each of its keys one field. A
+# field marked DERIVED is computed from other sections by a from_hess
+# constructor and never serialised; P and the constraint rows are derived
+# by RunBundle itself. Defaults are the dataclass field defaults.
+
+_SECTIONS = ("scenario", "plant", "lyapunov_weight", "constraints", "erg", "planner",
+             "contract", "sim", "load", "certificates")
+# JSON types a scalar field accepts; bool is excluded from the numbers
+_SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Serialised fields of a config dataclass: name -> (type, required)."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls) if f.init and not f.metadata.get("derived")
+    }
+
+
+@contextmanager
+def _at(path: str):
+    """Report a ValueError or TypeError raised by a constructor as a
+    ConfigError at path."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _field_value(hint, value, path: str):
+    """A JSON value as a field value: a scalar field takes its JSON type, a
+    tuple field a list of its length (a tuple of dataclasses a list of
+    rows), and a Literal field one of its values."""
+    if hint in _SCALARS:
+        if not isinstance(value, _SCALARS[hint]) or isinstance(value, bool) is not (hint is bool):
+            raise ConfigError(path, f"expected {hint.__name__}, got {value!r}")
+        return value
+    if get_origin(hint) is Literal:
+        if value not in get_args(hint):
+            raise ConfigError(path, f"expected one of {', '.join(get_args(hint))}, got {value!r}")
+        return value
+    tup = next((t for t in (hint, *get_args(hint)) if get_origin(t) is tuple), None)
+    if tup is None or value is None:
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    items = get_args(tup)
+    if Ellipsis not in items and len(value) != len(items):
+        raise ConfigError(path, f"expected {len(items)} values, got {len(value)}")
+    row_type = items[0]
+    if is_dataclass(row_type):
+        with _at(path):
+            return tuple(row_type(*row) for row in value)
+    return tuple(value)
+
+
+def _section(cfg: dict, key: str):
+    """A top-level entry of the config document; every one is required."""
+    if key not in cfg:
+        raise ConfigError(key, "missing required key")
+    return cfg[key]
+
+
+def _load(cls, cfg: dict, key: str, build=None):
+    """Construct cls, or build(**fields), from the section cfg[key]."""
+    section = _section(cfg, key)
+    if not isinstance(section, dict):
+        raise ConfigError(key, f"expected an object, got {section!r}")
+    schema = _schema(cls)
+    for name in section:
+        if name not in schema:
+            raise ConfigError(f"{key}.{name}", "unknown key")
+    kwargs = {}
+    for name, (hint, required) in schema.items():
+        if name in section:
+            kwargs[name] = _field_value(hint, section[name], f"{key}.{name}")
+        elif required:
+            raise ConfigError(f"{key}.{name}", "missing required key")
+    with _at(key):
+        return (build or cls)(**kwargs)
+
+
+def _dump(obj) -> dict | None:
+    """Inverse of _load: the serialised fields, tuples as lists (and rows)."""
+    if obj is None:
+        return None
+    out = {}
+    for name in _schema(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            value = [list(astuple(v)) if is_dataclass(v) else v for v in value]
+        out[name] = value
+    return out
 
 
 def bundle_to_config(bundle: RunBundle) -> dict:
     """Serialize a run bundle into the JSON config schema."""
-    plant = bundle.plant
-    sim = bundle.sim
-    cert = bundle.cert
-    cfg = {
+    return {
         "scenario": bundle.name,
-        "plant": {
-            "c_bus": plant.c_bus, "v_nom": plant.v_nom, "k1": plant.k1, "k2": plant.k2,
-            "lambda_b_gain": plant.lambda_b_gain, "lambda_b_energy": plant.lambda_b_energy,
-            "lambda_s": plant.lambda_s, "v_min": plant.v_min, "v_max": plant.v_max,
-            "i_s_bar": plant.i_s_bar, "i_b_bar": plant.i_b_bar,
-            "u_s_bar": plant.u_s_bar, "u_b_bar": plant.u_b_bar, "rho_d": plant.rho_d,
-        },
+        "plant": _dump(bundle.plant),
         "lyapunov_weight": np.asarray(bundle.R).tolist(),
-        "constraints": {"mode": _constraint_mode(bundle), "kappa_bar": 0.0,
-                        "d_bar_max": 0.0, "d_bar_dot_max": 0.0},
-        "erg": {"kappa_erg": bundle.erg_cfg.kappa_erg, "eta": bundle.erg_cfg.eta,
-                "eta_rep": list(bundle.erg_cfg.eta_rep)},
-        "planner": None if bundle.planner_cfg is None else {
-            "horizon": bundle.planner_cfg.horizon,
-            "q_weight": bundle.planner_cfg.q_weight,
-            "e_b_goal": bundle.planner_cfg.e_b_goal,
-            "e_b_range": list(bundle.planner_cfg.e_b_range),
-            "e_s_range": list(bundle.planner_cfg.e_s_range),
-            "tighten_eps_e": bundle.planner_cfg.tighten_eps_e,
-        },
-        "contract": {
-            "eps_e": bundle.spec.eps_e, "eps_t": bundle.spec.eps_t,
-            "eps_l": list(bundle.spec.eps_l), "eps_h": bundle.spec.eps_h,
-            "delta": bundle.spec.delta, "y_goal": bundle.spec.y_goal,
-            "u_bounds": list(bundle.spec.u_bounds),
-        },
-        "sim": {
-            "t_end": sim.t_end, "t_s": sim.t_s, "h": sim.h, "seed": sim.seed,
-            "disturbance": sim.disturbance, "w_max": sim.w_max,
-            "erg_on": sim.erg_on, "mpc_on": sim.mpc_on,
-            "frozen_reference": list(sim.frozen_reference) if sim.frozen_reference else None,
-            "x0": list(sim.x0), "v0": list(sim.v0) if sim.v0 else None,
-            "r_init_ib": sim.r_init_ib,
-        },
-        "load": _load_to_config(bundle.load_profile),
-        "certificates": {
-            "m_overshoot": cert.m_overshoot, "h_max": cert.h_max,
-            "v_bar_h_override": cert.v_bar_h_override,
-            "kappa_lo": cert.kappa_lo, "r_lo": cert.r_lo,
-            "settle_delta": cert.settle_delta, "settle_mode": cert.settle_mode,
-            "ff_residual_bound": cert.ff_residual_bound, "eta": cert.eta,
-            "lambda_min_p": cert.lambda_min_p, "lambda_max_p": cert.lambda_max_p,
-            "lambda_min_q": cert.lambda_min_q, "l_v": cert.l_v,
-        },
+        "constraints": _dump(bundle.constraint_cfg),
+        "erg": _dump(bundle.erg_cfg),
+        "planner": _dump(bundle.planner_cfg),
+        "contract": _dump(bundle.spec),
+        "sim": _dump(bundle.sim),
+        "load": _dump(bundle.load_profile),
+        "certificates": _dump(bundle.cert),
     }
-    return cfg
-
-
-def _constraint_mode(bundle: RunBundle) -> str:
-    labels = {c.label for c in bundle.constraints}
-    if labels == {"u_s_upper", "u_s_lower"}:
-        return "input_only"
-    if all(lab.startswith("v_") for lab in labels):
-        return "voltage_only"
-    return "full"
-
-
-def _load_to_config(profile: LoadProfile | None):
-    if profile is None:
-        return None
-    segs = []
-    for s in profile.segments:
-        segs.append([s.t_start, s.t_end, s.kind, s.level_start, s.level_end])
-    return {"segments": segs, "osc_amplitude": profile.osc_amplitude,
-            "osc_freq_hz": profile.osc_freq_hz}
-
-
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    return section[key]
 
 
 def load_bundle(cfg: dict) -> RunBundle:
-    """Build a run bundle from a config dict, reporting the offending key
-    path on validation failure."""
-    try:
-        plant = HessParams(**cfg.get("plant", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("plant", str(exc)) from None
-    try:
-        R = np.asarray(_require(cfg, "lyapunov_weight", "config"), dtype=float)
-        P = solve_lyapunov(plant.error_matrix(), R)
-    except ValueError as exc:
-        raise ConfigError("lyapunov_weight", str(exc)) from None
-
-    con_cfg = cfg.get("constraints", {"mode": "full"})
-    mode = con_cfg.get("mode", "full")
-    try:
-        if mode == "voltage_only":
-            constraints = [c for c in hess_constraints(plant) if c.label.startswith("v_")]
-        else:
-            constraints = hess_constraints(
-                plant, erg_mode=mode,
-                kappa_bar=con_cfg.get("kappa_bar", 0.0),
-                d_bar_max=con_cfg.get("d_bar_max", 0.0),
-                d_bar_dot_max=con_cfg.get("d_bar_dot_max", 0.0),
-            )
-    except ValueError as exc:
-        raise ConfigError("constraints.mode", str(exc)) from None
-
-    try:
-        erg_section = dict(cfg.get("erg", {}))
-        if "eta_rep" in erg_section:
-            erg_section["eta_rep"] = tuple(erg_section["eta_rep"])
-        erg_cfg = ErgConfig(**erg_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("erg", str(exc)) from None
-
-    try:
-        sim_section = dict(_require(cfg, "sim", "config"))
-        for key in ("frozen_reference", "x0", "v0"):
-            if sim_section.get(key) is not None:
-                sim_section[key] = tuple(sim_section[key])
-        sim = SimConfig(**sim_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sim", str(exc)) from None
-
-    planner_cfg = None
-    if cfg.get("planner") is not None:
-        section = cfg["planner"]
-        try:
-            planner_cfg = PlannerConfig.from_hess(
-                plant,
-                horizon=_require(section, "horizon", "planner"),
-                t_s=sim.t_s,
-                q_weight=_require(section, "q_weight", "planner"),
-                e_b_goal=_require(section, "e_b_goal", "planner"),
-                e_b_range=_require(section, "e_b_range", "planner"),
-                e_s_range=_require(section, "e_s_range", "planner"),
-                tighten_eps_e=section.get("tighten_eps_e", 0.0),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("planner", str(exc)) from None
-
-    from .contracts import ContractSpec
-    from .hess import battery_interface_bounds
-
-    con = cfg.get("contract", {})
-    try:
-        r_bar_b = (planner_cfg.slew_bound if planner_cfg
-                   else battery_interface_bounds(plant, sim.t_s)[0])
-        spec = ContractSpec(
-            eps_e=con.get("eps_e", 0.5),
-            eps_t=con.get("eps_t", 0.2),
-            eps_l=tuple(con.get("eps_l", (0.3, battery_interface_bounds(plant, sim.t_s)[1]))),
-            eps_h=con.get("eps_h", 1.0),
-            r_bar=(0.0, r_bar_b),
-            w_max=sim.w_max,
-            t_s=sim.t_s,
-            delta=con.get("delta", 0.1),
-            v_box=(plant.v_min, plant.v_max),
-            i_s_box=(-plant.i_s_bar, plant.i_s_bar),
-            i_b_box=(-plant.i_b_bar, plant.i_b_bar),
-            u_bounds=tuple(con.get("u_bounds", (plant.u_s_bar, plant.u_b_bar))),
-            y_goal=con.get("y_goal", planner_cfg.e_b_goal if planner_cfg else 0.0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("contract", str(exc)) from None
-
-    profile = None
-    if cfg.get("load") is not None:
-        section = cfg["load"]
-        try:
-            segments = []
-            for row in _require(section, "segments", "load"):
-                t0, t1, kind, level_start = row[0], row[1], row[2], row[3]
-                level_end = row[4] if len(row) > 4 else 0.0
-                segments.append(LoadSegment(t0, t1, kind, level_start, level_end))
-            profile = LoadProfile(
-                segments=tuple(segments),
-                osc_amplitude=section.get("osc_amplitude", 0.0),
-                osc_freq_hz=section.get("osc_freq_hz", 0.0),
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError("load.segments", str(exc)) from None
-
-    cert_section = cfg.get("certificates", {})
-    try:
-        cert = CertificateInputs(
-            m_overshoot=cert_section.get("m_overshoot", 1.5),
-            h_max=cert_section.get("h_max") or sim.w_max / plant.c_bus,
-            v_bar_h_override=cert_section.get("v_bar_h_override"),
-            kappa_lo=cert_section.get("kappa_lo", 1.0),
-            r_lo=cert_section.get("r_lo", 1.0),
-            settle_delta=cert_section.get("settle_delta", 0.1),
-            settle_mode=cert_section.get("settle_mode", "relative"),
-            ff_residual_bound=cert_section.get("ff_residual_bound", 0.0),
-            eta=cert_section.get("eta", 0.01),
-            lambda_min_p=cert_section.get("lambda_min_p", 1.0),
-            lambda_max_p=cert_section.get("lambda_max_p", 1.0),
-            lambda_min_q=cert_section.get("lambda_min_q", 1.0),
-            l_v=cert_section.get("l_v"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("certificates", str(exc)) from None
-
-    return RunBundle(
-        name=cfg.get("scenario", "custom"),
-        plant=plant, R=R, P=P, constraints=constraints, erg_cfg=erg_cfg,
-        planner_cfg=planner_cfg, spec=spec, sim=sim, load_profile=profile, cert=cert,
+    """Build a run bundle from a complete config document. An unknown,
+    missing or invalid key raises ConfigError naming its key path."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"expected an object, got {cfg!r}")
+    for key in cfg:
+        if key not in _SECTIONS:
+            raise ConfigError(key, "unknown key")
+    plant = _load(HessParams, cfg, "plant")
+    sim = _load(SimConfig, cfg, "sim")
+    planner_cfg = profile = None
+    if _section(cfg, "planner") is not None:
+        planner_cfg = _load(PlannerConfig, cfg, "planner",
+                            functools.partial(PlannerConfig.from_hess, plant, sim.t_s))
+    if _section(cfg, "load") is not None:
+        profile = _load(LoadProfile, cfg, "load")
+    parts = dict(
+        name=_section(cfg, "scenario"),
+        plant=plant,
+        constraint_cfg=_load(ConstraintConfig, cfg, "constraints"),
+        erg_cfg=_load(ErgConfig, cfg, "erg"),
+        planner_cfg=planner_cfg,
+        spec=_load(ContractSpec, cfg, "contract",
+                   functools.partial(ContractSpec.from_hess, plant, sim.t_s, sim.w_max)),
+        sim=sim,
+        load_profile=profile,
+        cert=_load(CertificateInputs, cfg, "certificates"),
     )
+    weight = _section(cfg, "lyapunov_weight")
+    # the other sections are valid by now, so a failure here comes from R
+    with _at("lyapunov_weight"):
+        return RunBundle(R=np.asarray(weight, dtype=float), **parts)
 
 
 def read_config(path: str) -> dict:
@@ -394,7 +333,7 @@ def build_certificate(bundle: RunBundle) -> dict:
         "tau1": settling.tau1,
         "tau2": settling.tau2,
         "tau_LL": settling.tau_LL,
-        "tau1_max": settling.tau1_max,
+        "tau1_max": settling.tau1,  # same as tau1; the key stays for readers of certificate.json
         "z_peak": settling.z_peak,
         "L_V": l_v,
         "eps_T": eps_t,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erg import gamma
+from .erg import GammaEvaluator
+from .hess import DERIVED, HessParams, battery_interface_bounds
 from .iss_cert import SettlingTimes, TimingVerdict
 from .numkit import SpdMatrix
 
@@ -31,13 +32,13 @@ class ContractSpec:
     eps_t: float  # planner ultimate tracking radius (A-s)
     eps_l: tuple[float, float]  # end-of-period tracking tolerance (V, A)
     eps_h: float  # end-to-end liveness band (A-s)
-    r_bar: tuple[float, float]  # per-period reference step bound (V, A)
-    w_max: float  # disturbance magnitude bound (A/s)
-    t_s: float
+    r_bar: tuple[float, float] = field(metadata=DERIVED)  # per-period reference step bound (V, A)
+    w_max: float = field(metadata=DERIVED)  # disturbance magnitude bound (A/s)
+    t_s: float = field(metadata=DERIVED)
     delta: float  # settling slack
-    v_box: tuple[float, float]
-    i_s_box: tuple[float, float]
-    i_b_box: tuple[float, float]
+    v_box: tuple[float, float] = field(metadata=DERIVED)
+    i_s_box: tuple[float, float] = field(metadata=DERIVED)
+    i_b_box: tuple[float, float] = field(metadata=DERIVED)
     u_bounds: tuple[float, float]  # (u_s_bar, u_b_bar)
     y_goal: float  # battery energy target (A-s)
 
@@ -48,6 +49,20 @@ class ContractSpec:
             raise ValueError("settling slack delta must be positive")
         if self.t_s <= 0.0:
             raise ValueError("sampling period must be positive")
+
+    @classmethod
+    def from_hess(cls, p: HessParams, t_s: float, w_max: float, **tolerances) -> "ContractSpec":
+        """Derive the safe-set boxes from the plant, and the reference step
+        bound from the battery loop's per-period slew capacity."""
+        return cls(
+            r_bar=(0.0, battery_interface_bounds(p, t_s)[0]),
+            w_max=w_max,
+            t_s=t_s,
+            v_box=(p.v_min, p.v_max),
+            i_s_box=(-p.i_s_bar, p.i_s_bar),
+            i_b_box=(-p.i_b_bar, p.i_b_bar),
+            **tolerances,
+        )
 
 
 @dataclass
@@ -288,7 +303,8 @@ def certificate_report(
     """
     constraints = list(constraints)
     if constraints:
-        gamma_inf = min(gamma(np.asarray(v, dtype=float), constraints, P) for v in v_samples)
+        evaluator = GammaEvaluator(constraints, P)
+        gamma_inf = min(evaluator.gamma(np.asarray(v, dtype=float)) for v in v_samples)
     else:
         gamma_inf = float("inf")
     return CertificateVerdicts(

@@ -8,8 +8,7 @@ margin Gamma(v) - V(e). The barrier Phi = V(e) - Gamma(v) is <= 0 exactly
 on the governed safe set.
 
 GammaEvaluator precomputes the P^-1-metric normal lengths once per
-(constraints, P) pair; the module-level functions are thin wrappers for
-one-off evaluation.
+(constraints, P) pair and evaluates every governor quantity from them.
 """
 
 from __future__ import annotations
@@ -110,12 +109,21 @@ class GammaEvaluator:
         self.self_referential = any(c.g_gamma > 0.0 for c in self.constraints)
 
     def gamma_i(self, i: int, v, gamma_prev: float = 0.0) -> float:
+        """Largest Lyapunov sublevel value inside constraint i's half-space:
+        margin^2 / (c' P^-1 c), clamped to 0 when the margin is nonpositive."""
         margin = self.constraints[i].margin(v, gamma_prev)
         if margin <= 0.0:
             return 0.0
         return margin * margin / self.denoms[i]
 
     def gamma(self, v, fixed_point_iters: int = 5) -> float:
+        """Combined safety threshold Gamma(v) = min_i Gamma_i(v).
+
+        Rows with g_gamma > 0 reference Gamma itself; those are resolved by
+        fixed-point iteration seeded from the minimum over the plain rows
+        (the map is monotone nonincreasing in its argument, so the iteration
+        converges geometrically).
+        """
         idx = range(len(self.constraints))
         plain = [self.gamma_i(i, v) for i in idx if self.constraints[i].g_gamma == 0.0]
         g = min(plain) if plain else min(self.gamma_i(i, v, 0.0) for i in idx)
@@ -126,6 +134,11 @@ class GammaEvaluator:
         return g
 
     def navigation_field(self, r, v, cfg: ErgConfig) -> np.ndarray:
+        """Attraction toward the command plus repulsion away from constraint
+        boundaries. Attraction is the unit vector toward r beyond the
+        smoothing radius and linear inside it; each repulsion term pushes
+        along the margin gradient with strength eta_rep[i], skipping rows
+        whose margin is closed or whose gradient is numerically zero."""
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
         gap = r - v
@@ -148,6 +161,11 @@ class GammaEvaluator:
         return rho
 
     def erg_rhs(self, e, v, r, cfg: ErgConfig) -> np.ndarray:
+        """Governor velocity: kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v).
+
+        Identically zero whenever V(e) >= Gamma(v); the reference freezes at
+        the safety boundary and resumes once the tracking error has decayed.
+        """
         v = np.asarray(v, dtype=float)
         margin = self.gamma(v) - self.P.quad(e)
         if margin <= 0.0:
@@ -155,44 +173,6 @@ class GammaEvaluator:
         return cfg.kappa_erg * margin * self.navigation_field(r, v, cfg)
 
     def barrier(self, e, v) -> float:
+        """Barrier Phi(e, v) = V(e) - Gamma(v); Phi <= 0 on the governed safe set."""
         return self.P.quad(e) - self.gamma(v)
 
-
-def gamma_i(constraint: HalfspaceConstraint, v, P: SpdMatrix, gamma_prev: float = 0.0) -> float:
-    """Largest Lyapunov sublevel value inside one constraint half-space:
-    margin^2 / (c' P^-1 c), clamped to 0 when the margin is nonpositive."""
-    return GammaEvaluator([constraint], P).gamma_i(0, v, gamma_prev)
-
-
-def gamma(v, constraints, P: SpdMatrix, fixed_point_iters: int = 5) -> float:
-    """Combined safety threshold Gamma(v) = min_i Gamma_i(v).
-
-    Rows with g_gamma > 0 reference Gamma itself; those are resolved by
-    fixed-point iteration seeded from the minimum over the plain rows
-    (the map is monotone nonincreasing in its argument, so the iteration
-    converges geometrically).
-    """
-    return GammaEvaluator(constraints, P).gamma(v, fixed_point_iters)
-
-
-def navigation_field(r, v, constraints, P: SpdMatrix, cfg: ErgConfig) -> np.ndarray:
-    """Attraction toward the command plus repulsion away from constraint
-    boundaries. Attraction is the unit vector toward r beyond the
-    smoothing radius and linear inside it; each repulsion term pushes
-    along the margin gradient with strength eta_rep[i], skipping rows
-    whose margin is closed or whose gradient is numerically zero."""
-    return GammaEvaluator(constraints, P).navigation_field(r, v, cfg)
-
-
-def erg_rhs(e, v, r, constraints, P: SpdMatrix, cfg: ErgConfig) -> np.ndarray:
-    """Governor velocity: kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v).
-
-    Identically zero whenever V(e) >= Gamma(v); the reference freezes at
-    the safety boundary and resumes once the tracking error has decayed.
-    """
-    return GammaEvaluator(constraints, P).erg_rhs(e, v, r, cfg)
-
-
-def barrier(e, v, constraints, P: SpdMatrix) -> float:
-    """Barrier Phi(e, v) = V(e) - Gamma(v); Phi <= 0 on the governed safe set."""
-    return GammaEvaluator(constraints, P).barrier(e, v)

@@ -12,11 +12,19 @@ planner's slew limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
 from .erg import HalfspaceConstraint
 from .numkit import NotHurwitzError, decay_rate
+
+
+# Field metadata for a config field that is computed from the plant (and the
+# sampling period) by a from_hess constructor, and so is never serialised.
+DERIVED = {"derived": True}
+
+ConstraintMode = Literal["full", "input_only", "voltage_only"]
 
 
 class OutOfSpanError(ValueError):
@@ -63,22 +71,6 @@ class HessParams:
 
     def error_matrix(self) -> np.ndarray:
         return np.array([[0.0, 1.0], [-self.k1, -self.k2]])
-
-
-@dataclass
-class HessState:
-    v_gr: float
-    i_s: float
-    i_b: float
-    e_s: float
-    e_b: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v_gr, self.i_s, self.i_b, self.e_s, self.e_b])
-
-    @classmethod
-    def from_array(cls, x) -> "HessState":
-        return cls(*(float(v) for v in x))
 
 
 @dataclass(frozen=True)
@@ -200,9 +192,23 @@ def error_matrices(p: HessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, B, B_v
 
 
+@dataclass(frozen=True)
+class ConstraintConfig:
+    """Which governor rows hess_constraints builds, and the margins they reserve."""
+
+    mode: ConstraintMode = "full"
+    kappa_bar: float = 0.0
+    d_bar_max: float = 0.0
+    d_bar_dot_max: float = 0.0
+
+    def __post_init__(self):
+        if self.kappa_bar < 0.0:
+            raise ValueError("kappa_bar must be nonnegative")
+
+
 def hess_constraints(
     p: HessParams,
-    erg_mode: str = "full",
+    erg_mode: ConstraintMode = "full",
     kappa_bar: float = 0.0,
     d_bar_max: float = 0.0,
     d_bar_dot_max: float = 0.0,
@@ -215,8 +221,17 @@ def hess_constraints(
     itself), and the actuator limit on the supercapacitor input.
     "input_only" emits just the actuator pair with no threshold coupling,
     the configuration whose bottleneck value is reported for the full-stack
-    scenario.
+    scenario. "voltage_only" emits just the voltage box, which shapes the
+    logged threshold when the governor is idle.
     """
+    if erg_mode not in get_args(ConstraintMode):
+        raise ValueError(f"unknown erg_mode {erg_mode!r}")
+    voltage_rows = [
+        HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=p.v_max, c_v=(1.0, 0.0), label="v_max"),
+        HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-p.v_min, c_v=(-1.0, 0.0), label="v_min"),
+    ]
+    if erg_mode == "voltage_only":
+        return voltage_rows
     k2_eff = p.k2 * p.c_bus
     u_s_eff = p.u_s_bar - d_bar_dot_max / p.c_bus
     input_rows = [
@@ -233,12 +248,8 @@ def hess_constraints(
     ]
     if erg_mode == "input_only":
         return input_rows
-    if erg_mode != "full":
-        raise ValueError(f"unknown erg_mode {erg_mode!r}")
     i_s_eff = p.i_s_bar - d_bar_max
-    return [
-        HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=p.v_max, c_v=(1.0, 0.0), label="v_max"),
-        HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-p.v_min, c_v=(-1.0, 0.0), label="v_min"),
+    return voltage_rows + [
         HalfspaceConstraint(
             c_a=(0.0,), c_b=(p.c_bus,), d0=i_s_eff, c_v=(0.0, 0.0),
             g_gamma=p.c_bus * kappa_bar, label="i_s_upper",

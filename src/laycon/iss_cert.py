@@ -65,7 +65,6 @@ class SettlingTimes:
     tau2: float
     tau_LL: float
     z_peak: float
-    tau1_max: float
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class TimingVerdict:
     """Both timing-compatibility readings, reported side by side.
 
     period_covers_settling checks T_s >= tau_LL; window_within_transit
-    checks 0 <= T_s - tau2 <= tau1_max. The two differ when the sampling
+    checks 0 <= T_s - tau2 <= tau1. The two differ when the sampling
     period covers the decay phase but not the full transit, so both are
     reported rather than reconciled.
     """
@@ -237,7 +236,6 @@ def settling_time(
         tau2=tau2,
         tau_LL=tau1 + tau2,
         z_peak=z_peak,
-        tau1_max=tau1,
     )
 
 
@@ -248,8 +246,8 @@ def timing_check(T_s: float, times: SettlingTimes) -> TimingVerdict:
     window = T_s - times.tau2
     return TimingVerdict(
         period_covers_settling=T_s >= times.tau_LL,
-        window_within_transit=0.0 <= window <= times.tau1_max,
+        window_within_transit=0.0 <= window <= times.tau1,
         settling_slack=T_s - times.tau_LL,
         window_slack_low=window,
-        window_slack_high=times.tau1_max - window,
+        window_slack_high=times.tau1 - window,
     )

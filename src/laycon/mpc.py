@@ -11,11 +11,11 @@ closed loop off its goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hess import HessParams, battery_interface_bounds
+from .hess import DERIVED, HessParams, battery_interface_bounds
 from .qp import QpProblem, QpSolver, QpStatus, solve_qp
 
 
@@ -26,18 +26,18 @@ class AllInfeasibleError(RuntimeError):
 @dataclass(frozen=True)
 class PlannerConfig:
     horizon: int
-    t_s: float
+    t_s: float = field(metadata=DERIVED)
     q_weight: float
     e_b_goal: float
-    v_nom: float
-    i_b_bar: float
-    i_s_bar: float
+    v_nom: float = field(metadata=DERIVED)
+    i_b_bar: float = field(metadata=DERIVED)
+    i_s_bar: float = field(metadata=DERIVED)
     e_b_range: tuple[float, float]
     e_s_range: tuple[float, float]
-    slew_bound: float
-    tighten_eps_e: float
-    lambda_b_energy: float
-    lambda_s: float
+    slew_bound: float = field(metadata=DERIVED)
+    lambda_b_energy: float = field(metadata=DERIVED)
+    lambda_s: float = field(metadata=DERIVED)
+    tighten_eps_e: float = 0.0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -51,22 +51,15 @@ class PlannerConfig:
                 raise ValueError("SOC ranges must be nonempty intervals")
 
     @classmethod
-    def from_hess(cls, p: HessParams, horizon: int, t_s: float, q_weight: float,
-                  e_b_goal: float, e_b_range, e_s_range, tighten_eps_e: float = 0.0):
-        """Derive the slew bound from the battery loop's per-period capacity."""
+    def from_hess(cls, p: HessParams, t_s: float, **settings) -> "PlannerConfig":
+        """Copy the plant constants and derive the slew bound from the battery
+        loop's per-period capacity; `settings` are the remaining fields."""
         slew, _ = battery_interface_bounds(p, t_s)
         return cls(
-            horizon=horizon, t_s=t_s, q_weight=q_weight, e_b_goal=e_b_goal,
-            v_nom=p.v_nom, i_b_bar=p.i_b_bar, i_s_bar=p.i_s_bar,
-            e_b_range=tuple(e_b_range), e_s_range=tuple(e_s_range),
-            slew_bound=slew, tighten_eps_e=tighten_eps_e,
-            lambda_b_energy=p.lambda_b_energy, lambda_s=p.lambda_s,
+            t_s=t_s, v_nom=p.v_nom, i_b_bar=p.i_b_bar, i_s_bar=p.i_s_bar,
+            slew_bound=slew, lambda_b_energy=p.lambda_b_energy, lambda_s=p.lambda_s,
+            **settings,
         )
-
-    @property
-    def r_bar(self) -> tuple[float, float]:
-        """Per-period reference step bound (voltage target fixed, current slewed)."""
-        return (0.0, self.slew_bound)
 
     @property
     def gain_b(self) -> float:

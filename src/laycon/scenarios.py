@@ -11,13 +11,21 @@ things identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from .contracts import ContractSpec, MismatchParams
 from .erg import ErgConfig, HalfspaceConstraint
-from .hess import HessParams, LoadProfile, battery_interface_bounds, hess_constraints, scenario_b_load
+from .hess import (
+    ConstraintConfig,
+    HessParams,
+    LoadProfile,
+    battery_interface_bounds,
+    hess_constraints,
+    scenario_b_load,
+)
 from .mpc import PlannerConfig
 from .numkit import SpdMatrix, solve_lyapunov
 from .sim import SimConfig
@@ -33,7 +41,7 @@ class CertificateInputs:
     kappa_lo: float
     r_lo: float
     settle_delta: float
-    settle_mode: str
+    settle_mode: Literal["absolute", "relative"]
     ff_residual_bound: float
     eta: float
     lambda_min_p: float
@@ -44,31 +52,34 @@ class CertificateInputs:
 
 @dataclass(frozen=True)
 class RunBundle:
+    """One configuration. The Lyapunov metric P (from the plant's error
+    matrix and the weight R) and the governor's constraint rows (from
+    constraint_cfg) are derived here and never serialised."""
+
     name: str
     plant: HessParams
     R: np.ndarray
-    P: SpdMatrix
-    constraints: list[HalfspaceConstraint]
+    constraint_cfg: ConstraintConfig
     erg_cfg: ErgConfig
     planner_cfg: PlannerConfig | None
     spec: ContractSpec
     sim: SimConfig
     load_profile: LoadProfile | None
     cert: CertificateInputs
+    P: SpdMatrix = field(init=False)
+    constraints: list[HalfspaceConstraint] = field(init=False)
 
-    def input_channel(self) -> np.ndarray:
-        """Unit direction of the disturbance in error space; pair with
-        h_max = w_max / c_bus."""
-        return np.array([0.0, 1.0])
+    def __post_init__(self):
+        object.__setattr__(self, "P", solve_lyapunov(self.plant.error_matrix(), self.R))
+        con = self.constraint_cfg
+        object.__setattr__(self, "constraints", hess_constraints(
+            self.plant, con.mode, con.kappa_bar, con.d_bar_max, con.d_bar_dot_max,
+        ))
 
 
 def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:
     """Frozen-reference invariance/decay study at the (25, 11) gain point."""
     plant = HessParams(k1=25.0, k2=11.0)
-    R = np.diag([50.0, 1.0])
-    P = solve_lyapunov(plant.error_matrix(), R)
-    # governor idle; only the voltage box shapes the logged threshold
-    constraints = [c for c in hess_constraints(plant) if c.label.startswith("v_")]
     w_max = 3.0
     sim = SimConfig(
         t_end=t_end,
@@ -82,18 +93,13 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:
         x0=(403.0, 0.0, 0.0, 0.0, 0.0),  # tracking error starts at (3, 0)
         v0=(400.0, 0.0),
     )
-    spec = ContractSpec(
+    spec = ContractSpec.from_hess(
+        plant, sim.t_s, w_max,
         eps_e=0.5,
         eps_t=0.1,
         eps_l=(0.28, 0.005),
         eps_h=1.0,
-        r_bar=(0.0, battery_interface_bounds(plant, sim.t_s)[0]),
-        w_max=w_max,
-        t_s=sim.t_s,
         delta=0.1,
-        v_box=(plant.v_min, plant.v_max),
-        i_s_box=(-plant.i_s_bar, plant.i_s_bar),
-        i_b_box=(-plant.i_b_bar, plant.i_b_bar),
         u_bounds=(200.0, plant.u_b_bar),  # supercap input unconstrained here
         y_goal=0.0,
     )
@@ -115,9 +121,9 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:
     return RunBundle(
         name="a",
         plant=plant,
-        R=R,
-        P=P,
-        constraints=constraints,
+        R=np.diag([50.0, 1.0]),
+        # governor idle; only the voltage box shapes the logged threshold
+        constraint_cfg=ConstraintConfig(mode="voltage_only"),
         erg_cfg=ErgConfig(kappa_erg=1.0, eta=0.05),
         planner_cfg=None,
         spec=spec,
@@ -131,21 +137,10 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> RunBundle:
     """Full hierarchy at the (35, 12) gain point: charge 5 A-s under the
     ramped load while the governor certifies the actuator margin."""
     plant = HessParams()
-    R = np.diag([100.0, 10.0])
-    P = solve_lyapunov(plant.error_matrix(), R)
-    constraints = hess_constraints(plant, erg_mode="input_only")
-    # goal on the battery's upper SOC bound (charge to full, no overshoot);
-    # per-step tightening 0.02 A-s dominates the battery-channel mismatch,
-    # so one bad step cannot strand a nominally feasible plan
-    planner_cfg = PlannerConfig.from_hess(
-        plant, horizon=20, t_s=0.1, q_weight=1.0, e_b_goal=5.0,
-        e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=0.02,
-    )
     w_max = 2.0
-    _, eps_l_ib = battery_interface_bounds(plant, planner_cfg.t_s)
     sim = SimConfig(
         t_end=t_end,
-        t_s=planner_cfg.t_s,
+        t_s=0.1,
         seed=seed,
         disturbance="mixed",
         w_max=w_max,
@@ -154,18 +149,21 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> RunBundle:
         x0=(400.0, 0.0, 0.0, 0.0, 0.0),
         v0=(400.0, 0.0),
     )
-    spec = ContractSpec(
+    # goal on the battery's upper SOC bound (charge to full, no overshoot);
+    # per-step tightening 0.02 A-s dominates the battery-channel mismatch,
+    # so one bad step cannot strand a nominally feasible plan
+    planner_cfg = PlannerConfig.from_hess(
+        plant, sim.t_s, horizon=20, q_weight=1.0, e_b_goal=5.0,
+        e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=0.02,
+    )
+    _, eps_l_ib = battery_interface_bounds(plant, sim.t_s)
+    spec = ContractSpec.from_hess(
+        plant, sim.t_s, w_max,
         eps_e=0.5,
         eps_t=0.2,
         eps_l=(0.15, eps_l_ib),
         eps_h=1.0,
-        r_bar=planner_cfg.r_bar,
-        w_max=w_max,
-        t_s=planner_cfg.t_s,
         delta=0.1,
-        v_box=(plant.v_min, plant.v_max),
-        i_s_box=(-plant.i_s_bar, plant.i_s_bar),
-        i_b_box=(-plant.i_b_bar, plant.i_b_bar),
         u_bounds=(plant.u_s_bar, plant.u_b_bar),
         y_goal=planner_cfg.e_b_goal,
     )
@@ -187,9 +185,8 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> RunBundle:
     return RunBundle(
         name="b",
         plant=plant,
-        R=R,
-        P=P,
-        constraints=constraints,
+        R=np.diag([100.0, 10.0]),
+        constraint_cfg=ConstraintConfig(mode="input_only"),
         erg_cfg=ErgConfig(kappa_erg=0.1, eta=0.01),
         planner_cfg=planner_cfg,
         spec=spec,

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laycon.cli import (
     bundle_to_config,
@@ -34,6 +36,26 @@ class TestConfigRoundTrip:
         assert rebuilt.sim == original.sim
         assert np.allclose(rebuilt.R, original.R)
         assert len(rebuilt.constraints) == len(original.constraints)
+        assert rebuilt.constraints == original.constraints
+        assert rebuilt.cert == original.cert
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_config_survives_load(self, data):
+        cfg = resolve_config(data.draw(st.sampled_from(["a", "b"])), None)
+        margin = st.floats(min_value=1e-3, max_value=20.0)
+        optional = st.none() | st.floats(min_value=0.0, max_value=10.0)
+        cfg["constraints"] = {
+            "mode": data.draw(st.sampled_from(["full", "input_only", "voltage_only"])),
+            "kappa_bar": data.draw(margin),
+            "d_bar_max": data.draw(margin),
+            "d_bar_dot_max": data.draw(margin),
+        }
+        cfg["certificates"]["h_max"] = data.draw(st.just(0.0) | st.floats(min_value=0.0, max_value=5.0))
+        cfg["certificates"]["v_bar_h_override"] = data.draw(optional)
+        cfg["certificates"]["l_v"] = data.draw(optional)
+        cfg["sim"]["seed"] = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+        assert bundle_to_config(load_bundle(cfg)) == cfg
 
     def test_override_merge(self, tmp_path):
         override = tmp_path / "override.json"
@@ -42,6 +64,30 @@ class TestConfigRoundTrip:
         assert cfg["sim"]["seed"] == 42
         assert cfg["sim"]["t_end"] == 1.0
         assert cfg["plant"]["k1"] == 25.0  # defaults retained
+
+
+BAD_KEYS = [
+    ("contract.eps_hh", lambda cfg: cfg["contract"].update(eps_hh=5)),
+    ("sim.typo", lambda cfg: cfg["sim"].update(typo=1)),
+    ("planner.horizon", lambda cfg: cfg["planner"].pop("horizon")),
+    ("load.segments", lambda cfg: cfg["load"].update(segments=[[0.0, 8.0, "constant"]])),
+    ("constraints.mode", lambda cfg: cfg["constraints"].update(mode="bogus")),
+    ("sim.x0", lambda cfg: cfg["sim"].update(x0=[400.0, 0.0, 0.0])),
+    ("certificates.settle_mode", lambda cfg: cfg["certificates"].update(settle_mode="bogus")),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("key_path, spoil", BAD_KEYS, ids=[k for k, _ in BAD_KEYS])
+    def test_bad_key_names_its_path(self, tmp_path, capsys, key_path, spoil):
+        cfg = resolve_config("b", None)
+        spoil(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["certify", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count(key_path) == 1
+        assert err.count("config error") == 1
 
 
 class TestTrajectoryCsv:

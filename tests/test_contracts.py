@@ -157,7 +157,7 @@ class TestMismatchBound:
 
 
 class TestCertificateReport:
-    SETTLING = SettlingTimes(tau1=0.2, tau2=1.42, tau_LL=1.62, z_peak=8.81, tau1_max=0.2)
+    SETTLING = SettlingTimes(tau1=0.2, tau2=1.42, tau_LL=1.62, z_peak=8.81)
     TIMING = TimingVerdict(True, True, 0.1, 0.2, 0.0)
 
     def test_admissibility_from_constraints(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laycon.erg import ErgConfig, HalfspaceConstraint, erg_rhs, barrier, gamma, gamma_i, navigation_field
+from laycon.erg import ErgConfig, GammaEvaluator, HalfspaceConstraint
 from laycon.numkit import SpdMatrix, solve_lyapunov
 
 P_EYE = SpdMatrix(np.eye(2))
@@ -13,22 +13,22 @@ def plain_row(d0=2.0, c_a=(1.0,), c_b=(0.0,), c_v=(0.0, 0.0), g=0.0, label="row"
 
 class TestGammaI:
     def test_identity_metric(self):
-        assert gamma_i(plain_row(), np.zeros(2), P_EYE) == pytest.approx(4.0)
+        assert GammaEvaluator([plain_row()], P_EYE).gamma_i(0, np.zeros(2)) == pytest.approx(4.0)
 
     def test_published_input_threshold(self):
         # actuator row with normal (35, 12) against the published gain set
         P = solve_lyapunov(np.array([[0.0, 1.0], [-35.0, -12.0]]), np.diag([100.0, 10.0]))
         row = HalfspaceConstraint(c_a=(35.0,), c_b=(12.0,), d0=50.0, c_v=(0.0, 0.0), label="u_s")
-        assert abs(gamma_i(row, np.zeros(2), P) - 9.3) <= 0.1
+        assert abs(GammaEvaluator([row], P).gamma_i(0, np.zeros(2)) - 9.3) <= 0.1
 
     def test_closed_margin_clamps(self):
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
-        assert gamma_i(row, np.array([3.0, 0.0]), P_EYE) == 0.0
+        assert GammaEvaluator([row], P_EYE).gamma_i(0, np.array([3.0, 0.0])) == 0.0
 
     def test_nonincreasing_toward_bound(self):
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
         vs = np.linspace(-1.0, 3.0, 41)
-        vals = [gamma_i(row, np.array([v, 0.0]), P_EYE) for v in vs]
+        vals = [GammaEvaluator([row], P_EYE).gamma_i(0, np.array([v, 0.0])) for v in vs]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -36,11 +36,11 @@ class TestGamma:
     def test_single_row(self):
         row = plain_row()
         v = np.zeros(2)
-        assert gamma(v, [row], P_EYE) == gamma_i(row, v, P_EYE)
+        assert GammaEvaluator([row], P_EYE).gamma(v) == GammaEvaluator([row], P_EYE).gamma_i(0, v)
 
     def test_min_over_rows(self):
         rows = [plain_row(d0=2.0), plain_row(d0=1.0, c_a=(0.0,), c_b=(1.0,))]
-        assert gamma(np.zeros(2), rows, P_EYE) == pytest.approx(1.0)
+        assert GammaEvaluator(rows, P_EYE).gamma(np.zeros(2)) == pytest.approx(1.0)
 
     def test_self_referential_fixed_point(self):
         rows = [
@@ -48,8 +48,8 @@ class TestGamma:
             HalfspaceConstraint(c_a=(0.0,), c_b=(1.0,), d0=10.0, c_v=(0.0, 0.0), g_gamma=0.01),
         ]
         v = np.zeros(2)
-        g_fast = gamma(v, rows, P_EYE, fixed_point_iters=100)
-        g_ref = gamma(v, rows, P_EYE, fixed_point_iters=1000)
+        g_fast = GammaEvaluator(rows, P_EYE).gamma(v, fixed_point_iters=100)
+        g_ref = GammaEvaluator(rows, P_EYE).gamma(v, fixed_point_iters=1000)
         assert abs(g_fast - g_ref) <= 1e-8
         # fixed point reproduces itself through the margin map
         margin = 10.0 - 0.01 * g_ref
@@ -57,7 +57,7 @@ class TestGamma:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            gamma(np.zeros(2), [], P_EYE)
+            GammaEvaluator([], P_EYE).gamma(np.zeros(2))
 
 
 class TestNavigationField:
@@ -65,30 +65,30 @@ class TestNavigationField:
 
     def test_zero_at_target(self):
         v = np.array([1.0, 2.0])
-        rho = navigation_field(v, v, [plain_row()], P_EYE, self.CFG)
+        rho = GammaEvaluator([plain_row()], P_EYE).navigation_field(v, v, self.CFG)
         assert np.all(rho == 0.0)
 
     def test_unit_beyond_radius(self):
-        rho = navigation_field(np.array([1.0, 0.0]), np.zeros(2), [plain_row()], P_EYE, self.CFG)
+        rho = GammaEvaluator([plain_row()], P_EYE).navigation_field(np.array([1.0, 0.0]), np.zeros(2), self.CFG)
         assert np.linalg.norm(rho) == pytest.approx(1.0)
 
     def test_continuity_at_radius(self):
         r = np.array([self.CFG.eta, 0.0])
-        inside = navigation_field(r * 0.999, np.zeros(2), [plain_row()], P_EYE, self.CFG)
-        outside = navigation_field(r * 1.001, np.zeros(2), [plain_row()], P_EYE, self.CFG)
+        inside = GammaEvaluator([plain_row()], P_EYE).navigation_field(r * 0.999, np.zeros(2), self.CFG)
+        outside = GammaEvaluator([plain_row()], P_EYE).navigation_field(r * 1.001, np.zeros(2), self.CFG)
         assert np.linalg.norm(inside - outside) <= 2e-3
 
     def test_attraction_bounded(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             r, v = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
-            rho = navigation_field(r, v, [plain_row()], P_EYE, self.CFG)
+            rho = GammaEvaluator([plain_row()], P_EYE).navigation_field(r, v, self.CFG)
             assert np.linalg.norm(rho) <= 1.0 + 1e-12
 
     def test_repulsion_points_away_from_bound(self):
         cfg = ErgConfig(kappa_erg=1.0, eta=0.5, eta_rep=(0.1,))
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
-        rho = navigation_field(np.zeros(2), np.zeros(2), [row], P_EYE, cfg)
+        rho = GammaEvaluator([row], P_EYE).navigation_field(np.zeros(2), np.zeros(2), cfg)
         assert np.allclose(rho, np.array([0.1, 0.0]))
 
 
@@ -98,24 +98,24 @@ class TestErgRhs:
     def test_frozen_at_boundary(self):
         row = plain_row(d0=2.0)  # Gamma = 4 at v = 0
         e = np.array([2.0, 0.0])  # V(e) = 4
-        assert np.all(erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), [row], P_EYE, self.CFG) == 0.0)
+        assert np.all(GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), self.CFG) == 0.0)
 
     def test_frozen_beyond_boundary(self):
         row = plain_row(d0=2.0)
         e = np.array([3.0, 0.0])  # V(e) = 9 > 4
-        assert np.all(erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), [row], P_EYE, self.CFG) == 0.0)
+        assert np.all(GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), self.CFG) == 0.0)
 
     def test_speed_scales_with_margin(self):
         row = plain_row(d0=2.0)  # Gamma = 4
         e = np.array([np.sqrt(2.0), 0.0])  # V(e) = 2 -> margin 2
-        vdot = erg_rhs(e, np.zeros(2), np.array([10.0, 0.0]), [row], P_EYE, self.CFG)
+        vdot = GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([10.0, 0.0]), self.CFG)
         assert np.linalg.norm(vdot) == pytest.approx(6.0)
 
 
 class TestBarrier:
     def test_interior_negative(self):
-        assert barrier(np.zeros(2), np.zeros(2), [plain_row()], P_EYE) < 0.0
+        assert GammaEvaluator([plain_row()], P_EYE).barrier(np.zeros(2), np.zeros(2)) < 0.0
 
     def test_boundary_zero(self):
         e = np.array([2.0, 0.0])  # V(e) = 4 = Gamma
-        assert barrier(e, np.zeros(2), [plain_row(d0=2.0)], P_EYE) == pytest.approx(0.0)
+        assert GammaEvaluator([plain_row(d0=2.0)], P_EYE).barrier(e, np.zeros(2)) == pytest.approx(0.0)

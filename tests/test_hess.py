@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from laycon.erg import gamma, gamma_i
+from laycon.erg import GammaEvaluator
 from laycon.hess import (
     HessParams,
-    HessState,
     LoadProfile,
     LoadSegment,
     OutOfSpanError,
@@ -107,20 +106,22 @@ class TestConstraints:
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, erg_mode="input_only")
         assert len(rows) == 2
-        g = gamma(np.array([400.0, 0.0]), rows, P)
+        g = GammaEvaluator(rows, P).gamma(np.array([400.0, 0.0]))
         assert abs(g - 9.3) <= 0.1
 
     def test_voltage_row_closes_at_bound(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B)
         v_max_row = next(r for r in rows if r.label == "v_max")
-        assert gamma_i(v_max_row, np.array([P_B.v_max, 0.0]), P) == 0.0
+        assert GammaEvaluator([v_max_row], P).gamma_i(0, np.array([P_B.v_max, 0.0])) == 0.0
 
     def test_full_set_is_min_over_rows(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, d_bar_max=6.0)
         v = np.array([400.0, 0.0])
-        assert gamma(v, rows, P) == pytest.approx(min(gamma_i(r, v, P) for r in rows))
+        assert GammaEvaluator(rows, P).gamma(v) == pytest.approx(
+            min(GammaEvaluator([r], P).gamma_i(0, v) for r in rows)
+        )
 
 
 class TestBatteryInterface:
@@ -180,5 +181,3 @@ class TestOutputs:
         h_r, h_y = outputs(x)
         assert np.allclose(h_r, [400.0, 2.0])
         assert np.allclose(h_y, [4.0, 3.0])
-        st = HessState.from_array(x)
-        assert st.e_b == 4.0 and st.e_s == 3.0

@@ -173,17 +173,17 @@ class TestSettlingTime:
 
 class TestTimingCheck:
     def test_exact_period(self):
-        st = SettlingTimes(tau1=0.4, tau2=0.6, tau_LL=1.0, z_peak=2.0, tau1_max=0.4)
+        st = SettlingTimes(tau1=0.4, tau2=0.6, tau_LL=1.0, z_peak=2.0)
         v = timing_check(1.0, st)
         assert v.period_covers_settling
         assert v.settling_slack == pytest.approx(0.0)
 
     def test_window_boundary(self):
-        st = SettlingTimes(tau1=0.01, tau2=0.6, tau_LL=0.61, z_peak=2.0, tau1_max=0.01)
+        st = SettlingTimes(tau1=0.01, tau2=0.6, tau_LL=0.61, z_peak=2.0)
         assert not timing_check(0.6 + 0.01 + 0.01, st).window_within_transit
 
     def test_short_period_flagged(self):
-        st = SettlingTimes(tau1=0.2, tau2=1.42, tau_LL=1.62, z_peak=8.81, tau1_max=0.2)
+        st = SettlingTimes(tau1=0.2, tau2=1.42, tau_LL=1.62, z_peak=8.81)
         v = timing_check(0.1, st)
         assert not v.period_covers_settling
         assert not v.window_within_transit

@@ -178,7 +178,7 @@ class TestScenarioA:
         from laycon.iss_cert import ultimate_level_optimized
 
         v_bar, _, _ = ultimate_level_optimized(
-            bundle.P, SpdMatrix(bundle.R), bundle.input_channel(), bundle.cert.h_max
+            bundle.P, SpdMatrix(bundle.R), np.array([0.0, 1.0]), bundle.cert.h_max
         )
         entry = omega_entry_time(log, v_bar)
         assert 0.82 <= entry <= 1.12
