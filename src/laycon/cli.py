@@ -419,13 +419,24 @@ def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:
     }
 
 
-def monitor_to_dict(report) -> dict:
+def monitor_to_dict(report, log: TrajectoryLog) -> dict:
+    """Contract verdicts, plus one record per planner period of how hard
+    its QP was (no timings, so the file stays byte-reproducible)."""
     return {
         "verdicts": {k: [int(b) for b in v] for k, v in report.verdicts.items()},
         "first_violation": dict(report.first_violation),
         "w_tilde": report.w_tilde.tolist(),
         "k_live": report.k_live,
         "all_pass": report.all_pass(),
+        "planner": [
+            {
+                "status": sol.status.value,
+                "iterations": sol.iterations,
+                "active_set_size": len(sol.active_set),
+                "kkt_residual": sol.kkt_residual,
+            }
+            for sol in log.plan_qps
+        ],
     }
 
 
@@ -450,7 +461,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(log, out_dir / "trajectory.csv")
-    dump_json(monitor_to_dict(report), out_dir / "monitor.json")
+    dump_json(monitor_to_dict(report, log), out_dir / "monitor.json")
     summary = summarize_run(bundle, log, report)
     dump_json(summary, out_dir / "summary.json")
     print(f"wrote {out_dir}/trajectory.csv, monitor.json, summary.json")

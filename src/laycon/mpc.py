@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hess import DERIVED, HessParams, battery_interface_bounds
-from .qp import QpProblem, QpSolver, QpStatus, solve_qp
+from .qp import QpProblem, QpSolution, QpSolver, QpStatus, solve_qp
 
 
 class AllInfeasibleError(RuntimeError):
@@ -77,6 +77,7 @@ class PlanResult:
     feasible: bool
     V_N_star: float | None
     fallback_used: bool
+    qp: QpSolution  # the period's QP: status, iterations, active set, KKT residual
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,9 @@ def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver | 
             feasible=True,
             V_N_star=value,
             fallback_used=False,
+            qp=sol,
         )
-    return PlanResult(r_k=(cfg.v_nom, r_prev), feasible=False, V_N_star=None, fallback_used=True)
+    return PlanResult(r_k=(cfg.v_nom, r_prev), feasible=False, V_N_star=None, fallback_used=True, qp=sol)
 
 
 class Planner:
@@ -179,9 +181,9 @@ class Planner:
     One planner per simulation; not shared across concurrent runs.
     """
 
-    def __init__(self, cfg: PlannerConfig, r_init: float = 0.0, solver: QpSolver | None = None):
+    def __init__(self, cfg: PlannerConfig, r_init: float = 0.0):
         self.cfg = cfg
-        self.solver = solver or QpSolver()
+        self.solver = QpSolver()
         self.r_prev = r_init
 
     def step(self, y_k, d_forecast) -> PlanResult:
@@ -202,7 +204,6 @@ def estimate_lipschitz(
     cfg: PlannerConfig,
     sample_count: int,
     sample_radius: float,
-    solver: QpSolver | None = None,
     seed: int = 0,
 ) -> float:
     """Empirical lower estimate of the value function's Lipschitz constant.
@@ -217,7 +218,7 @@ def estimate_lipschitz(
     if cfg.q_weight == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
-    solver = solver or QpSolver()
+    solver = QpSolver()
     d_zero = np.zeros(cfg.horizon)
 
     def value(y):

@@ -1,12 +1,19 @@
 """Dense convex QP solver for the planner.
 
 Solves min 1/2 x'Hx + g'x subject to A x <= b with H symmetric positive
-definite, by a dual active-set iteration: start at the unconstrained
-optimum, repeatedly pick the most violated row, and take primal/dual
-steps that keep the working-set multipliers nonnegative. Factorizations
-(Cholesky of H once, Cholesky of the working-set Gram matrix per change)
-are recomputed rather than updated; problems here are at most a few tens
-of variables.
+definite, by the dual active-set method of Goldfarb and Idnani: start from
+a dual-feasible point, repeatedly pick the most violated row, and take
+primal/dual steps that keep the working-set multipliers nonnegative.
+
+A `QpSolver` is a workspace for a sequence of problems that share H and
+A (the receding-horizon planner re-solves the same condensed QP with a new
+g and b every period). It factors (H, A) once and refactors only when a
+problem's H or A differs in value; each working-set change then costs a
+Gram matrix of cached columns and one small solve. Each solve is
+hot-started from the previous optimal active set, in the spirit of the
+online active-set strategy of qpOASES: the equality-constrained problem on
+that set is solved and negative multipliers are dropped until the start is
+dual feasible. An empty start set is the classical cold start.
 
 Infeasibility is a first-class status, detected when a violated row is a
 nonnegative combination of active rows with no compatible bound (a Farkas
@@ -72,57 +79,88 @@ class QpSolution:
 
 
 class QpSolver:
-    """One solver instance per caller; holds the last active set for
-    inspection across receding-horizon resolves."""
+    """QP workspace for one caller's sequence of problems (a planner's
+    periods, a Lipschitz estimate's samples); not shared across threads.
+
+    Keeps the factors of the last (H, A_ineq) it saw and refactors only when
+    a problem's H or A_ineq differs in value. `last_active_set` is the
+    active set of the last optimal solve; the next solve starts from it,
+    ignoring indices that are not rows of the new problem.
+    """
 
     def __init__(self):
         self.last_active_set: tuple[int, ...] = ()
+        self._H: np.ndarray | None = None
+        self._A: np.ndarray | None = None
 
     def solve(self, p: QpProblem, max_iters: int = 200) -> QpSolution:
-        sol = _dual_active_set(p, max_iters)
+        self._factor(p)
+        start = sorted({i for i in self.last_active_set if 0 <= i < p.m})
+        sol = _dual_active_set(p, self, start, max_iters)
         if sol.status is QpStatus.OPTIMAL:
             self.last_active_set = sol.active_set
         return sol
 
+    def _factor(self, p: QpProblem) -> None:
+        """Cache Y = L^-1 A' (the rows of A in the H^-1 metric, H = LL'),
+        H^-1 and H^-1 A' for the problem's (H, A_ineq)."""
+        if self._H is not None and np.array_equal(p.H, self._H) and np.array_equal(p.A_ineq, self._A):
+            return
+        try:
+            L = np.linalg.cholesky(p.H)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("cost Hessian must be symmetric positive definite") from exc
+        L_inv = np.linalg.inv(L)
+        self._Y = L_inv @ p.A_ineq.T
+        self._H_inv = L_inv.T @ L_inv
+        self._H_inv_At = L_inv.T @ self._Y
+        self._H, self._A = p.H.copy(), p.A_ineq.copy()
 
-def _chol_solve(L, rhs):
-    y = np.linalg.solve(L, rhs)
-    return np.linalg.solve(L.T, y)
+
+def _hot_start(p: QpProblem, ws: QpSolver, work: list[int]):
+    """Dual-feasible start on the rows `work`: the minimizer with those rows
+    held at equality, dropping the most negative multiplier until none is
+    negative. A start set whose rows are numerically dependent is replaced
+    by the empty set. Returns (x, work, u, drops)."""
+    x = -ws._H_inv @ p.g
+    if work and not _independent(ws._Y[:, work]):
+        work = []
+    drops = 0
+    while work:
+        Y_w = ws._Y[:, work]
+        u = np.linalg.solve(Y_w.T @ Y_w, p.A_ineq[work] @ x - p.b_ineq[work])
+        k = int(np.argmin(u))
+        if u[k] >= 0.0:
+            return x - ws._H_inv_At[:, work] @ u, work, u.tolist(), drops
+        work.pop(k)
+        drops += 1
+    return x, [], [], drops
 
 
-def _dual_active_set(p: QpProblem, max_iters: int) -> QpSolution:
-    H, g, A, b = p.H, p.g, p.A_ineq, p.b_ineq
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("cost Hessian must be symmetric positive definite") from exc
-
-    x = _chol_solve(L, -g)
-    work: list[int] = []
-    u: list[float] = []
+def _dual_active_set(p: QpProblem, ws: QpSolver, start: list[int], max_iters: int) -> QpSolution:
+    A, b = p.A_ineq, p.b_ineq
+    Y, H_inv_At = ws._Y, ws._H_inv_At
+    x, work, u, iters = _hot_start(p, ws, start)
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
     tol_violation = 1e-10 * scale
 
-    def directions(a_new):
-        """Primal/dual step directions for bringing row a_new into the set.
+    def directions(idx):
+        """Primal/dual step directions for bringing row idx into the set.
         Returns None when the working-set Gram matrix has gone numerically
         rank-deficient; the caller stalls out with a status rather than an
         exception."""
-        h_inv_a = _chol_solve(L, a_new)
+        h_inv_a = H_inv_At[:, idx]
         if not work:
             return h_inv_a, np.zeros(0)
-        N = A[work].T  # columns are active row normals
-        Y = np.linalg.solve(L, N)
-        B = Y.T @ Y  # working-set Gram matrix in the H^-1 metric
+        Y_w = Y[:, work]
+        B = Y_w.T @ Y_w  # working-set Gram matrix in the H^-1 metric
         try:
-            Lb = np.linalg.cholesky(B)
+            np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
             return None
-        r = _chol_solve(Lb, N.T @ h_inv_a)
-        z = h_inv_a - _chol_solve(L, N @ r)
-        return z, r
+        r = np.linalg.solve(B, Y_w.T @ Y[:, idx])
+        return h_inv_a - H_inv_At[:, work] @ r, r
 
-    iters = 0
     while iters < max_iters:
         iters += 1
         violations = A @ x - b if p.m else np.zeros(0)
@@ -136,7 +174,7 @@ def _dual_active_set(p: QpProblem, max_iters: int) -> QpSolution:
         u_new = 0.0
 
         while iters < max_iters:
-            step = directions(a_new)
+            step = directions(idx)
             if step is None:
                 return _finish(p, x, work, u, QpStatus.ITER_LIMIT, iters)
             z, r = step
@@ -167,6 +205,18 @@ def _dual_active_set(p: QpProblem, max_iters: int) -> QpSolution:
             u.pop(k_drop)
             iters += 1
     return _finish(p, x, work, u, QpStatus.ITER_LIMIT, iters)
+
+
+def _independent(Y_w: np.ndarray) -> bool:
+    """Whether the columns of Y_w are numerically independent: each Cholesky
+    pivot of their Gram matrix keeps more than 1e-12 of its column's squared
+    norm (the squared sine of its angle to the span of the columns before)."""
+    B = Y_w.T @ Y_w
+    try:
+        Lb = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.diag(Lb) ** 2 > 1e-12 * np.diag(B)))
 
 
 def _finish(p, x, work, u, status, iters):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -38,11 +39,14 @@ from .hess import outputs, plant_rhs
 from .iss_cert import calibrate_overshoot, iss_gain, noise_floor
 from .mpc import Planner, PlannerConfig, abstract_step
 from .numkit import SpdMatrix
+from .qp import QpSolution
 
 
 class NonFiniteStateError(RuntimeError):
     """Integration produced a non-finite state."""
 
+
+DisturbanceMode = Literal["none", "mixed", "adversarial"]
 
 COLUMNS = (
     "t", "V_gr", "I_S", "I_B", "E_S", "E_B", "v", "r_V", "r_IB",
@@ -56,7 +60,7 @@ class SimConfig:
     t_s: float
     h: float = 1e-3
     seed: int = 0
-    disturbance: str = "mixed"  # none | mixed | adversarial
+    disturbance: DisturbanceMode = "mixed"
     w_max: float = 3.0
     erg_on: bool = True
     mpc_on: bool = True
@@ -68,7 +72,7 @@ class SimConfig:
     def __post_init__(self):
         if self.h <= 0.0 or self.t_end <= 0.0 or self.t_s <= 0.0:
             raise ValueError("h, t_end, t_s must be positive")
-        if self.disturbance not in ("none", "mixed", "adversarial"):
+        if self.disturbance not in get_args(DisturbanceMode):
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
         if not self.mpc_on and self.frozen_reference is None:
             raise ValueError("planner disabled: a frozen reference is required")
@@ -87,6 +91,7 @@ class TrajectoryLog:
     w_tilde: np.ndarray  # (K, 2) realized one-step mismatch
     ref_points: np.ndarray  # (K+1, 2) held references, row 0 = initial
     fallback_steps: np.ndarray  # (K,) bool
+    plan_qps: list[QpSolution]  # (K,) the planner's QP per period; empty without planner
     t_s_eff: float
 
     @property
@@ -178,6 +183,7 @@ def run_layered(
     ref_points = np.zeros((n_periods + 1, 2))
     ref_points[0] = r_init
     fallback_steps = np.zeros(n_periods, dtype=bool)
+    plan_qps = []
     fallback_now = False
 
     for i in range(n_steps + 1):
@@ -197,6 +203,7 @@ def run_layered(
                         r = np.array(res.r_k)
                         fallback_now = res.fallback_used
                         fallback_steps[k] = res.fallback_used
+                        plan_qps.append(res.qp)
                         if res.V_N_star is not None:
                             v_n_star[k] = res.V_N_star
                         predictions[k] = abstract_step(y_k, r[1], d_hat, planner_cfg)
@@ -252,6 +259,7 @@ def run_layered(
         w_tilde=(y_samples[1:] - predictions) if sim.mpc_on else np.zeros((0, 2)),
         ref_points=ref_points,
         fallback_steps=fallback_steps,
+        plan_qps=plan_qps,
         t_s_eff=t_s_eff,
     )
     return log, _build_report(log, spec, sim, spp)

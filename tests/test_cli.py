@@ -74,6 +74,7 @@ BAD_KEYS = [
     ("constraints.mode", lambda cfg: cfg["constraints"].update(mode="bogus")),
     ("sim.x0", lambda cfg: cfg["sim"].update(x0=[400.0, 0.0, 0.0])),
     ("certificates.settle_mode", lambda cfg: cfg["certificates"].update(settle_mode="bogus")),
+    ("sim.disturbance", lambda cfg: cfg["sim"].update(disturbance="bogus")),
 ]
 
 
@@ -163,6 +164,14 @@ class TestRunCommand:
         assert summary["K_live"] is not None
         assert summary["fallback_count"] == 0
         assert summary["max_Phi"] < 0.0
+
+    def test_scenario_b_planner_trace(self, tmp_path):
+        assert main(["run", "--scenario", "b", "--seed", "0", "--out", str(tmp_path)]) == 0
+        planner = json.loads((tmp_path / "monitor.json").read_text())["planner"]
+        assert len(planner) == 60
+        assert {rec["status"] for rec in planner} == {"optimal"}
+        # each period starts from the last one's active set; cold starts take ~3850
+        assert sum(rec["iterations"] for rec in planner) < 400
 
     def test_unknown_scenario_exits_1(self, tmp_path):
         assert main(["run", "--scenario", "zz", "--out", str(tmp_path)]) == 1

@@ -120,6 +120,68 @@ class TestSolveQp:
         assert solver.last_active_set == (0,)
 
 
+class TestQpWorkspace:
+    """One QpSolver reused across problems must agree with fresh solves."""
+
+    def test_reuse_across_shared_h_and_a(self):
+        rng = np.random.default_rng(21)
+        base = random_problem(rng, n=6, m=14, force_infeasible=True)  # rows 0 and 1 opposed
+        solver = QpSolver()
+        n_optimal = n_infeasible = warm_iters = cold_iters = 0
+        for i in range(120):
+            g = base.g + 0.3 * rng.standard_normal(base.n)
+            b = base.b_ineq + 0.1 * rng.standard_normal(base.m)
+            gap = rng.uniform(0.5, 2.0)
+            b[1] = -b[0] - gap if i % 5 == 4 else -b[0] + gap
+            p = QpProblem(base.H, g, base.A_ineq, b)
+            sol, ref = solver.solve(p, max_iters=300), solve_qp(p, max_iters=300)
+            assert sol.status is ref.status
+            if ref.status is QpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+                assert sol.active_set == ref.active_set
+                n_optimal += 1
+                warm_iters += sol.iterations
+                cold_iters += ref.iterations
+            else:
+                n_infeasible += 1
+        assert n_optimal >= 90
+        assert n_infeasible >= 20
+        assert warm_iters < cold_iters
+
+    def test_refactors_when_h_or_a_changes(self):
+        rng = np.random.default_rng(34)
+        p1 = random_problem(rng, n=5, m=8)
+        p2 = QpProblem(p1.H + 3.0 * np.eye(p1.n), p1.g, p1.A_ineq, p1.b_ineq)
+        p3 = QpProblem(p2.H, p2.g, p2.A_ineq, p2.b_ineq)  # shares p2's array
+        solver = QpSolver()
+        for p in (p1, p2, p3):
+            if p is p3:
+                # the array p2 was solved with, changed in place
+                p3.A_ineq[:] += 0.5 * rng.standard_normal(p3.A_ineq.shape)
+            sol, ref = solver.solve(p), solve_qp(p)
+            assert ref.status is QpStatus.OPTIMAL and ref.active_set
+            assert sol.status is ref.status
+            assert sol.active_set == ref.active_set
+            assert np.allclose(sol.x, ref.x, atol=1e-9)
+
+    @pytest.mark.parametrize("bad_start", ["out_of_range", "dependent_rows"])
+    def test_bad_start_set(self, bad_start):
+        rng = np.random.default_rng(23)
+        p = random_problem(rng, n=5, m=10)
+        k = solve_qp(p).active_set[0]
+        solver = QpSolver()
+        if bad_start == "out_of_range":
+            solver.last_active_set = (-1, k, p.m, p.m + 7)
+        else:
+            # row k twice: the start set's Gram matrix is singular
+            p = QpProblem(p.H, p.g, np.vstack([p.A_ineq, p.A_ineq[k]]), np.append(p.b_ineq, p.b_ineq[k]))
+            solver.last_active_set = (k, p.m - 1)
+        sol, ref = solver.solve(p), solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.active_set == ref.active_set
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+
+
 class TestFeasibilityCheck:
     def test_empty_constraints(self):
         assert feasibility_check(QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0)))
