@@ -39,16 +39,13 @@ from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_
 from .numkit import SpdMatrix, decay_rate
 from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
 from .sim import (
+    COLUMNS,
     SimConfig,
     TrajectoryLog,
     calibrated_overshoot_for_run,
     invariant_violations,
     omega_entry_time,
     run_layered,
-)
-
-TRAJECTORY_HEADER = (
-    "t,V_gr,I_S,I_B,E_S,E_B,v,r_V,r_IB,e1,e2,V_e,Gamma_v,Phi,w,d,u_S,u_B,fallback"
 )
 
 
@@ -376,12 +373,10 @@ def cmd_certify(args) -> int:
 
 def write_trajectory_csv(log: TrajectoryLog, path: Path) -> None:
     """Full-precision decimal rendering; parsing reproduces the arrays exactly."""
-    cols = log.columns
-    names = TRAJECTORY_HEADER.split(",")
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        data = [cols[name] for name in names]
+        writer.writerow(COLUMNS)
+        data = [log.columns[name] for name in COLUMNS]
         for i in range(log.n_rows):
             writer.writerow([repr(float(col[i])) for col in data])
 

@@ -55,7 +55,6 @@ class HessParams:
     i_b_bar: float = 5.0
     u_s_bar: float = 50.0
     u_b_bar: float = 30.0
-    rho_d: float = 5.0
 
     def __post_init__(self):
         for name in ("c_bus", "v_nom", "k1", "k2", "lambda_b_gain", "lambda_b_energy",

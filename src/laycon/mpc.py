@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hess import DERIVED, HessParams, battery_interface_bounds
-from .qp import QpProblem, QpSolution, QpSolver, QpStatus, solve_qp
+from .qp import QpSolution, QpSolver, QpStatus
 
 
 class AllInfeasibleError(RuntimeError):
@@ -106,8 +106,31 @@ def abstract_step(y_hat, i_b_ref: float, d_hat: float, cfg: PlannerConfig) -> np
     ])
 
 
-def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> QpProblem:
-    """Condense the planning problem over the battery current sequence.
+def qp_matrices(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The period-invariant part of the condensed QP: the cost Hessian H and
+    the constraint rows A_ineq over the battery current sequence. They
+    depend only on the horizon, the cost weight and the two energy gains."""
+    if cfg.q_weight <= 0.0:
+        raise ValueError("condensed cost requires q_weight > 0")
+    N = cfg.horizon
+    S = np.tril(np.ones((N, N)))
+    c_b, c_s = cfg.gain_b, cfg.gain_s
+    H = 2.0 * cfg.q_weight * c_b * c_b * (S.T @ S)
+    eye = np.eye(N)
+    # slew: first step against the held reference, then consecutive steps
+    D = eye - np.diag(np.ones(N - 1), -1) if N > 1 else eye
+    A_ineq = np.vstack([
+        eye, -eye,  # battery current box
+        D, -D,  # slew
+        -eye, eye,  # supercapacitor coverage of the bus balance: |-u - d| <= i_s_bar
+        c_b * S, -c_b * S, -c_s * S, c_s * S,  # tightened SOC corridors
+    ])
+    return H, A_ineq
+
+
+def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The per-period part of the condensed QP: the cost gradient g and the
+    right-hand sides b_ineq of the rows of `qp_matrices`, in their order.
 
     SOC rows for prediction step j are tightened by j * tighten_eps_e on
     both sides, so per-step mismatch cannot strand a nominally feasible
@@ -118,50 +141,40 @@ def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> QpProblem:
     if d.shape[0] < N:
         raise ValueError(f"disturbance forecast shorter than horizon ({d.shape[0]} < {N})")
     d = d[:N]
-    if cfg.q_weight <= 0.0:
-        raise ValueError("condensed cost requires q_weight > 0")
     e_b0, e_s0 = float(y_k[0]), float(y_k[1])
     S = np.tril(np.ones((N, N)))
-    c_b, c_s = cfg.gain_b, cfg.gain_s
+    c_s = cfg.gain_s
     delta = e_b0 - cfg.e_b_goal
 
-    H = 2.0 * cfg.q_weight * c_b * c_b * (S.T @ S)
-    g = 2.0 * cfg.q_weight * c_b * delta * (S.T @ np.ones(N))
+    g = 2.0 * cfg.q_weight * cfg.gain_b * delta * (S.T @ np.ones(N))
 
-    rows, rhs = [], []
-    eye = np.eye(N)
-    # battery current box
-    rows.append(eye); rhs.append(np.full(N, cfg.i_b_bar))
-    rows.append(-eye); rhs.append(np.full(N, cfg.i_b_bar))
-    # slew: first step against the held reference, then consecutive steps
-    D = eye - np.diag(np.ones(N - 1), -1) if N > 1 else eye
     slew_rhs = np.full(N, cfg.slew_bound)
     slew_rhs[0] += r_prev
-    rows.append(D); rhs.append(slew_rhs)
     slew_rhs_neg = np.full(N, cfg.slew_bound)
     slew_rhs_neg[0] -= r_prev
-    rows.append(-D); rhs.append(slew_rhs_neg)
-    # supercapacitor coverage of the bus balance: |-u - d| <= i_s_bar
-    rows.append(-eye); rhs.append(np.full(N, cfg.i_s_bar) + d)
-    rows.append(eye); rhs.append(np.full(N, cfg.i_s_bar) - d)
-    # tightened SOC corridors
-    steps = np.arange(1, N + 1, dtype=float)
-    tighten = steps * cfg.tighten_eps_e
+    tighten = np.arange(1, N + 1, dtype=float) * cfg.tighten_eps_e
     sd = S @ d
-    rows.append(c_b * S); rhs.append(cfg.e_b_range[1] - tighten - e_b0)
-    rows.append(-c_b * S); rhs.append(e_b0 - cfg.e_b_range[0] - tighten)
-    rows.append(-c_s * S); rhs.append(cfg.e_s_range[1] - tighten - e_s0 + c_s * sd)
-    rows.append(c_s * S); rhs.append(e_s0 - cfg.e_s_range[0] - tighten - c_s * sd)
-
-    return QpProblem(H, g, np.vstack(rows), np.concatenate(rhs))
+    b_ineq = np.concatenate([
+        np.full(N, cfg.i_b_bar), np.full(N, cfg.i_b_bar),
+        slew_rhs, slew_rhs_neg,
+        np.full(N, cfg.i_s_bar) + d, np.full(N, cfg.i_s_bar) - d,
+        cfg.e_b_range[1] - tighten - e_b0,
+        e_b0 - cfg.e_b_range[0] - tighten,
+        cfg.e_s_range[1] - tighten - e_s0 + c_s * sd,
+        e_s0 - cfg.e_s_range[0] - tighten - c_s * sd,
+    ])
+    return g, b_ineq
 
 
 def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver | None = None) -> PlanResult:
     """Receding-horizon step: solve the condensed QP and extract the first
     reference; on infeasibility hold the previous reference (a zero step,
-    so the slew guarantee survives the fallback)."""
-    problem = build_qp(y_k, d_forecast, r_prev, cfg)
-    sol = solve_qp(problem, max_iters=50 * max(cfg.horizon, 4), solver=solver)
+    so the slew guarantee survives the fallback). `solver` must be bound to
+    `qp_matrices(cfg)`; without one, a solver is built for this call."""
+    if solver is None:
+        solver = QpSolver(*qp_matrices(cfg))
+    g, b_ineq = build_qp(y_k, d_forecast, r_prev, cfg)
+    sol = solver.solve(g, b_ineq, max_iters=50 * max(cfg.horizon, 4))
     if sol.status is QpStatus.OPTIMAL:
         offset = cfg.q_weight * cfg.horizon * (float(y_k[0]) - cfg.e_b_goal) ** 2
         value = max(0.0, sol.objective + offset)
@@ -178,12 +191,14 @@ def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver | 
 class Planner:
     """Receding-horizon wrapper owning the held reference and QP workspace.
 
+    The workspace is bound to `qp_matrices(cfg)` at construction, so a
+    config swapped in later must keep the horizon, cost weight and gains.
     One planner per simulation; not shared across concurrent runs.
     """
 
     def __init__(self, cfg: PlannerConfig, r_init: float = 0.0):
         self.cfg = cfg
-        self.solver = QpSolver()
+        self.solver = QpSolver(*qp_matrices(cfg))
         self.r_prev = r_init
 
     def step(self, y_k, d_forecast) -> PlanResult:
@@ -218,7 +233,7 @@ def estimate_lipschitz(
     if cfg.q_weight == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
-    solver = QpSolver()
+    solver = QpSolver(*qp_matrices(cfg))
     d_zero = np.zeros(cfg.horizon)
 
     def value(y):

@@ -75,6 +75,7 @@ BAD_KEYS = [
     ("sim.x0", lambda cfg: cfg["sim"].update(x0=[400.0, 0.0, 0.0])),
     ("certificates.settle_mode", lambda cfg: cfg["certificates"].update(settle_mode="bogus")),
     ("sim.disturbance", lambda cfg: cfg["sim"].update(disturbance="bogus")),
+    ("plant.rho_d", lambda cfg: cfg["plant"].update(rho_d=5.0)),
 ]
 
 
@@ -175,6 +176,15 @@ class TestRunCommand:
 
     def test_unknown_scenario_exits_1(self, tmp_path):
         assert main(["run", "--scenario", "zz", "--out", str(tmp_path)]) == 1
+
+    def test_zero_planner_weight_exits_1(self, tmp_path, capsys):
+        cfg = resolve_config("b", None)
+        cfg["planner"]["q_weight"] = 0.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == "condensed cost requires q_weight > 0"
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestSweepCommand:

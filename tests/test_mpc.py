@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from laycon import mpc
 from laycon.hess import HessParams
 from laycon.mpc import (
     AllInfeasibleError,
@@ -13,8 +14,9 @@ from laycon.mpc import (
     estimate_lipschitz,
     plan,
     planner_iss_bound,
+    qp_matrices,
 )
-from laycon.qp import solve_qp
+from laycon.qp import QpSolver
 
 
 def make_cfg(**overrides):
@@ -45,6 +47,22 @@ def scenario_b_cfg():
     )
 
 
+def solve_condensed(y, d_forecast, r_prev, cfg):
+    return QpSolver(*qp_matrices(cfg)).solve(*build_qp(y, d_forecast, r_prev, cfg))
+
+
+def count_qp_matrices(monkeypatch):
+    calls = []
+    original = mpc.qp_matrices
+
+    def counted(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(mpc, "qp_matrices", counted)
+    return calls
+
+
 class TestAbstractStep:
     def test_rest_is_fixed_point(self):
         cfg = make_cfg()
@@ -66,12 +84,12 @@ class TestBuildQp:
     def test_one_step_reaches_goal(self):
         cfg = make_cfg(horizon=1, e_b_goal=5.0, slew_bound=100.0, i_b_bar=100.0, i_s_bar=200.0)
         y = np.array([4.99, 0.0])
-        sol = solve_qp(build_qp(y, np.zeros(1), 0.0, cfg))
+        sol = solve_condensed(y, np.zeros(1), 0.0, cfg)
         assert sol.x[0] == pytest.approx((5.0 - 4.99) / cfg.gain_b)
 
     def test_binding_slew_only(self):
         cfg = make_cfg(horizon=1, i_b_bar=100.0, i_s_bar=200.0)
-        sol = solve_qp(build_qp(np.array([0.0, 0.0]), np.zeros(1), 0.2, cfg))
+        sol = solve_condensed(np.array([0.0, 0.0]), np.zeros(1), 0.2, cfg)
         assert sol.x[0] == pytest.approx(0.2 + cfg.slew_bound)
 
     def test_scenario_b_first_step_feasible(self):
@@ -115,6 +133,20 @@ class TestPlan:
         assert all(b >= a - 1e-9 for a, b in zip(levels, levels[1:]))
         assert levels[-1] == pytest.approx(5.0, abs=1e-6)
         assert max(levels) <= 5.0 + 1e-9
+
+    def test_matrices_built_once_per_planner(self, monkeypatch):
+        calls = count_qp_matrices(monkeypatch)
+        cfg = scenario_b_cfg()
+        planner = Planner(cfg)
+        y = np.array([0.0, 0.0])
+        for _ in range(60):
+            res = planner.step(y, np.zeros(cfg.horizon))
+            y = abstract_step(y, res.r_k[1], 0.0, cfg)
+        assert len(calls) == 1
+
+    def test_zero_weight_planner_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="q_weight > 0"):
+            Planner(make_cfg(q_weight=0.0))
 
     def test_slew_guarantee_across_fallbacks(self):
         cfg = make_cfg()
@@ -164,6 +196,11 @@ class TestPlannerIssBound:
 class TestEstimateLipschitz:
     def test_zero_weight(self):
         assert estimate_lipschitz(make_cfg(q_weight=0.0), 10, 0.5) == 0.0
+
+    def test_matrices_built_once(self, monkeypatch):
+        calls = count_qp_matrices(monkeypatch)
+        estimate_lipschitz(make_cfg(), 200, 0.5)
+        assert len(calls) == 1
 
     def test_deterministic(self):
         cfg = make_cfg(horizon=4)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from laycon.qp import QpProblem, QpSolver, QpStatus, feasibility_check, solve_qp
+from laycon.qp import QpProblem, QpSolver, QpStatus, solve_qp
 
 
 def brute_force_qp(p: QpProblem):
@@ -114,9 +114,8 @@ class TestSolveQp:
         assert np.allclose(solve_qp(augmented).x, sol.x, atol=1e-8)
 
     def test_solver_instance_tracks_active_set(self):
-        solver = QpSolver()
-        p = QpProblem(np.array([[2.0]]), np.array([-6.0]), np.array([[1.0]]), np.array([1.0]))
-        solver.solve(p)
+        solver = QpSolver(np.array([[2.0]]), np.array([[1.0]]))
+        solver.solve(np.array([-6.0]), np.array([1.0]))
         assert solver.last_active_set == (0,)
 
 
@@ -126,7 +125,7 @@ class TestQpWorkspace:
     def test_reuse_across_shared_h_and_a(self):
         rng = np.random.default_rng(21)
         base = random_problem(rng, n=6, m=14, force_infeasible=True)  # rows 0 and 1 opposed
-        solver = QpSolver()
+        solver = QpSolver(base.H, base.A_ineq)
         n_optimal = n_infeasible = warm_iters = cold_iters = 0
         for i in range(120):
             g = base.g + 0.3 * rng.standard_normal(base.n)
@@ -134,7 +133,7 @@ class TestQpWorkspace:
             gap = rng.uniform(0.5, 2.0)
             b[1] = -b[0] - gap if i % 5 == 4 else -b[0] + gap
             p = QpProblem(base.H, g, base.A_ineq, b)
-            sol, ref = solver.solve(p, max_iters=300), solve_qp(p, max_iters=300)
+            sol, ref = solver.solve(g, b, max_iters=300), solve_qp(p, max_iters=300)
             assert sol.status is ref.status
             if ref.status is QpStatus.OPTIMAL:
                 assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
@@ -148,52 +147,60 @@ class TestQpWorkspace:
         assert n_infeasible >= 20
         assert warm_iters < cold_iters
 
-    def test_refactors_when_h_or_a_changes(self):
+    def test_ignores_caller_changes_to_h_and_a(self):
         rng = np.random.default_rng(34)
-        p1 = random_problem(rng, n=5, m=8)
-        p2 = QpProblem(p1.H + 3.0 * np.eye(p1.n), p1.g, p1.A_ineq, p1.b_ineq)
-        p3 = QpProblem(p2.H, p2.g, p2.A_ineq, p2.b_ineq)  # shares p2's array
-        solver = QpSolver()
-        for p in (p1, p2, p3):
-            if p is p3:
-                # the array p2 was solved with, changed in place
-                p3.A_ineq[:] += 0.5 * rng.standard_normal(p3.A_ineq.shape)
-            sol, ref = solver.solve(p), solve_qp(p)
-            assert ref.status is QpStatus.OPTIMAL and ref.active_set
+        p = random_problem(rng, n=5, m=8)
+        H, A = p.H.copy(), p.A_ineq.copy()
+        solver = QpSolver(H, A)
+        # the caller's arrays, changed in place after construction
+        H += 3.0 * np.eye(p.n)
+        A += 0.5 * rng.standard_normal(A.shape)
+        moved = 0
+        for _ in range(10):
+            g = p.g + 0.3 * rng.standard_normal(p.n)
+            sol, ref = solver.solve(g, p.b_ineq), solve_qp(QpProblem(p.H, g, p.A_ineq, p.b_ineq))
+            assert ref.status is QpStatus.OPTIMAL
             assert sol.status is ref.status
             assert sol.active_set == ref.active_set
             assert np.allclose(sol.x, ref.x, atol=1e-9)
+            changed = solve_qp(QpProblem(H, g, A, p.b_ineq))
+            moved += changed.status is not ref.status or not np.allclose(changed.x, ref.x, atol=1e-6)
+        assert moved == 10  # the changes would have mattered
+
+    @pytest.mark.parametrize("H", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))], ids=["indefinite", "zero"])
+    def test_non_spd_hessian_raises(self, H):
+        with pytest.raises(ValueError, match="positive definite"):
+            QpSolver(H, np.eye(2))
+
+    @pytest.mark.parametrize("case", ["A_columns", "H_not_square", "g_length", "b_length"])
+    def test_shape_mismatch_raises(self, case):
+        H, A, g, b = np.eye(3), np.ones((4, 3)), np.zeros(3), np.ones(4)
+        if case == "A_columns":
+            A = np.ones((6, 2))
+        elif case == "H_not_square":
+            H = np.ones((3, 4))
+        elif case == "g_length":
+            g = np.zeros(4)
+        else:
+            b = np.ones(1)  # would broadcast against A x
+        with pytest.raises(ValueError):
+            QpSolver(H, A).solve(g, b)
 
     @pytest.mark.parametrize("bad_start", ["out_of_range", "dependent_rows"])
     def test_bad_start_set(self, bad_start):
         rng = np.random.default_rng(23)
         p = random_problem(rng, n=5, m=10)
         k = solve_qp(p).active_set[0]
-        solver = QpSolver()
         if bad_start == "out_of_range":
-            solver.last_active_set = (-1, k, p.m, p.m + 7)
+            start = (-1, k, p.m, p.m + 7)
         else:
             # row k twice: the start set's Gram matrix is singular
             p = QpProblem(p.H, p.g, np.vstack([p.A_ineq, p.A_ineq[k]]), np.append(p.b_ineq, p.b_ineq[k]))
-            solver.last_active_set = (k, p.m - 1)
-        sol, ref = solver.solve(p), solve_qp(p)
+            start = (k, p.m - 1)
+        solver = QpSolver(p.H, p.A_ineq)
+        solver.last_active_set = start
+        sol, ref = solver.solve(p.g, p.b_ineq), solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.active_set == ref.active_set
         assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
 
-
-class TestFeasibilityCheck:
-    def test_empty_constraints(self):
-        assert feasibility_check(QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0)))
-
-    def test_contradictory_bounds(self):
-        p = QpProblem(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
-        assert not feasibility_check(p)
-
-    def test_constructed_feasible_polytopes(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            x0 = rng.standard_normal(3)
-            A = rng.standard_normal((8, 3))
-            b = A @ x0 + rng.uniform(0.01, 1.0, 8)
-            assert feasibility_check(QpProblem(np.eye(3), np.zeros(3), A, b))
