@@ -25,7 +25,7 @@ import numpy as np
 
 from .contracts import ContractSpec, certificate_report, mismatch_bound_hess
 from .erg import ErgConfig, GammaEvaluator
-from .hess import ConstraintConfig, HessParams, LoadProfile
+from .hess import ConstraintConfig, FieldValueError, HessParams, LoadProfile
 from .iss_cert import (
     IssCertificate,
     coordinate_bound,
@@ -100,9 +100,11 @@ def _schema(cls) -> dict:
 @contextmanager
 def _at(path: str):
     """Report a ValueError or TypeError raised by a constructor as a
-    ConfigError at path."""
+    ConfigError at path, or at path.field for a FieldValueError."""
     try:
         yield
+    except FieldValueError as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -376,9 +378,8 @@ def write_trajectory_csv(log: TrajectoryLog, path: Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
-        data = [log.columns[name] for name in COLUMNS]
-        for i in range(log.n_rows):
-            writer.writerow([repr(float(col[i])) for col in data])
+        for row in log.data.T:  # one step at a time, so no full float copy
+            writer.writerow(map(repr, row.tolist()))
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:

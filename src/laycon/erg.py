@@ -8,11 +8,16 @@ margin Gamma(v) - V(e). The barrier Phi = V(e) - Gamma(v) is <= 0 exactly
 on the governed safe set.
 
 GammaEvaluator precomputes the P^-1-metric normal lengths once per
-(constraints, P) pair and evaluates every governor quantity from them.
+(constraints, P) pair and evaluates every governor quantity from them on
+Python floats: v and r are read as (v[0], v[1]) and the fields come back
+as float pairs. The reductions whose rounding numpy's kernels set stay on
+arrays (V(e) = e'Pe and the Euclidean norms), so a run reproduces the
+array evaluation bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +57,6 @@ class HalfspaceConstraint:
     def normal(self) -> np.ndarray:
         return np.array(self.c_a + self.c_b, dtype=float)
 
-    def margin(self, v, gamma_prev: float = 0.0) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(self.d0 - np.dot(self.c_v, v) - self.g_gamma * gamma_prev)
-
 
 @dataclass(frozen=True)
 class ErgConfig:
@@ -90,8 +91,27 @@ class ErgConfig:
         return self.kappa_erg * (1.0 + self.delta_rep)
 
 
+def _sublevel(margin: float, denom: float) -> float:
+    """margin^2 / denom, or 0 for a closed (nonpositive) margin."""
+    return margin * margin / denom if margin > 0.0 else 0.0
+
+
+def _norm(a: float, b: float) -> float:
+    """Euclidean norm of (a, b), rounded as np.linalg.norm rounds it (the
+    square root of numpy's dot product, which may fuse the multiply-add)."""
+    ab = np.array((a, b))
+    return math.sqrt(ab.dot(ab))
+
+
 class GammaEvaluator:
-    """Threshold/field evaluation for a fixed constraint set and metric."""
+    """Threshold/field evaluation for a fixed constraint set and metric.
+
+    Each constraint is held as a float row (d0, c_v0, c_v1, g_gamma, denom),
+    and its margin is evaluated as d0 - (c_v0 v0 + c_v1 v1) - g_gamma Gamma.
+    That is exact, and so equal to numpy's dot product, for every row that
+    hess_constraints builds, because their c_v is (1, 0), (-1, 0) or (0, 0);
+    for other c_v it may differ from np.dot in the last bit.
+    """
 
     def __init__(self, constraints, P: SpdMatrix):
         self.constraints = list(constraints)
@@ -99,22 +119,22 @@ class GammaEvaluator:
             raise ValueError("constraint list must be nonempty")
         self.P = P
         self.pinv = invert_spd(P).mat
-        self.denoms = []
+        self.rows = []
         for con in self.constraints:
             c = con.normal
             denom = float(c @ self.pinv @ c)
             if denom <= 0.0:
                 raise ZeroNormalError(f"constraint {con.label!r} has zero normal in the P^-1 metric")
-            self.denoms.append(denom)
-        self.self_referential = any(c.g_gamma > 0.0 for c in self.constraints)
+            c_v0, c_v1 = (float(x) for x in con.c_v)
+            self.rows.append((float(con.d0), c_v0, c_v1, float(con.g_gamma), denom))
+        self.plain = [row for row in self.rows if row[3] == 0.0]
+        self.self_referential = len(self.plain) < len(self.rows)
 
     def gamma_i(self, i: int, v, gamma_prev: float = 0.0) -> float:
         """Largest Lyapunov sublevel value inside constraint i's half-space:
         margin^2 / (c' P^-1 c), clamped to 0 when the margin is nonpositive."""
-        margin = self.constraints[i].margin(v, gamma_prev)
-        if margin <= 0.0:
-            return 0.0
-        return margin * margin / self.denoms[i]
+        d0, c_v0, c_v1, g_gamma, denom = self.rows[i]
+        return _sublevel(d0 - (c_v0 * v[0] + c_v1 * v[1]) - g_gamma * gamma_prev, denom)
 
     def gamma(self, v, fixed_point_iters: int = 5) -> float:
         """Combined safety threshold Gamma(v) = min_i Gamma_i(v).
@@ -124,53 +144,58 @@ class GammaEvaluator:
         (the map is monotone nonincreasing in its argument, so the iteration
         converges geometrically).
         """
-        idx = range(len(self.constraints))
-        plain = [self.gamma_i(i, v) for i in idx if self.constraints[i].g_gamma == 0.0]
-        g = min(plain) if plain else min(self.gamma_i(i, v, 0.0) for i in idx)
+        v0, v1 = v[0], v[1]
+        g = min([_sublevel(d0 - (c_v0 * v0 + c_v1 * v1), denom)
+                 for d0, c_v0, c_v1, _, denom in self.plain or self.rows])
         if not self.self_referential:
             return g
+        # each row's margin is its v-part minus g_gamma * g; the v-part is fixed
+        terms = [(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom)
+                 for d0, c_v0, c_v1, g_gamma, denom in self.rows]
         for _ in range(fixed_point_iters):
-            g = min(self.gamma_i(i, v, g) for i in idx)
+            g = min([_sublevel(base - g_gamma * g, denom) for base, g_gamma, denom in terms])
         return g
 
-    def navigation_field(self, r, v, cfg: ErgConfig) -> np.ndarray:
+    def navigation_field(self, r, v, cfg: ErgConfig) -> tuple[float, float]:
         """Attraction toward the command plus repulsion away from constraint
         boundaries. Attraction is the unit vector toward r beyond the
         smoothing radius and linear inside it; each repulsion term pushes
         along the margin gradient with strength eta_rep[i], skipping rows
         whose margin is closed or whose gradient is numerically zero."""
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        gap = r - v
-        dist = float(np.linalg.norm(gap))
-        rho = gap / dist if dist >= cfg.eta else gap / cfg.eta
+        v0, v1 = v[0], v[1]
+        gap0, gap1 = r[0] - v0, r[1] - v1
+        dist = _norm(gap0, gap1)
+        scale = dist if dist >= cfg.eta else cfg.eta
+        rho0, rho1 = gap0 / scale, gap1 / scale
         if any(cfg.eta_rep):
             g_total = self.gamma(v)
-            for i, con in enumerate(self.constraints):
-                strength = cfg.eta_rep[i] if i < len(cfg.eta_rep) else 0.0
+            for strength, (d0, c_v0, c_v1, g_gamma, denom) in zip(cfg.eta_rep, self.rows):
                 if strength == 0.0:
                     continue
-                margin = con.margin(v, g_total if con.g_gamma > 0.0 else 0.0)
+                margin = d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * g_total
                 if margin <= 0.0:
                     continue
-                grad = 2.0 * margin * (-np.asarray(con.c_v, dtype=float)) / self.denoms[i]
-                norm = float(np.linalg.norm(grad))
+                grad0 = 2.0 * margin * -c_v0 / denom
+                grad1 = 2.0 * margin * -c_v1 / denom
+                norm = _norm(grad0, grad1)
                 if norm <= 1e-12:
                     continue
-                rho = rho - strength * grad / norm
-        return rho
+                rho0 = rho0 - strength * grad0 / norm
+                rho1 = rho1 - strength * grad1 / norm
+        return rho0, rho1
 
-    def erg_rhs(self, e, v, r, cfg: ErgConfig) -> np.ndarray:
+    def erg_rhs(self, e, v, r, cfg: ErgConfig) -> tuple[float, float]:
         """Governor velocity: kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v).
 
         Identically zero whenever V(e) >= Gamma(v); the reference freezes at
         the safety boundary and resumes once the tracking error has decayed.
         """
-        v = np.asarray(v, dtype=float)
         margin = self.gamma(v) - self.P.quad(e)
         if margin <= 0.0:
-            return np.zeros_like(v)
-        return cfg.kappa_erg * margin * self.navigation_field(r, v, cfg)
+            return 0.0, 0.0
+        rho0, rho1 = self.navigation_field(r, v, cfg)
+        gain = cfg.kappa_erg * margin
+        return gain * rho0, gain * rho1
 
     def barrier(self, e, v) -> float:
         """Barrier Phi(e, v) = V(e) - Gamma(v); Phi <= 0 on the governed safe set."""

@@ -31,6 +31,14 @@ class OutOfSpanError(ValueError):
     """Load profile evaluated outside its time span."""
 
 
+class FieldValueError(ValueError):
+    """A config field holds an invalid value; `field` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class HessParams:
     """Plant constants, controller gains, and operating bounds.
@@ -60,12 +68,13 @@ class HessParams:
         for name in ("c_bus", "v_nom", "k1", "k2", "lambda_b_gain", "lambda_b_energy",
                      "lambda_s", "i_s_bar", "i_b_bar", "u_s_bar", "u_b_bar"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise FieldValueError(name, f"{name} must be positive")
         lam_e = decay_rate(self.error_matrix())  # raises NotHurwitzError for bad gains
         if self.lambda_b_gain <= lam_e:
-            raise ValueError(
+            raise FieldValueError(
+                "lambda_b_gain",
                 f"battery loop gain {self.lambda_b_gain} must exceed the "
-                f"voltage-loop decay rate {lam_e:.3f}"
+                f"voltage-loop decay rate {lam_e:.3f}",
             )
 
     def error_matrix(self) -> np.ndarray:
@@ -152,17 +161,19 @@ def load(t: float, profile: LoadProfile) -> tuple[float, float]:
     return float(d), float(d_dot)
 
 
-def plant_rhs(x, u, w: float, d: float, p: HessParams) -> np.ndarray:
-    """Continuous-time plant derivative for state (V_gr, I_S, I_B, E_S, E_B)."""
+def plant_rhs(x, u, w: float, d: float, p: HessParams) -> tuple[float, ...]:
+    """Continuous-time plant derivative for state (V_gr, I_S, I_B, E_S, E_B),
+    as five floats. Only x[0], x[1] and x[2] are read, so x may carry
+    further entries (the simulator passes its joint plant/governor state)."""
     v_gr, i_s, i_b = x[0], x[1], x[2]
     u_s, u_b = u
-    return np.array([
+    return (
         (i_s + i_b + d) / p.c_bus,
         u_s + w,
         u_b,
         p.lambda_s * v_gr * i_s,
         p.lambda_b_energy * v_gr * i_b,
-    ])
+    )
 
 
 def control_uB(i_b: float, i_b_ref: float, lambda_b_gain: float) -> float:
@@ -176,9 +187,9 @@ def control_uS(v_gr: float, i_s: float, v: float, d_bar: float, d_bar_dot: float
     return -p.c_bus * p.k1 * (v_gr - v) - p.k2 * (i_s + d_bar) - d_bar_dot
 
 
-def error_state(x, v: float, v_dot: float, d_bar: float, p: HessParams) -> np.ndarray:
+def error_state(x, v: float, v_dot: float, d_bar: float, p: HessParams) -> tuple[float, float]:
     """Voltage-loop tracking error: (V_gr - v, bus-rate error)."""
-    return np.array([x[0] - v, (x[1] + d_bar) / p.c_bus - v_dot])
+    return x[0] - v, (x[1] + d_bar) / p.c_bus - v_dot
 
 
 def error_matrices(p: HessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

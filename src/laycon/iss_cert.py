@@ -168,23 +168,28 @@ def noise_floor(gamma_iss: float, H_max: float) -> float:
     return gamma_iss * H_max
 
 
-def calibrate_overshoot(norm_traj, lambda_e: float, eps: float, e0_norm: float) -> float:
-    """Tightest overshoot factor m for which the exponential envelope
-    ||e(t)|| <= m e^{-lambda_e t} ||e0|| + eps (1 - e^{-lambda_e t})
-    holds at every sample. Clamped below at 1 since the envelope must
-    admit the initial error itself.
-    """
-    traj = list(norm_traj)
-    if not traj:
+def envelope_decay(times, lambda_e: float) -> np.ndarray:
+    """Envelope decay e^{-lambda_e t} at a trajectory's sample times, which
+    must be strictly increasing. Computed once per trajectory and passed to
+    every calibrate_overshoot call on it."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
         raise ValueError("empty trajectory")
-    times = np.array([t for t, _ in traj])
-    norms = np.array([v for _, v in traj])
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("trajectory times must be strictly increasing")
+    return np.exp(-lambda_e * times)
+
+
+def calibrate_overshoot(norms, decay, eps: float, e0_norm: float) -> float:
+    """Tightest overshoot factor m for which the exponential envelope
+    ||e(t)|| <= m e^{-lambda_e t} ||e0|| + eps (1 - e^{-lambda_e t})
+    holds at every sample, given the sampled norms and envelope_decay of
+    their times. Clamped below at 1 since the envelope must admit the
+    initial error itself.
+    """
     if e0_norm == 0.0:
         return 1.0
-    decay = np.exp(-lambda_e * times)
-    ratios = (norms - eps * (1.0 - decay)) / (decay * e0_norm)
+    ratios = (np.asarray(norms, dtype=float) - eps * (1.0 - decay)) / (decay * e0_norm)
     return max(1.0, float(np.max(ratios)))
 
 

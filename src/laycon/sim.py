@@ -8,6 +8,12 @@ flow within a period is strictly sequential. Exogenous signals
 each step, while the feedback controllers follow the stage states; runs
 are bit-reproducible for a given seed.
 
+The loop runs on Python floats: the joint state is a list of seven floats
+(V_gr, I_S, I_B, E_S, E_B, v_V, v_IB) and each logged step is one column
+of a preallocated array. The reductions whose rounding numpy's kernels set
+stay on arrays (V(e) = e'Pe, the adversarial disturbance's e'PB and the
+governor's Euclidean norms), so every value equals the array evaluation.
+
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
 in the published operating points the reference is stationary and the
@@ -16,8 +22,9 @@ two coincide.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, get_args
 
 import numpy as np
@@ -36,7 +43,7 @@ from .erg import ErgConfig, GammaEvaluator
 from .hess import HessParams, LoadProfile, control_uB, control_uS, error_state
 from .hess import load as load_eval
 from .hess import outputs, plant_rhs
-from .iss_cert import calibrate_overshoot, iss_gain, noise_floor
+from .iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
 from .mpc import Planner, PlannerConfig, abstract_step
 from .numkit import SpdMatrix
 from .qp import QpSolution
@@ -82,9 +89,13 @@ class SimConfig:
 
 @dataclass
 class TrajectoryLog:
-    """Uniformly sampled run record plus the per-period planner data."""
+    """Uniformly sampled run record plus the per-period planner data.
 
-    columns: dict[str, np.ndarray]
+    data holds one row per name in COLUMNS and one column per logged step;
+    columns maps each name to its row (a view into data).
+    """
+
+    data: np.ndarray  # (len(COLUMNS), n_rows)
     y_samples: np.ndarray  # (K+1, 2) sampled (E_B, E_S)
     predictions: np.ndarray  # (K, 2) one-step-ahead abstract states
     v_n_star: np.ndarray  # (K,) optimal values, NaN on fallback steps
@@ -93,24 +104,35 @@ class TrajectoryLog:
     fallback_steps: np.ndarray  # (K,) bool
     plan_qps: list[QpSolution]  # (K,) the planner's QP per period; empty without planner
     t_s_eff: float
+    columns: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.columns = dict(zip(COLUMNS, self.data))
 
     @property
     def n_rows(self) -> int:
-        return self.columns["t"].shape[0]
+        return self.data.shape[1]
 
     @property
     def n_periods(self) -> int:
         return self.fallback_steps.shape[0]
 
 
-def rk4_step(rhs, x, t: float, h: float) -> np.ndarray:
-    """Classical 4-stage step with inputs held constant over the step."""
+def rk4_step(rhs, x, t: float, h: float) -> list[float]:
+    """Classical 4-stage step with inputs held constant over the step.
+
+    x and each rhs(x, t) are sequences of floats; the stage sums are taken
+    per entry in the order x + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    """
+    half = 0.5 * h
     k1 = rhs(x, t)
-    k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-    k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-    k4 = rhs(x + h * k3, t + h)
-    x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
+    k2 = rhs([a + half * k for a, k in zip(x, k1)], t + half)
+    k3 = rhs([a + half * k for a, k in zip(x, k2)], t + half)
+    k4 = rhs([a + h * k for a, k in zip(x, k3)], t + h)
+    sixth = h / 6.0
+    x_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x_next)):
         raise NonFiniteStateError(f"non-finite state at t={t + h:.6f}: {x_next}")
     return x_next
 
@@ -119,7 +141,7 @@ def disturbance_mixed(t: float, w_max: float, stream: np.random.Generator) -> fl
     """Sinusoid plus uniform noise, piecewise constant per integration step;
     the coefficient split keeps |w| <= w_max pointwise."""
     xi = stream.uniform(-1.0, 1.0)
-    return w_max * (0.7 * np.sin(15.0 * t) + 0.3 * xi)
+    return float(w_max * (0.7 * np.sin(15.0 * t) + 0.3 * xi))
 
 
 def disturbance_adversarial(e, P: SpdMatrix, B, w_max: float) -> float:
@@ -158,17 +180,19 @@ def run_layered(
     n_steps = round(sim.t_end / sim.h)
     n_periods = n_steps // spp
 
-    x = np.asarray(sim.x0, dtype=float).copy()
     if sim.mpc_on:
-        r = np.array([planner_cfg.v_nom, sim.r_init_ib])
+        r = (float(planner_cfg.v_nom), float(sim.r_init_ib))
     else:
-        r = np.asarray(sim.frozen_reference, dtype=float).copy()
-    r_init = r.copy()
-    v = np.asarray(sim.v0, dtype=float).copy() if sim.v0 is not None else r.copy()
+        r = tuple(map(float, sim.frozen_reference))
+    v = tuple(map(float, sim.v0)) if sim.v0 is not None else r
+    z = [*map(float, sim.x0), *v]  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
     planner = Planner(planner_cfg, r_init=r[1]) if sim.mpc_on else None
     gam = GammaEvaluator(constraints, P)
     rng = np.random.default_rng(sim.seed)
     B_w = np.array([0.0, 1.0 / plant.c_bus])
+    gain_b = plant.lambda_b_gain
+    erg_on = sim.erg_on
+    h = sim.h
 
     def load_at(t: float) -> tuple[float, float]:
         if load_profile is None:
@@ -176,22 +200,22 @@ def run_layered(
         lo, hi = load_profile.t_span
         return load_eval(min(max(t, lo), hi), load_profile)
 
-    cols = {name: np.zeros(n_steps + 1) for name in COLUMNS}
+    data = np.zeros((len(COLUMNS), n_steps + 1))
     y_samples = np.zeros((n_periods + 1, 2))
     predictions = np.zeros((n_periods, 2))
     v_n_star = np.full(n_periods, np.nan)
     ref_points = np.zeros((n_periods + 1, 2))
-    ref_points[0] = r_init
+    ref_points[0] = r
     fallback_steps = np.zeros(n_periods, dtype=bool)
     plan_qps = []
-    fallback_now = False
+    fallback_now = 0.0
 
     for i in range(n_steps + 1):
-        t = i * sim.h
+        t = i * h
         if i % spp == 0:
             k = i // spp
             if k <= n_periods:
-                _, y_k = outputs(x)
+                _, y_k = outputs(z)
                 y_samples[k] = y_k
                 if k < n_periods:
                     d_hat, _ = load_at(t)
@@ -200,8 +224,8 @@ def run_layered(
                             [load_at(t + j * t_s_eff)[0] for j in range(planner_cfg.horizon)]
                         )
                         res = planner.step(y_k, forecast)
-                        r = np.array(res.r_k)
-                        fallback_now = res.fallback_used
+                        r = tuple(map(float, res.r_k))
+                        fallback_now = float(res.fallback_used)
                         fallback_steps[k] = res.fallback_used
                         plan_qps.append(res.qp)
                         if res.V_N_star is not None:
@@ -210,11 +234,11 @@ def run_layered(
                     ref_points[k + 1] = r
 
         d, d_dot = load_at(t)
-        u_b = control_uB(x[2], r[1], plant.lambda_b_gain)
-        d_bar = d + x[2]
-        d_bar_dot = d_dot + u_b
-        u_s = control_uS(x[0], x[1], v[0], d_bar, d_bar_dot, plant)
-        e = error_state(x, v[0], 0.0, d_bar, plant)
+        v_gr, i_s, i_b, e_s, e_b, v_v, v_ib = z
+        u_b = control_uB(i_b, r[1], gain_b)
+        d_bar = d + i_b
+        u_s = control_uS(v_gr, i_s, v_v, d_bar, d_dot + u_b, plant)
+        e = error_state(z, v_v, 0.0, d_bar, plant)
         if sim.disturbance == "mixed":
             w = disturbance_mixed(t, sim.w_max, rng)
         elif sim.disturbance == "adversarial":
@@ -222,12 +246,9 @@ def run_layered(
         else:
             w = 0.0
         v_e = P.quad(e)
-        gamma_v = gam.gamma(v)
-
-        row = (t, x[0], x[1], x[2], x[3], x[4], v[0], r[0], r[1], e[0], e[1],
-               v_e, gamma_v, v_e - gamma_v, w, d, u_s, u_b, float(fallback_now))
-        for name, value in zip(COLUMNS, row):
-            cols[name][i] = value
+        gamma_v = gam.gamma((v_v, v_ib))
+        data[:, i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], e[0], e[1],
+                      v_e, gamma_v, v_e - gamma_v, w, d, u_s, u_b, fallback_now)
 
         if i == n_steps:
             break
@@ -236,23 +257,19 @@ def run_layered(
             # exogenous signals (disturbance, load, reference) are frozen over
             # the step; the feedback controllers are continuous and follow
             # the stage states
-            xx, vv = z[:5], z[5:]
-            ub = control_uB(xx[2], r_held[1], plant.lambda_b_gain)
-            dbar = d_held + xx[2]
-            us = control_uS(xx[0], xx[1], vv[0], dbar, d_dot_held + ub, plant)
-            dx = plant_rhs(xx, (us, ub), w_held, d_held, plant)
-            if sim.erg_on:
-                ee = error_state(xx, vv[0], 0.0, dbar, plant)
-                dv = gam.erg_rhs(ee, vv, r_held, erg_cfg)
-            else:
-                dv = np.zeros(2)
-            return np.concatenate([dx, dv])
+            ub = control_uB(z[2], r_held[1], gain_b)
+            dbar = d_held + z[2]
+            us = control_uS(z[0], z[1], z[5], dbar, d_dot_held + ub, plant)
+            dx = plant_rhs(z, (us, ub), w_held, d_held, plant)
+            if not erg_on:
+                return dx + (0.0, 0.0)
+            ee = error_state(z, z[5], 0.0, dbar, plant)
+            return dx + gam.erg_rhs(ee, (z[5], z[6]), r_held, erg_cfg)
 
-        z_next = rk4_step(joint_rhs, np.concatenate([x, v]), t, sim.h)
-        x, v = z_next[:5], z_next[5:]
+        z = rk4_step(joint_rhs, z, t, h)
 
     log = TrajectoryLog(
-        columns=cols,
+        data=data,
         y_samples=y_samples,
         predictions=predictions,
         v_n_star=v_n_star,
@@ -300,18 +317,18 @@ def calibrated_overshoot_for_run(
     """
     cols = log.columns
     norms = np.hypot(cols["e1"], cols["e2"])
-    traj = list(zip(cols["t"], norms))
+    decay = envelope_decay(cols["t"], lambda_e)
     e0 = norms[0]
     m = 1.0
     for _ in range(iters):
         eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
-        m_next = 0.5 * (m + calibrate_overshoot(traj, lambda_e, eps, e0))
+        m_next = 0.5 * (m + calibrate_overshoot(norms, decay, eps, e0))
         if abs(m_next - m) <= 1e-13:
             m = m_next
             break
         m = m_next
     eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
-    return calibrate_overshoot(traj, lambda_e, eps, e0), eps
+    return calibrate_overshoot(norms, decay, eps, e0), eps
 
 
 def omega_entry_time(log: TrajectoryLog, v_bar_h: float) -> float | None:

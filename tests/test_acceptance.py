@@ -209,7 +209,7 @@ def test_criterion_11_oracle_equivalence():
     def final_error(h):
         x = np.array([1.0])
         for i in range(round(1.0 / h)):
-            x = rk4_step(lambda x, t: -x, x, i * h, h)
+            x = rk4_step(lambda x, t: [-a for a in x], x, i * h, h)
         return abs(x[0] - math.exp(-1.0))
 
     ratio = final_error(0.1) / final_error(0.05)

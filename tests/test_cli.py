@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -76,6 +77,8 @@ BAD_KEYS = [
     ("certificates.settle_mode", lambda cfg: cfg["certificates"].update(settle_mode="bogus")),
     ("sim.disturbance", lambda cfg: cfg["sim"].update(disturbance="bogus")),
     ("plant.rho_d", lambda cfg: cfg["plant"].update(rho_d=5.0)),
+    ("plant.k1", lambda cfg: cfg["plant"].update(k1=-5.0)),
+    ("plant.lambda_b_gain", lambda cfg: cfg["plant"].update(lambda_b_gain=1.0)),
 ]
 
 
@@ -185,6 +188,64 @@ class TestRunCommand:
         assert main(["run", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.strip() == "condensed cost requires q_weight > 0"
         assert not (tmp_path / "trajectory.csv").exists()
+
+
+_FULL = {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 10.0}
+
+# SHA-256 of (trajectory.csv, monitor.json, summary.json) for 0.5 s runs,
+# recorded with the array-valued (numpy per step) simulation loop on x86-64
+# Linux (Intel Xeon, 2 vCPU), Python 3.11.7, numpy 2.4.6. The loop must
+# reproduce that evaluation bit for bit. Another numpy build or CPU may
+# round its dot products differently and so write other bytes.
+PINNED_RUNS = [
+    ("a_mixed", "a", {"sim": {"t_end": 0.5}}, 1, (
+        "4f23c45bef683d0dcfce3d3b6cd13648b9407fb2bc3577c8fed09a79558a3661",
+        "f7ff973a01c808eeefef56dfe441911f4cdd06b8d3f192262a3ebb3ff988dd92",
+        "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
+    ("a_adversarial", "a", {"sim": {"t_end": 0.5, "disturbance": "adversarial"}}, 1, (
+        "9d2e6ac3b44879cf57ab495ed1c433253b1bbef822455e1b802d4a55b505f707",
+        "f7ff973a01c808eeefef56dfe441911f4cdd06b8d3f192262a3ebb3ff988dd92",
+        "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
+    ("a_none", "a", {"sim": {"t_end": 0.5, "disturbance": "none"}}, 1, (
+        "cbc4c77da2432392abdf143aa4c43d28a9e0573cad043773300db9f14b67e27a",
+        "f7ff973a01c808eeefef56dfe441911f4cdd06b8d3f192262a3ebb3ff988dd92",
+        "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
+    ("b_mixed", "b", {"sim": {"t_end": 0.5}}, 3, (
+        "1328fb9e846751d1a7786554377d82d9226f00e367e7f9a66ce294bc5574641d",
+        "ca6b3137304caa728ff6e1a5a5a20a910bcd76354f7404d4b07773abc9bcea6b",
+        "d25f31c6c94d2c3874e0618e2e901e7d960f054f21d7b4953ea4f93c54ec04a3")),
+    # full mode: self-referential rows, so Gamma runs its fixed point
+    ("b_full", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL}, 7, (
+        "6ece2ace85b12e01389c670b1d98f027143bd144ed55aa9cbf9602d90e03c094",
+        "c144c0236c9ce27760599d0a4898552d71f786720ae62dd6495bb5af311a5a60",
+        "bba8551e73647ae80c757890592c07704887995567b3c5f0847bd0e34c1157b7")),
+    # repulsion on: equal strengths on v_max/v_min cancel exactly while
+    # v_V stays at 400, so this run writes the same bytes as b_full
+    ("b_full_repulsion", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
+                               "erg": {"eta_rep": [0.1, 0.1, 0.05, 0.05, 0.1, 0.1]}}, 7, (
+        "6ece2ace85b12e01389c670b1d98f027143bd144ed55aa9cbf9602d90e03c094",
+        "c144c0236c9ce27760599d0a4898552d71f786720ae62dd6495bb5af311a5a60",
+        "bba8551e73647ae80c757890592c07704887995567b3c5f0847bd0e34c1157b7")),
+    # unequal strengths: the net repulsion moves v_V
+    ("b_full_repulsion_asym", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
+                                    "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}, 7, (
+        "73393bdd78dda663a41d113dd8c4c4b76c924112f33dedb8cbde2cb8d6b4e06a",
+        "69d90787989537630b41cd740e934eea1be8cbef79948c61eedf1d117a15e9d9",
+        "6e20fe7eb0c95e7e2d1c3606cd72a9aa685106ab71d62c60059db8b8baf41286")),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("scenario, overlay, seed, hashes",
+                             [case[1:] for case in PINNED_RUNS], ids=[case[0] for case in PINNED_RUNS])
+    def test_run_writes_recorded_bytes(self, tmp_path, scenario, overlay, seed, hashes):
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps(overlay))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scenario, "--config", str(path), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        names = ("trajectory.csv", "monitor.json", "summary.json")
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names) == hashes
 
 
 class TestSweepCommand:

@@ -65,7 +65,7 @@ class TestNavigationField:
 
     def test_zero_at_target(self):
         v = np.array([1.0, 2.0])
-        rho = GammaEvaluator([plain_row()], P_EYE).navigation_field(v, v, self.CFG)
+        rho = np.array(GammaEvaluator([plain_row()], P_EYE).navigation_field(v, v, self.CFG))
         assert np.all(rho == 0.0)
 
     def test_unit_beyond_radius(self):
@@ -74,8 +74,8 @@ class TestNavigationField:
 
     def test_continuity_at_radius(self):
         r = np.array([self.CFG.eta, 0.0])
-        inside = GammaEvaluator([plain_row()], P_EYE).navigation_field(r * 0.999, np.zeros(2), self.CFG)
-        outside = GammaEvaluator([plain_row()], P_EYE).navigation_field(r * 1.001, np.zeros(2), self.CFG)
+        inside = np.array(GammaEvaluator([plain_row()], P_EYE).navigation_field(r * 0.999, np.zeros(2), self.CFG))
+        outside = np.array(GammaEvaluator([plain_row()], P_EYE).navigation_field(r * 1.001, np.zeros(2), self.CFG))
         assert np.linalg.norm(inside - outside) <= 2e-3
 
     def test_attraction_bounded(self):
@@ -98,12 +98,12 @@ class TestErgRhs:
     def test_frozen_at_boundary(self):
         row = plain_row(d0=2.0)  # Gamma = 4 at v = 0
         e = np.array([2.0, 0.0])  # V(e) = 4
-        assert np.all(GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), self.CFG) == 0.0)
+        assert np.all(np.array(GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), self.CFG)) == 0.0)
 
     def test_frozen_beyond_boundary(self):
         row = plain_row(d0=2.0)
         e = np.array([3.0, 0.0])  # V(e) = 9 > 4
-        assert np.all(GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), self.CFG) == 0.0)
+        assert np.all(np.array(GammaEvaluator([row], P_EYE).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]), self.CFG)) == 0.0)
 
     def test_speed_scales_with_margin(self):
         row = plain_row(d0=2.0)  # Gamma = 4

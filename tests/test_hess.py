@@ -28,7 +28,7 @@ P_A = HessParams(k1=25.0, k2=11.0)
 
 class TestPlantRhs:
     def test_zero_everything(self):
-        dx = plant_rhs(np.zeros(5), (0.0, 0.0), 0.0, 0.0, P_B)
+        dx = np.array(plant_rhs(np.zeros(5), (0.0, 0.0), 0.0, 0.0, P_B))
         assert np.all(dx == 0.0)
 
     def test_balanced_bus(self):

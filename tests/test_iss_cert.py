@@ -9,6 +9,7 @@ from laycon.iss_cert import (
     calibrate_overshoot,
     coordinate_bound,
     decay_time,
+    envelope_decay,
     iss_gain,
     noise_floor,
     settling_time,
@@ -117,29 +118,34 @@ class TestIssGain:
 class TestCalibrateOvershoot:
     def test_exact_exponential(self):
         lam, e0 = 3.0, 2.0
-        traj = [(t, e0 * math.exp(-lam * t)) for t in np.linspace(0.0, 2.0, 101)]
-        assert calibrate_overshoot(traj, lam, 0.7, e0) == pytest.approx(1.0)
+        times = np.linspace(0.0, 2.0, 101)
+        norms = [e0 * math.exp(-lam * t) for t in times]
+        assert calibrate_overshoot(norms, envelope_decay(times, lam), 0.7, e0) == pytest.approx(1.0)
 
     def test_scaled_exponential(self):
         lam, e0 = 2.0, 1.5
-        traj = [(t, 2.0 * e0 * math.exp(-lam * t)) for t in np.linspace(0.0, 1.0, 51)]
-        assert calibrate_overshoot(traj, lam, 0.3, e0) == pytest.approx(2.0)
+        times = np.linspace(0.0, 1.0, 51)
+        norms = [2.0 * e0 * math.exp(-lam * t) for t in times]
+        assert calibrate_overshoot(norms, envelope_decay(times, lam), 0.3, e0) == pytest.approx(2.0)
 
     def test_minimality(self):
         rng = np.random.default_rng(17)
         lam, e0, eps = 3.21, 3.0, 2.75
         times = np.linspace(0.0, 2.0, 200)
         norms = e0 * np.exp(-lam * times) * (1.0 + 0.5 * rng.random(times.size))
-        traj = list(zip(times, norms))
-        m = calibrate_overshoot(traj, lam, eps, e0)
+        m = calibrate_overshoot(norms, envelope_decay(times, lam), eps, e0)
         envelope = lambda mm: mm * np.exp(-lam * times) * e0 + eps * (1.0 - np.exp(-lam * times))
         assert np.all(norms <= envelope(m) + 1e-12)
         assert np.any(norms > envelope(m - 1e-6))
 
     def test_empty_and_zero_initial(self):
         with pytest.raises(ValueError):
-            calibrate_overshoot([], 1.0, 0.0, 1.0)
-        assert calibrate_overshoot([(0.0, 0.0), (1.0, 0.0)], 1.0, 0.1, 0.0) == 1.0
+            envelope_decay([], 1.0)
+        assert calibrate_overshoot([0.0, 0.0], envelope_decay([0.0, 1.0], 1.0), 0.1, 0.0) == 1.0
+
+    def test_times_must_increase(self):
+        with pytest.raises(ValueError):
+            envelope_decay([0.0, 1.0, 1.0], 1.0)
 
 
 class TestSettlingTime:

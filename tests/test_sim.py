@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from laycon import sim as sim_module
+from laycon.erg import GammaEvaluator
 from laycon.numkit import SpdMatrix
 from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import (
@@ -34,14 +36,14 @@ class TestRk4:
     def test_exponential_decay(self):
         x = np.array([1.0])
         for i in range(10):
-            x = rk4_step(lambda x, t: -x, x, i * 0.1, 0.1)
+            x = rk4_step(lambda x, t: [-a for a in x], x, i * 0.1, 0.1)
         assert abs(x[0] - math.exp(-1.0)) <= 1e-6
 
     def test_fourth_order_scaling(self):
         def final_error(h):
             x = np.array([1.0])
             for i in range(round(1.0 / h)):
-                x = rk4_step(lambda x, t: -x, x, i * h, h)
+                x = rk4_step(lambda x, t: [-a for a in x], x, i * h, h)
             return abs(x[0] - math.exp(-1.0))
 
         e1, e2 = final_error(0.1), final_error(0.05)
@@ -49,7 +51,7 @@ class TestRk4:
 
     def test_non_finite_aborts(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
-            rk4_step(lambda x, t: x * 1e308, np.array([1.0]), 0.0, 1.0)
+            rk4_step(lambda x, t: [a * 1e308 for a in x], np.array([1.0]), 0.0, 1.0)
 
 
 class TestDisturbances:
@@ -169,6 +171,27 @@ class TestRunLayered:
         bundle = scenario_b(seed=0, t_end=3.0)
         log, _ = run_bundle(bundle)
         assert np.max(np.abs(log.columns["u_B"])) <= bundle.plant.u_b_bar * (1.0 + 1e-8)
+
+
+class TestCallGraph:
+    def test_per_step_calls(self, monkeypatch):
+        """rk4_step once per step, plant_rhs once per stage, Gamma once per
+        logged row and once per stage with the governor on; the benchmark's
+        tracer counts these calls and its closed forms assume them."""
+        counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim_module, "rk4_step", counted("rk4_step", sim_module.rk4_step))
+        monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
+        monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
+        run_bundle(scenario_b(seed=0, t_end=0.5))
+        steps = 500
+        assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
 
 
 class TestScenarioA:
