@@ -10,7 +10,6 @@ across processes and aggregates invariance evidence.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -25,7 +24,8 @@ import numpy as np
 
 from .contracts import ContractSpec, certificate_report, mismatch_bound_hess
 from .erg import ErgConfig, GammaEvaluator
-from .hess import ConstraintConfig, FieldValueError, HessParams, LoadProfile
+from .errors import FieldValueError
+from .hess import ConstraintConfig, HessParams, LoadProfile
 from .iss_cert import (
     IssCertificate,
     coordinate_bound,
@@ -373,22 +373,20 @@ def cmd_certify(args) -> int:
 # run
 
 
+_CSV_BLOCK = 256  # steps rendered per write; keeps the float copies small
+
+
 def write_trajectory_csv(log: TrajectoryLog, path: Path) -> None:
-    """Full-precision decimal rendering; parsing reproduces the arrays exactly."""
+    """Full-precision decimal rendering; parsing reproduces the arrays exactly.
+
+    Writes the bytes csv.writer's default dialect writes: comma-separated,
+    CRLF-terminated, unquoted, since no name or float repr holds a comma,
+    quote or line break."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for row in log.data.T:  # one step at a time, so no full float copy
-            writer.writerow(map(repr, row.tolist()))
-
-
-def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        names = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    data = np.array(rows)
-    return {name: data[:, j] for j, name in enumerate(names)}
+        fh.write(",".join(COLUMNS) + "\r\n")
+        for j in range(0, log.n_rows, _CSV_BLOCK):
+            block = log.data[:, j:j + _CSV_BLOCK].T.tolist()
+            fh.writelines([",".join(map(repr, row)) + "\r\n" for row in block])
 
 
 def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FieldValueError
 from .numkit import SpdMatrix, invert_spd
 
 
@@ -70,13 +71,13 @@ class ErgConfig:
 
     def __post_init__(self):
         if self.kappa_erg <= 0.0:
-            raise ValueError("kappa_erg must be positive")
+            raise FieldValueError("kappa_erg", "kappa_erg must be positive")
         if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+            raise FieldValueError("eta", "eta must be positive")
         if any(x < 0.0 for x in self.eta_rep):
-            raise ValueError("repulsion strengths must be nonnegative")
+            raise FieldValueError("eta_rep", "repulsion strengths must be nonnegative")
         if self.delta_rep >= 1.0:
-            raise ValueError("sum of repulsion strengths must be < 1")
+            raise FieldValueError("eta_rep", "sum of repulsion strengths must be < 1")
 
     @property
     def delta_rep(self) -> float:
@@ -98,7 +99,11 @@ def _sublevel(margin: float, denom: float) -> float:
 
 def _norm(a: float, b: float) -> float:
     """Euclidean norm of (a, b), rounded as np.linalg.norm rounds it (the
-    square root of numpy's dot product, which may fuse the multiply-add)."""
+    square root of numpy's dot product, which may fuse the multiply-add).
+    With a zero component the sum has one rounded term, which no fusing
+    can change, so that case is taken in floats."""
+    if a == 0.0 or b == 0.0:
+        return math.sqrt(a * a + b * b)
     ab = np.array((a, b))
     return math.sqrt(ab.dot(ab))
 
@@ -129,6 +134,11 @@ class GammaEvaluator:
             self.rows.append((float(con.d0), c_v0, c_v1, float(con.g_gamma), denom))
         self.plain = [row for row in self.rows if row[3] == 0.0]
         self.self_referential = len(self.plain) < len(self.rows)
+        # with no row depending on v or on Gamma (every input_only row),
+        # Gamma is min_i d0_i^2 / denom_i for every v; d0 - 0 is exact
+        self.constant = None
+        if all(c_v0 == c_v1 == g_gamma == 0.0 for _, c_v0, c_v1, g_gamma, _ in self.rows):
+            self.constant = min(_sublevel(d0, denom) for d0, _, _, _, denom in self.rows)
 
     def gamma_i(self, i: int, v, gamma_prev: float = 0.0) -> float:
         """Largest Lyapunov sublevel value inside constraint i's half-space:
@@ -142,8 +152,10 @@ class GammaEvaluator:
         Rows with g_gamma > 0 reference Gamma itself; those are resolved by
         fixed-point iteration seeded from the minimum over the plain rows
         (the map is monotone nonincreasing in its argument, so the iteration
-        converges geometrically).
+        converges geometrically). A constant threshold is returned as is.
         """
+        if self.constant is not None:
+            return self.constant
         v0, v1 = v[0], v[1]
         g = min([_sublevel(d0 - (c_v0 * v0 + c_v1 * v1), denom)
                  for d0, c_v0, c_v1, _, denom in self.plain or self.rows])
@@ -196,8 +208,4 @@ class GammaEvaluator:
         rho0, rho1 = self.navigation_field(r, v, cfg)
         gain = cfg.kappa_erg * margin
         return gain * rho0, gain * rho1
-
-    def barrier(self, e, v) -> float:
-        """Barrier Phi(e, v) = V(e) - Gamma(v); Phi <= 0 on the governed safe set."""
-        return self.P.quad(e) - self.gamma(v)
 

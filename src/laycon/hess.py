@@ -17,6 +17,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .erg import HalfspaceConstraint
+from .errors import FieldValueError
 from .numkit import NotHurwitzError, decay_rate
 
 
@@ -29,14 +30,6 @@ ConstraintMode = Literal["full", "input_only", "voltage_only"]
 
 class OutOfSpanError(ValueError):
     """Load profile evaluated outside its time span."""
-
-
-class FieldValueError(ValueError):
-    """A config field holds an invalid value; `field` names the field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ class ConstraintConfig:
 
     def __post_init__(self):
         if self.kappa_bar < 0.0:
-            raise ValueError("kappa_bar must be nonnegative")
+            raise FieldValueError("kappa_bar", "kappa_bar must be nonnegative")
 
 
 def hess_constraints(

@@ -1,10 +1,10 @@
 """ISS certificates for the frozen tracking loop.
 
-Computes the ultimate invariant level of the disturbed error dynamics
-(both the generic class-K chain and the optimized planar form), the
-per-coordinate tracking bounds it induces, the linear ISS gain and noise
-floor, hindsight calibration of the overshoot factor, and the two-phase
-(transit + decay) settling time with its timing-compatibility checks.
+Computes the ultimate invariant level of the disturbed planar error
+dynamics, the per-coordinate tracking bounds it induces, the linear ISS
+gain and noise floor, hindsight calibration of the overshoot factor, and
+the two-phase (transit + decay) settling time with its timing-compatibility
+checks.
 """
 
 from __future__ import annotations
@@ -15,27 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import SpdMatrix, invert_spd
-
-
-@dataclass(frozen=True)
-class PowerLawK:
-    """Class-K function of power-law form alpha(s) = c * s**p (c, p > 0)."""
-
-    c: float
-    p: float
-
-    def __post_init__(self):
-        if self.c <= 0.0 or self.p <= 0.0:
-            raise ValueError("power law requires c > 0 and p > 0")
-
-    def __call__(self, s: float) -> float:
-        return self.c * s**self.p
-
-    def inv(self, y: float) -> float:
-        """Closed-form inverse (power laws are globally invertible on [0, inf))."""
-        if y < 0.0:
-            raise ValueError("power law inverse undefined for negative values")
-        return (y / self.c) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -82,15 +61,6 @@ class TimingVerdict:
     settling_slack: float
     window_slack_low: float
     window_slack_high: float
-
-
-def ultimate_level_generic(alpha_bar: PowerLawK, alpha: PowerLawK, sigma: PowerLawK, H_max: float) -> float:
-    """Ultimate sublevel threshold alpha_bar(alpha^-1(sigma(H_max)))."""
-    if H_max < 0.0:
-        raise ValueError("H_max must be nonnegative")
-    if H_max == 0.0:
-        return 0.0
-    return alpha_bar(alpha.inv(sigma(H_max)))
 
 
 def _planar_level(theta, P, R, B, H_max):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FieldValueError
 from .hess import DERIVED, HessParams, battery_interface_bounds
 from .qp import QpSolution, QpSolver, QpStatus
 
@@ -41,14 +42,18 @@ class PlannerConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be at least one step")
+            raise FieldValueError("horizon", "horizon must be at least one step")
+        # t_s and slew_bound are derived from other sections, so their check
+        # names only this one
         if self.t_s <= 0.0 or self.slew_bound <= 0.0:
             raise ValueError("t_s and slew_bound must be positive")
-        if self.q_weight < 0.0 or self.tighten_eps_e < 0.0:
-            raise ValueError("q_weight and tighten_eps_e must be nonnegative")
-        for lo, hi in (self.e_b_range, self.e_s_range):
+        for name in ("q_weight", "tighten_eps_e"):
+            if getattr(self, name) < 0.0:
+                raise FieldValueError(name, f"{name} must be nonnegative")
+        for name in ("e_b_range", "e_s_range"):
+            lo, hi = getattr(self, name)
             if hi <= lo:
-                raise ValueError("SOC ranges must be nonempty intervals")
+                raise FieldValueError(name, "SOC ranges must be nonempty intervals")
 
     @classmethod
     def from_hess(cls, p: HessParams, t_s: float, **settings) -> "PlannerConfig":

@@ -18,6 +18,8 @@ dual feasible. An empty start set is the classical cold start.
 Infeasibility is a first-class status, detected when a violated row is a
 nonnegative combination of active rows with no compatible bound (a Farkas
 certificate), so the planner's fallback can trigger without exceptions.
+So is a working set that turns numerically dependent (its Gram matrix
+fails Cholesky): the solve stops with RANK_DEFICIENT.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class QpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
+    RANK_DEFICIENT = "rank_deficient"
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,9 @@ def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> Qp
     def directions(idx):
         """Primal/dual step directions for bringing row idx into the set.
         Returns None when the working-set Gram matrix has gone numerically
-        rank-deficient; the caller stalls out with a status rather than an
-        exception."""
+        rank-deficient (it fails Cholesky, or passes it with a pivot so
+        small that the solve finds it singular); the caller stops with
+        RANK_DEFICIENT rather than an exception."""
         h_inv_a = H_inv_At[:, idx]
         if not work:
             return h_inv_a, np.zeros(0)
@@ -148,9 +152,9 @@ def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> Qp
         B = Y_w.T @ Y_w  # working-set Gram matrix in the H^-1 metric
         try:
             np.linalg.cholesky(B)
+            r = np.linalg.solve(B, Y_w.T @ Y[:, idx])
         except np.linalg.LinAlgError:
             return None
-        r = np.linalg.solve(B, Y_w.T @ Y[:, idx])
         return h_inv_a - H_inv_At[:, work] @ r, r
 
     while iters < max_iters:
@@ -168,7 +172,7 @@ def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> Qp
         while iters < max_iters:
             step = directions(idx)
             if step is None:
-                return _finish(ws, g, x, work, u, QpStatus.ITER_LIMIT, iters)
+                return _finish(ws, g, x, work, u, QpStatus.RANK_DEFICIENT, iters)
             z, r = step
             # dual blocking step: first active multiplier driven to zero
             t1, k_drop = np.inf, -1

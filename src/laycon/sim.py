@@ -13,6 +13,10 @@ The loop runs on Python floats: the joint state is a list of seven floats
 of a preallocated array. The reductions whose rounding numpy's kernels set
 stay on arrays (V(e) = e'Pe, the adversarial disturbance's e'PB and the
 governor's Euclidean norms), so every value equals the array evaluation.
+Work that depends only on time, or that only the log reads, stays out of
+the loop: the mixed disturbance is drawn for the whole run before it, and
+the logged V(e) and Phi columns are computed from the logged error after
+it.
 
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
@@ -40,6 +44,7 @@ from .contracts import (
     check_G_track,
 )
 from .erg import ErgConfig, GammaEvaluator
+from .errors import FieldValueError
 from .hess import HessParams, LoadProfile, control_uB, control_uS, error_state
 from .hess import load as load_eval
 from .hess import outputs, plant_rhs
@@ -77,14 +82,15 @@ class SimConfig:
     r_init_ib: float = 0.0
 
     def __post_init__(self):
-        if self.h <= 0.0 or self.t_end <= 0.0 or self.t_s <= 0.0:
-            raise ValueError("h, t_end, t_s must be positive")
+        for name in ("h", "t_end", "t_s"):
+            if getattr(self, name) <= 0.0:
+                raise FieldValueError(name, f"{name} must be positive")
         if self.disturbance not in get_args(DisturbanceMode):
-            raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
+            raise FieldValueError("disturbance", f"unknown disturbance mode {self.disturbance!r}")
         if not self.mpc_on and self.frozen_reference is None:
-            raise ValueError("planner disabled: a frozen reference is required")
+            raise FieldValueError("frozen_reference", "planner disabled: a frozen reference is required")
         if self.w_max < 0.0:
-            raise ValueError("w_max must be nonnegative")
+            raise FieldValueError("w_max", "w_max must be nonnegative")
 
 
 @dataclass
@@ -137,11 +143,15 @@ def rk4_step(rhs, x, t: float, h: float) -> list[float]:
     return x_next
 
 
-def disturbance_mixed(t: float, w_max: float, stream: np.random.Generator) -> float:
-    """Sinusoid plus uniform noise, piecewise constant per integration step;
-    the coefficient split keeps |w| <= w_max pointwise."""
-    xi = stream.uniform(-1.0, 1.0)
-    return float(w_max * (0.7 * np.sin(15.0 * t) + 0.3 * xi))
+def disturbance_mixed(times: np.ndarray, w_max: float, stream: np.random.Generator) -> np.ndarray:
+    """Sinusoid plus uniform noise at each step time, held constant over its
+    integration step; the coefficient split keeps |w| <= w_max pointwise.
+
+    The noise is one stream.uniform(-1, 1, size=n) draw, which yields the
+    same values as n scalar draws, so a run's w sequence does not depend on
+    how it is drawn."""
+    xi = stream.uniform(-1.0, 1.0, size=len(times))
+    return w_max * (0.7 * np.sin(15.0 * times) + 0.3 * xi)
 
 
 def disturbance_adversarial(e, P: SpdMatrix, B, w_max: float) -> float:
@@ -188,11 +198,16 @@ def run_layered(
     z = [*map(float, sim.x0), *v]  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
     planner = Planner(planner_cfg, r_init=r[1]) if sim.mpc_on else None
     gam = GammaEvaluator(constraints, P)
-    rng = np.random.default_rng(sim.seed)
     B_w = np.array([0.0, 1.0 / plant.c_bus])
     gain_b = plant.lambda_b_gain
     erg_on = sim.erg_on
     h = sim.h
+    adversarial = sim.disturbance == "adversarial"
+    if sim.disturbance == "mixed":
+        stream = np.random.default_rng(sim.seed)
+        w_steps = disturbance_mixed(np.arange(n_steps + 1) * h, sim.w_max, stream).tolist()
+    else:
+        w_steps = [0.0] * (n_steps + 1)
 
     def load_at(t: float) -> tuple[float, float]:
         if load_profile is None:
@@ -239,16 +254,10 @@ def run_layered(
         d_bar = d + i_b
         u_s = control_uS(v_gr, i_s, v_v, d_bar, d_dot + u_b, plant)
         e = error_state(z, v_v, 0.0, d_bar, plant)
-        if sim.disturbance == "mixed":
-            w = disturbance_mixed(t, sim.w_max, rng)
-        elif sim.disturbance == "adversarial":
-            w = disturbance_adversarial(e, P, B_w, sim.w_max)
-        else:
-            w = 0.0
-        v_e = P.quad(e)
-        gamma_v = gam.gamma((v_v, v_ib))
+        w = disturbance_adversarial(e, P, B_w, sim.w_max) if adversarial else w_steps[i]
+        # V_e and Phi are filled in after the loop; nothing in it reads them
         data[:, i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], e[0], e[1],
-                      v_e, gamma_v, v_e - gamma_v, w, d, u_s, u_b, fallback_now)
+                      0.0, gam.gamma((v_v, v_ib)), 0.0, w, d, u_s, u_b, fallback_now)
 
         if i == n_steps:
             break
@@ -279,6 +288,10 @@ def run_layered(
         plan_qps=plan_qps,
         t_s_eff=t_s_eff,
     )
+    cols = log.columns
+    E = np.column_stack((cols["e1"], cols["e2"]))
+    cols["V_e"][:] = np.vecdot(E @ P.mat, E)
+    cols["Phi"][:] = cols["V_e"] - cols["Gamma_v"]
     return log, _build_report(log, spec, sim, spp)
 
 

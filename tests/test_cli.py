@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from helpers import read_trajectory_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +12,11 @@ from laycon.cli import (
     bundle_to_config,
     load_bundle,
     main,
-    read_trajectory_csv,
     resolve_config,
     write_trajectory_csv,
 )
 from laycon.scenarios import scenario_a, scenario_b
-from laycon.sim import run_layered
+from laycon.sim import COLUMNS, TrajectoryLog, run_layered
 
 
 def run_bundle(bundle):
@@ -79,6 +80,11 @@ BAD_KEYS = [
     ("plant.rho_d", lambda cfg: cfg["plant"].update(rho_d=5.0)),
     ("plant.k1", lambda cfg: cfg["plant"].update(k1=-5.0)),
     ("plant.lambda_b_gain", lambda cfg: cfg["plant"].update(lambda_b_gain=1.0)),
+    ("erg.kappa_erg", lambda cfg: cfg["erg"].update(kappa_erg=-1.0)),
+    ("erg.eta", lambda cfg: cfg["erg"].update(eta=0.0)),
+    ("sim.h", lambda cfg: cfg["sim"].update(h=0.0)),
+    ("constraints.kappa_bar", lambda cfg: cfg["constraints"].update(kappa_bar=-0.1)),
+    ("planner.q_weight", lambda cfg: cfg["planner"].update(q_weight=-1.0)),
 ]
 
 
@@ -104,6 +110,32 @@ class TestTrajectoryCsv:
         parsed = read_trajectory_csv(path)
         for name, col in log.columns.items():
             assert np.array_equal(parsed[name], col), name
+
+    def test_block_writer_matches_csv_writer(self, tmp_path):
+        # special floats fill whole columns and whole steps, over more steps
+        # than one block holds
+        specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                    0.1 + 0.2, 1.2345678901234567e-200, 400.00000000000006]
+        n_rows = 700
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((len(COLUMNS), n_rows)) * 10.0 ** rng.integers(-300, 300, (len(COLUMNS), n_rows))
+        for k, value in enumerate(specials):
+            data[:, k * 97 % n_rows] = value
+            data[k, :] = value
+        log = TrajectoryLog(
+            data=data, y_samples=np.zeros((1, 2)), predictions=np.zeros((0, 2)),
+            v_n_star=np.zeros(0), w_tilde=np.zeros((0, 2)), ref_points=np.zeros((1, 2)),
+            fallback_steps=np.zeros(0, dtype=bool), plan_qps=[], t_s_eff=0.1,
+        )
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(log, path)
+        reference = tmp_path / "reference.csv"
+        with reference.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(COLUMNS)
+            for row in data.T:
+                writer.writerow(map(repr, row.tolist()))
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_header_contract(self, tmp_path):
         bundle = scenario_a(seed=0, t_end=0.2)
@@ -176,6 +208,22 @@ class TestRunCommand:
         assert {rec["status"] for rec in planner} == {"optimal"}
         # each period starts from the last one's active set; cold starts take ~3850
         assert sum(rec["iterations"] for rec in planner) < 400
+
+    def test_rank_deficient_planner_falls_back(self, tmp_path):
+        # the tightened SOC corridors close inside the horizon and the small
+        # cost weight lets the dual method pile 21 active rows onto 20
+        # variables: every period's QP ends rank-deficient and falls back
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps({"sim": {"t_end": 1.0},
+                                    "planner": {"q_weight": 1e-4, "tighten_eps_e": 0.25}}))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "b", "--config", str(path), "--seed", "0", "--out", str(out)]) == 0
+        planner = json.loads((out / "monitor.json").read_text())["planner"]
+        assert len(planner) == 10
+        assert "rank_deficient" in {rec["status"] for rec in planner}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fallback_count"] == sum(rec["status"] != "optimal" for rec in planner)
+        assert np.all(read_trajectory_csv(out / "trajectory.csv")["r_IB"] == 0.0)  # held from the start
 
     def test_unknown_scenario_exits_1(self, tmp_path):
         assert main(["run", "--scenario", "zz", "--out", str(tmp_path)]) == 1

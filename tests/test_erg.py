@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laycon.erg import ErgConfig, GammaEvaluator, HalfspaceConstraint
+from laycon.erg import ErgConfig, GammaEvaluator, HalfspaceConstraint, _norm
 from laycon.numkit import SpdMatrix, solve_lyapunov
 
 P_EYE = SpdMatrix(np.eye(2))
@@ -112,10 +112,43 @@ class TestErgRhs:
         assert np.linalg.norm(vdot) == pytest.approx(6.0)
 
 
-class TestBarrier:
-    def test_interior_negative(self):
-        assert GammaEvaluator([plain_row()], P_EYE).barrier(np.zeros(2), np.zeros(2)) < 0.0
+class TestConstantGamma:
+    """With every row's c_v = (0, 0) and g_gamma = 0, gamma returns a
+    threshold computed once; it must equal the general evaluation."""
 
-    def test_boundary_zero(self):
-        e = np.array([2.0, 0.0])  # V(e) = 4 = Gamma
-        assert GammaEvaluator([plain_row(d0=2.0)], P_EYE).barrier(e, np.zeros(2)) == pytest.approx(0.0)
+    P = solve_lyapunov(np.array([[0.0, 1.0], [-35.0, -12.0]]), np.diag([100.0, 10.0]))
+
+    def test_equals_general_evaluation(self):
+        rng = np.random.default_rng(5)
+        rows = [
+            HalfspaceConstraint(c_a=(35.0,), c_b=(12.0,), d0=50.0, c_v=(0.0, 0.0)),
+            HalfspaceConstraint(c_a=(-35.0,), c_b=(-12.0,), d0=47.3, c_v=(-0.0, 0.0)),
+            HalfspaceConstraint(c_a=(0.0,), c_b=(1.0,), d0=-1.0, c_v=(0.0, 0.0)),
+        ]
+        for subset in (rows[:1], rows[:2], rows):
+            gam = GammaEvaluator(subset, self.P)
+            assert gam.constant is not None
+            for v in [(0.0, 0.0), (-0.0, -0.0)] + [tuple(x) for x in rng.uniform(-1e3, 1e3, (200, 2))]:
+                general = min(gam.gamma_i(i, v) for i in range(len(subset)))
+                assert gam.gamma(v) == general
+
+    def test_not_taken_when_a_row_depends_on_v(self):
+        rows = [plain_row(d0=2.0), plain_row(d0=3.0, c_v=(0.0, 1.0))]
+        gam = GammaEvaluator(rows, P_EYE)
+        assert gam.constant is None
+        assert gam.gamma((0.0, 2.5)) == pytest.approx(0.25)
+
+    def test_not_taken_when_a_row_depends_on_gamma(self):
+        rows = [plain_row(d0=3.0), plain_row(d0=3.0, g=0.1)]
+        gam = GammaEvaluator(rows, P_EYE)
+        assert gam.constant is None
+        assert gam.gamma((0.0, 0.0)) < 9.0  # the fixed point shrinks the second margin
+
+
+class TestNorm:
+    def test_matches_numpy_with_zero_and_subnormal_components(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -3.0, 0.1, 1.3e150]
+        rng = np.random.default_rng(9)
+        pairs = [(a, b) for a in values for b in values] + [tuple(x) for x in rng.standard_normal((200, 2))]
+        for a, b in pairs:
+            assert repr(_norm(a, b)) == repr(float(np.linalg.norm(np.array([a, b])))), (a, b)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from laycon.iss_cert import (
-    PowerLawK,
     SettlingTimes,
     calibrate_overshoot,
     coordinate_bound,
@@ -14,7 +13,6 @@ from laycon.iss_cert import (
     noise_floor,
     settling_time,
     timing_check,
-    ultimate_level_generic,
     ultimate_level_optimized,
 )
 from laycon.numkit import SpdMatrix, invert_spd, solve_lyapunov
@@ -33,22 +31,6 @@ def p_scen_a():
 @pytest.fixture(scope="module")
 def p_scen_b():
     return solve_lyapunov(A_SCEN_B, R_SCEN_B)
-
-
-class TestUltimateLevelGeneric:
-    def test_zero_disturbance(self):
-        s = PowerLawK(1.0, 1.0)
-        assert ultimate_level_generic(s, s, s, 0.0) == 0.0
-
-    def test_identity_chain(self):
-        s = PowerLawK(1.0, 1.0)
-        assert ultimate_level_generic(s, s, s, 3.0) == pytest.approx(3.0)
-
-    def test_hand_chain(self):
-        # sigma(2) = 4, alpha^-1(4) = 1, alpha_bar(1) = 2
-        assert ultimate_level_generic(
-            PowerLawK(2.0, 2.0), PowerLawK(4.0, 1.0), PowerLawK(1.0, 2.0), 2.0
-        ) == pytest.approx(2.0)
 
 
 class TestUltimateLevelOptimized:

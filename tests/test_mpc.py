@@ -16,7 +16,7 @@ from laycon.mpc import (
     planner_iss_bound,
     qp_matrices,
 )
-from laycon.qp import QpSolver
+from laycon.qp import QpSolver, QpStatus
 
 
 def make_cfg(**overrides):
@@ -163,6 +163,19 @@ class TestPlan:
             res = planner.step(y, np.zeros(cfg.horizon))
             assert abs(res.r_k[1] - prev) <= cfg.slew_bound + 1e-9
             prev = res.r_k[1]
+
+    @pytest.mark.parametrize("q_weight, tighten", [(1e-4, 0.0), (1e-2, 0.02)])
+    def test_dependent_working_set_falls_back(self, q_weight, tighten):
+        # E_S starts outside its range, so no plan exists; on the way there
+        # the dual method's working set turns numerically dependent
+        cfg = PlannerConfig.from_hess(
+            HessParams(), horizon=20, t_s=0.1, q_weight=q_weight, e_b_goal=5.0,
+            e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=tighten,
+        )
+        res = Planner(cfg, r_init=0.5).step(np.array([0.0, -45.0]), np.zeros(cfg.horizon))
+        assert res.qp.status is QpStatus.RANK_DEFICIENT
+        assert res.fallback_used
+        assert res.r_k[1] == 0.5
 
     def test_nominal_recursive_feasibility(self):
         cfg = make_cfg(horizon=6)

@@ -56,22 +56,32 @@ class TestRk4:
 
 class TestDisturbances:
     class _ZeroStream:
-        def uniform(self, lo, hi):
-            return 0.0
+        def uniform(self, lo, hi, size):
+            return np.zeros(size)
 
     def test_mixed_zero_noise_at_origin(self):
-        assert disturbance_mixed(0.0, 3.0, self._ZeroStream()) == 0.0
+        assert disturbance_mixed(np.zeros(1), 3.0, self._ZeroStream())[0] == 0.0
 
     def test_mixed_bounded(self):
-        rng = np.random.default_rng(1)
-        ws = [disturbance_mixed(t, 3.0, rng) for t in np.linspace(0.0, 10.0, 5000)]
-        assert max(abs(w) for w in ws) <= 3.0
+        ws = disturbance_mixed(np.linspace(0.0, 10.0, 5000), 3.0, np.random.default_rng(1))
+        assert np.max(np.abs(ws)) <= 3.0
 
     def test_mixed_deterministic_replay(self):
         ts = np.linspace(0.0, 2.0, 100)
-        a = [disturbance_mixed(t, 3.0, np.random.default_rng(7)) for t in ts]
-        b = [disturbance_mixed(t, 3.0, np.random.default_rng(7)) for t in ts]
-        assert a == b
+        a = disturbance_mixed(ts, 3.0, np.random.default_rng(7))
+        b = disturbance_mixed(ts, 3.0, np.random.default_rng(7))
+        assert np.array_equal(a, b)
+
+    def test_mixed_equals_per_step_scalar_draws(self):
+        # the sequence a run reads: step times i * h, one scalar draw per step
+        h, n = 1e-3, 6001
+        for seed in (0, 19):
+            stream = np.random.default_rng(seed)
+            scalar = [float(3.0 * (0.7 * np.sin(15.0 * (i * h)) + 0.3 * stream.uniform(-1.0, 1.0)))
+                      for i in range(n)]
+            times = np.arange(n) * h
+            assert times.tolist() == [i * h for i in range(n)]
+            assert disturbance_mixed(times, 3.0, np.random.default_rng(seed)).tolist() == scalar
 
     def test_adversarial_sign_convention(self):
         P = SpdMatrix(np.eye(2))
@@ -123,6 +133,17 @@ class TestRunLayered:
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
         assert np.array_equal(a.y_samples, b.y_samples)
+
+    def test_logged_lyapunov_value_and_barrier(self):
+        # V_e and Phi are filled in after the loop; each row must equal the
+        # per-step scalar evaluation V(e) = e'Pe and Phi = V(e) - Gamma(v)
+        for bundle in (scenario_a(seed=3, t_end=1.0), scenario_b(seed=1, t_end=1.0)):
+            log, _ = run_bundle(bundle)
+            c = log.columns
+            for i in range(log.n_rows):
+                v_e = bundle.P.quad((c["e1"][i], c["e2"][i]))
+                assert c["V_e"][i] == v_e
+                assert c["Phi"][i] == v_e - c["Gamma_v"][i]
 
     def test_period_rounding_warns(self):
         bundle = scenario_a()
