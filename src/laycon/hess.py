@@ -128,30 +128,40 @@ def scenario_b_load(t_end: float = 6.0) -> LoadProfile:
     )
 
 
-def load(t: float, profile: LoadProfile) -> tuple[float, float]:
-    """Load value and exact derivative at time t."""
+def load(times, profile: LoadProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Load values and exact derivatives at each of the given times (an
+    array of any shape; times within 1e-12 of the span are clamped into it).
+
+    The segment polynomials are evaluated per time in Python floats, since
+    numpy's vector s**3 may round differently from the scalar power; the
+    ripple takes numpy's vector sin and cos."""
+    t = np.asarray(times, dtype=float)
     t0, t1 = profile.t_span
-    if t < t0 - 1e-12 or t > t1 + 1e-12:
-        raise OutOfSpanError(f"t={t} outside load profile span [{t0}, {t1}]")
-    t = min(max(t, t0), t1)
-    seg = profile.segments[-1]
-    for s in profile.segments:
-        if t <= s.t_end:
-            seg = s
-            break
-    if seg.kind == "constant":
-        d, d_dot = seg.level_start, 0.0
-    else:
+    if t.size and (t.min() < t0 - 1e-12 or t.max() > t1 + 1e-12):
+        bad = t[(t < t0 - 1e-12) | (t > t1 + 1e-12)]
+        raise OutOfSpanError(f"t={bad[0]} outside load profile span [{t0}, {t1}]")
+    t = np.clip(t, t0, t1)
+    d = np.zeros_like(t)
+    d_dot = np.zeros_like(t)
+    prev_end = -np.inf
+    for seg in profile.segments:
+        # each time belongs to the first segment whose end is at or after it
+        on = (t > prev_end) & (t <= seg.t_end)
+        prev_end = seg.t_end
+        if seg.kind == "constant":
+            d[on] = seg.level_start
+            continue
         dur = seg.t_end - seg.t_start
-        s_rel = (t - seg.t_start) / dur
         rise = seg.level_end - seg.level_start
-        d = seg.level_start + rise * (3.0 * s_rel**2 - 2.0 * s_rel**3)
-        d_dot = rise * 6.0 * (s_rel - s_rel**2) / dur
+        s_rel = [(tk - seg.t_start) / dur for tk in t[on].tolist()]
+        d[on] = [seg.level_start + rise * (3.0 * s**2 - 2.0 * s**3) for s in s_rel]
+        d_dot[on] = [rise * 6.0 * (s - s**2) / dur for s in s_rel]
     if profile.osc_amplitude != 0.0:
         omega = 2.0 * np.pi * profile.osc_freq_hz
-        d += profile.osc_amplitude * np.sin(omega * t)
-        d_dot += profile.osc_amplitude * omega * np.cos(omega * t)
-    return float(d), float(d_dot)
+        phase = omega * t
+        d += profile.osc_amplitude * np.sin(phase)
+        d_dot += profile.osc_amplitude * omega * np.cos(phase)
+    return d, d_dot
 
 
 def plant_rhs(x, u, w: float, d: float, p: HessParams) -> tuple[float, ...]:

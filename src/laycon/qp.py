@@ -38,25 +38,6 @@ class QpStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    """min 1/2 x'Hx + g'x  s.t.  A_ineq x <= b_ineq (rowwise), as one record
-    for `solve_qp`; `QpSolver` checks and symmetrizes the arrays."""
-
-    H: np.ndarray
-    g: np.ndarray
-    A_ineq: np.ndarray
-    b_ineq: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.A_ineq.shape[0]
-
-
-@dataclass(frozen=True)
 class QpSolution:
     x: np.ndarray
     objective: float
@@ -232,9 +213,3 @@ def _finish(ws, g, x, work, u, status, iters):
         lam=lam,
         iterations=iters,
     )
-
-
-def solve_qp(p: QpProblem, max_iters: int = 200) -> QpSolution:
-    """Solve a strictly convex inequality-constrained QP. Never raises for
-    infeasible or stalled problems; inspect QpSolution.status."""
-    return QpSolver(p.H, p.A_ineq).solve(p.g, p.b_ineq, max_iters)

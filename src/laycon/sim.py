@@ -9,14 +9,15 @@ each step, while the feedback controllers follow the stage states; runs
 are bit-reproducible for a given seed.
 
 The loop runs on Python floats: the joint state is a list of seven floats
-(V_gr, I_S, I_B, E_S, E_B, v_V, v_IB) and each logged step is one column
-of a preallocated array. The reductions whose rounding numpy's kernels set
-stay on arrays (V(e) = e'Pe, the adversarial disturbance's e'PB and the
-governor's Euclidean norms), so every value equals the array evaluation.
-Work that depends only on time, or that only the log reads, stays out of
-the loop: the mixed disturbance is drawn for the whole run before it, and
-the logged V(e) and Phi columns are computed from the logged error after
-it.
+(V_gr, I_S, I_B, E_S, E_B, v_V, v_IB), RK4 is unrolled over its entries,
+and each logged step is one row of a preallocated array. The reductions
+whose rounding numpy's kernels set stay on arrays (V(e) = e'Pe, the
+adversarial disturbance's e'PB and the governor's Euclidean norms), so
+every value equals the array evaluation. Work that depends only on time,
+or that only the log reads, stays out of the loop: the mixed disturbance
+and the load (at every step and forecast time) are evaluated for the
+whole run before it, so is Gamma(v) when the governor is off, and the
+logged V(e) and Phi columns are computed from the logged error after it.
 
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
@@ -98,7 +99,9 @@ class TrajectoryLog:
     """Uniformly sampled run record plus the per-period planner data.
 
     data holds one row per name in COLUMNS and one column per logged step;
-    columns maps each name to its row (a view into data).
+    columns maps each name to its row (a view into data). The simulator
+    logs step by step into an (n_rows, len(COLUMNS)) array and data is its
+    transpose, a view, so each column's values are strided.
     """
 
     data: np.ndarray  # (len(COLUMNS), n_rows)
@@ -127,17 +130,30 @@ class TrajectoryLog:
 def rk4_step(rhs, x, t: float, h: float) -> list[float]:
     """Classical 4-stage step with inputs held constant over the step.
 
-    x and each rhs(x, t) are sequences of floats; the stage sums are taken
-    per entry in the order x + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    x and each rhs(x, t) are sequences of seven floats, the joint state
+    (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB). The step is unrolled over the
+    entries: stages 2 and 3 are a + (h/2) k, stage 4 is a + h k, and the
+    result is a + (h/6) (k1 + 2 k2 + 2 k3 + k4), each summed left to right.
     """
+    x0, x1, x2, x3, x4, x5, x6 = x
     half = 0.5 * h
-    k1 = rhs(x, t)
-    k2 = rhs([a + half * k for a, k in zip(x, k1)], t + half)
-    k3 = rhs([a + half * k for a, k in zip(x, k2)], t + half)
-    k4 = rhs([a + h * k for a, k in zip(x, k3)], t + h)
+    a0, a1, a2, a3, a4, a5, a6 = rhs(x, t)
+    b0, b1, b2, b3, b4, b5, b6 = rhs([x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
+                                      x4 + half * a4, x5 + half * a5, x6 + half * a6], t + half)
+    c0, c1, c2, c3, c4, c5, c6 = rhs([x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
+                                      x4 + half * b4, x5 + half * b5, x6 + half * b6], t + half)
+    d0, d1, d2, d3, d4, d5, d6 = rhs([x0 + h * c0, x1 + h * c1, x2 + h * c2, x3 + h * c3,
+                                      x4 + h * c4, x5 + h * c5, x6 + h * c6], t + h)
     sixth = h / 6.0
-    x_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    x_next = [
+        x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+        x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+        x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+        x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+        x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+        x6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+    ]
     if not all(map(math.isfinite, x_next)):
         raise NonFiniteStateError(f"non-finite state at t={t + h:.6f}: {x_next}")
     return x_next
@@ -203,19 +219,34 @@ def run_layered(
     erg_on = sim.erg_on
     h = sim.h
     adversarial = sim.disturbance == "adversarial"
+    step_times = np.arange(n_steps + 1) * h
     if sim.disturbance == "mixed":
         stream = np.random.default_rng(sim.seed)
-        w_steps = disturbance_mixed(np.arange(n_steps + 1) * h, sim.w_max, stream).tolist()
+        w_steps = disturbance_mixed(step_times, sim.w_max, stream).tolist()
     else:
         w_steps = [0.0] * (n_steps + 1)
 
-    def load_at(t: float) -> tuple[float, float]:
-        if load_profile is None:
-            return 0.0, 0.0
+    def load_table(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = load_profile.t_span
-        return load_eval(min(max(t, lo), hi), load_profile)
+        return load_eval(np.clip(times, lo, hi), load_profile)
 
-    data = np.zeros((len(COLUMNS), n_steps + 1))
+    if load_profile is None:
+        d_steps = d_dot_steps = [0.0] * (n_steps + 1)
+    else:
+        d_steps, d_dot_steps = (values.tolist() for values in load_table(step_times))
+    if sim.mpc_on:
+        # row k holds the planner's forecast times t_k + j t_s_eff
+        period_starts = step_times[:n_periods * spp:spp]
+        forecast_times = period_starts[:, None] + np.arange(planner_cfg.horizon) * t_s_eff
+        if load_profile is None:
+            forecasts = np.zeros_like(forecast_times)
+        else:
+            forecasts, _ = load_table(forecast_times)
+    # with the governor off v only loses the sign of a zero, which no margin
+    # d0 - (c_v0 v0 + c_v1 v1) can see, so Gamma(v) is one value per run
+    gamma_fixed = None if erg_on else gam.gamma(v)
+
+    rows = np.zeros((n_steps + 1, len(COLUMNS)))
     y_samples = np.zeros((n_periods + 1, 2))
     predictions = np.zeros((n_periods, 2))
     v_n_star = np.full(n_periods, np.nan)
@@ -225,60 +256,57 @@ def run_layered(
     plan_qps = []
     fallback_now = 0.0
 
+    def joint_rhs(z, tau):
+        # the exogenous signals w, d, d_dot and r are the step's held values,
+        # which the loop rebinds once per step, so they are frozen over its
+        # four stages; the feedback controllers follow the stage states
+        ub = control_uB(z[2], r[1], gain_b)
+        dbar = d + z[2]
+        us = control_uS(z[0], z[1], z[5], dbar, d_dot + ub, plant)
+        dx = plant_rhs(z, (us, ub), w, d, plant)
+        if not erg_on:
+            return dx + (0.0, 0.0)
+        ee = error_state(z, z[5], 0.0, dbar, plant)
+        return dx + gam.erg_rhs(ee, (z[5], z[6]), r, erg_cfg)
+
     for i in range(n_steps + 1):
         t = i * h
+        d = d_steps[i]
         if i % spp == 0:
             k = i // spp
             if k <= n_periods:
                 _, y_k = outputs(z)
                 y_samples[k] = y_k
                 if k < n_periods:
-                    d_hat, _ = load_at(t)
                     if sim.mpc_on:
-                        forecast = np.array(
-                            [load_at(t + j * t_s_eff)[0] for j in range(planner_cfg.horizon)]
-                        )
-                        res = planner.step(y_k, forecast)
+                        res = planner.step(y_k, forecasts[k])
                         r = tuple(map(float, res.r_k))
                         fallback_now = float(res.fallback_used)
                         fallback_steps[k] = res.fallback_used
                         plan_qps.append(res.qp)
                         if res.V_N_star is not None:
                             v_n_star[k] = res.V_N_star
-                        predictions[k] = abstract_step(y_k, r[1], d_hat, planner_cfg)
+                        predictions[k] = abstract_step(y_k, r[1], d, planner_cfg)
                     ref_points[k + 1] = r
 
-        d, d_dot = load_at(t)
+        d_dot = d_dot_steps[i]
         v_gr, i_s, i_b, e_s, e_b, v_v, v_ib = z
         u_b = control_uB(i_b, r[1], gain_b)
         d_bar = d + i_b
         u_s = control_uS(v_gr, i_s, v_v, d_bar, d_dot + u_b, plant)
         e = error_state(z, v_v, 0.0, d_bar, plant)
         w = disturbance_adversarial(e, P, B_w, sim.w_max) if adversarial else w_steps[i]
+        gamma_v = gam.gamma((v_v, v_ib)) if gamma_fixed is None else gamma_fixed
         # V_e and Phi are filled in after the loop; nothing in it reads them
-        data[:, i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], e[0], e[1],
-                      0.0, gam.gamma((v_v, v_ib)), 0.0, w, d, u_s, u_b, fallback_now)
+        rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], e[0], e[1],
+                   0.0, gamma_v, 0.0, w, d, u_s, u_b, fallback_now)
 
         if i == n_steps:
             break
-
-        def joint_rhs(z, tau, w_held=w, d_held=d, d_dot_held=d_dot, r_held=r):
-            # exogenous signals (disturbance, load, reference) are frozen over
-            # the step; the feedback controllers are continuous and follow
-            # the stage states
-            ub = control_uB(z[2], r_held[1], gain_b)
-            dbar = d_held + z[2]
-            us = control_uS(z[0], z[1], z[5], dbar, d_dot_held + ub, plant)
-            dx = plant_rhs(z, (us, ub), w_held, d_held, plant)
-            if not erg_on:
-                return dx + (0.0, 0.0)
-            ee = error_state(z, z[5], 0.0, dbar, plant)
-            return dx + gam.erg_rhs(ee, (z[5], z[6]), r_held, erg_cfg)
-
         z = rk4_step(joint_rhs, z, t, h)
 
     log = TrajectoryLog(
-        data=data,
+        data=rows.T,
         y_samples=y_samples,
         predictions=predictions,
         v_n_star=v_n_star,

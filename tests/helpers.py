@@ -1,9 +1,16 @@
-"""Helpers shared by the tests."""
+"""Helpers shared by the tests, and the reference implementations that the
+tests compare the package's optimized code against."""
 
 import csv
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from laycon.hess import LoadProfile, OutOfSpanError
+from laycon.qp import QpSolution, QpSolver
+from laycon.sim import NonFiniteStateError
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
@@ -14,3 +21,69 @@ def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
         rows = [[float(x) for x in row] for row in reader]
     data = np.array(rows)
     return {name: data[:, j] for j, name in enumerate(names)}
+
+
+def rk4_step_reference(rhs, x, t: float, h: float) -> list[float]:
+    """Classical 4-stage step on a float sequence of any length, with the
+    stage sums taken per entry in the order x + (h/6) (k1 + 2 k2 + 2 k3 + k4)."""
+    half = 0.5 * h
+    k1 = rhs(x, t)
+    k2 = rhs([a + half * k for a, k in zip(x, k1)], t + half)
+    k3 = rhs([a + half * k for a, k in zip(x, k2)], t + half)
+    k4 = rhs([a + h * k for a, k in zip(x, k3)], t + h)
+    sixth = h / 6.0
+    x_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x_next)):
+        raise NonFiniteStateError(f"non-finite state at t={t + h:.6f}: {x_next}")
+    return x_next
+
+
+def load_reference(t: float, profile: LoadProfile) -> tuple[float, float]:
+    """Load value and exact derivative at one time, in scalar arithmetic."""
+    t0, t1 = profile.t_span
+    if t < t0 - 1e-12 or t > t1 + 1e-12:
+        raise OutOfSpanError(f"t={t} outside load profile span [{t0}, {t1}]")
+    t = min(max(t, t0), t1)
+    seg = profile.segments[-1]
+    for s in profile.segments:
+        if t <= s.t_end:
+            seg = s
+            break
+    if seg.kind == "constant":
+        d, d_dot = seg.level_start, 0.0
+    else:
+        dur = seg.t_end - seg.t_start
+        s_rel = (t - seg.t_start) / dur
+        rise = seg.level_end - seg.level_start
+        d = seg.level_start + rise * (3.0 * s_rel**2 - 2.0 * s_rel**3)
+        d_dot = rise * 6.0 * (s_rel - s_rel**2) / dur
+    if profile.osc_amplitude != 0.0:
+        omega = 2.0 * np.pi * profile.osc_freq_hz
+        d += profile.osc_amplitude * np.sin(omega * t)
+        d_dot += profile.osc_amplitude * omega * np.cos(omega * t)
+    return float(d), float(d_dot)
+
+
+@dataclass(frozen=True)
+class QpProblem:
+    """min 1/2 x'Hx + g'x  s.t.  A_ineq x <= b_ineq (rowwise), as one record
+    for `solve_qp`; `QpSolver` checks and symmetrizes the arrays."""
+
+    H: np.ndarray
+    g: np.ndarray
+    A_ineq: np.ndarray
+    b_ineq: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.H.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.A_ineq.shape[0]
+
+
+def solve_qp(p: QpProblem, max_iters: int = 200) -> QpSolution:
+    """Solve one QP with a fresh (cold-started) solver."""
+    return QpSolver(p.H, p.A_ineq).solve(p.g, p.b_ineq, max_iters)

@@ -7,6 +7,7 @@ import json
 import math
 
 import numpy as np
+from helpers import QpProblem, solve_qp
 from laycon.cli import main
 from laycon.erg import GammaEvaluator
 from laycon.iss_cert import (
@@ -17,7 +18,7 @@ from laycon.iss_cert import (
     ultimate_level_optimized,
 )
 from laycon.numkit import SpdMatrix, decay_rate, solve_lyapunov
-from laycon.qp import QpProblem, QpStatus, solve_qp
+from laycon.qp import QpStatus
 from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import (
     calibrated_overshoot_for_run,
@@ -207,7 +208,7 @@ def test_criterion_11_oracle_equivalence():
 
     # fourth-order error scaling of the integrator
     def final_error(h):
-        x = np.array([1.0])
+        x = [1.0] * 7
         for i in range(round(1.0 / h)):
             x = rk4_step(lambda x, t: [-a for a in x], x, i * h, h)
         return abs(x[0] - math.exp(-1.0))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import load_reference
 
 from laycon.erg import GammaEvaluator
 from laycon.hess import (
@@ -21,6 +22,7 @@ from laycon.hess import (
     scenario_b_load,
 )
 from laycon.numkit import solve_lyapunov
+from laycon.scenarios import scenario_b
 
 P_B = HessParams()  # published full-stack gain set (k1=35, k2=12)
 P_A = HessParams(k1=25.0, k2=11.0)
@@ -143,18 +145,18 @@ class TestBatteryInterface:
 class TestLoad:
     def test_constant_segment(self):
         prof = LoadProfile((LoadSegment(0.0, 1.0, "constant", -2.0),))
-        assert load(0.5, prof) == (-2.0, 0.0)
+        d, d_dot = load([0.5], prof)
+        assert (d[0], d_dot[0]) == (-2.0, 0.0)
 
     def test_ramp_midpoint_with_ripple(self):
         prof = scenario_b_load()
-        d, _ = load(0.65, prof)
-        assert d == pytest.approx(-2.5 + 0.5 * math.sin(2.0 * math.pi * 2.0 * 0.65))
+        d, _ = load([0.65], prof)
+        assert d[0] == pytest.approx(-2.5 + 0.5 * math.sin(2.0 * math.pi * 2.0 * 0.65))
 
     def test_joins_are_c1(self):
         prof = scenario_b_load()
         for t_join in (0.5, 0.8):
-            d_lo, dd_lo = load(t_join - 1e-9, prof)
-            d_hi, dd_hi = load(t_join + 1e-9, prof)
+            (d_lo, d_hi), (dd_lo, dd_hi) = load([t_join - 1e-9, t_join + 1e-9], prof)
             assert abs(d_hi - d_lo) <= 1e-7
             assert abs(dd_hi - dd_lo) <= 1e-6
 
@@ -162,17 +164,34 @@ class TestLoad:
         prof = scenario_b_load()
         h = 1e-6
         for t in (0.2, 0.6, 0.75, 2.0):
-            d_minus, _ = load(t - h, prof)
-            d_plus, _ = load(t + h, prof)
-            _, d_dot = load(t, prof)
+            (d_minus, _, d_plus), (_, d_dot, _) = load([t - h, t, t + h], prof)
             assert d_dot == pytest.approx((d_plus - d_minus) / (2 * h), abs=1e-4)
 
     def test_out_of_span(self):
         prof = scenario_b_load()
         with pytest.raises(OutOfSpanError):
-            load(-0.5, prof)
+            load([0.0, -0.5], prof)
         with pytest.raises(OutOfSpanError):
-            load(100.0, prof)
+            load([100.0], prof)
+
+    def test_equals_scalar_evaluation_at_run_times(self):
+        # a scenario-B run reads the load at every step time i h and at every
+        # forecast time t_k + j t_s (clamped to the span); the vector
+        # evaluation must give the scalar bits there, ramp polynomial included
+        bundle = scenario_b()
+        prof, h = bundle.load_profile, bundle.sim.h
+        n_steps, spp, horizon = round(bundle.sim.t_end / h), round(bundle.sim.t_s / h), bundle.planner_cfg.horizon
+        steps = np.arange(n_steps + 1) * h
+        forecasts = steps[:n_steps:spp, None] + np.arange(horizon) * (spp * h)
+        assert forecasts.tolist() == [[i * h + j * (spp * h) for j in range(horizon)]
+                                      for i in range(0, n_steps, spp)]
+        lo, hi = prof.t_span
+        for times in (steps, forecasts):
+            d, d_dot = load(np.clip(times, lo, hi), prof)
+            for t, got in zip(times.ravel().tolist(), zip(d.ravel().tolist(), d_dot.ravel().tolist())):
+                assert got == load_reference(min(max(t, lo), hi), prof)
+        ramp = prof.segments[1]
+        assert np.sum((steps > ramp.t_start) & (steps < ramp.t_end)) >= 299
 
 
 class TestOutputs:

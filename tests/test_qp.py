@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import QpProblem, solve_qp
 
-from laycon.qp import QpProblem, QpSolver, QpStatus, solve_qp
+from laycon.qp import QpSolver, QpStatus
 
 
 def brute_force_qp(p: QpProblem):

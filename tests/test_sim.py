@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import rk4_step_reference
 from scipy.linalg import expm
 
 from laycon import sim as sim_module
@@ -30,18 +31,19 @@ def run_bundle(bundle):
 
 class TestRk4:
     def test_zero_field(self):
-        x = rk4_step(lambda x, t: np.zeros_like(x), np.array([1.0, -2.0]), 0.0, 0.1)
-        assert np.allclose(x, [1.0, -2.0])
+        x0 = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0]
+        x = rk4_step(lambda x, t: np.zeros_like(x), x0, 0.0, 0.1)
+        assert np.allclose(x, x0)
 
     def test_exponential_decay(self):
-        x = np.array([1.0])
+        x = [1.0] * 7
         for i in range(10):
             x = rk4_step(lambda x, t: [-a for a in x], x, i * 0.1, 0.1)
         assert abs(x[0] - math.exp(-1.0)) <= 1e-6
 
     def test_fourth_order_scaling(self):
         def final_error(h):
-            x = np.array([1.0])
+            x = [1.0] * 7
             for i in range(round(1.0 / h)):
                 x = rk4_step(lambda x, t: [-a for a in x], x, i * h, h)
             return abs(x[0] - math.exp(-1.0))
@@ -51,7 +53,45 @@ class TestRk4:
 
     def test_non_finite_aborts(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
-            rk4_step(lambda x, t: [a * 1e308 for a in x], np.array([1.0]), 0.0, 1.0)
+            rk4_step(lambda x, t: [a * 1e308 for a in x], [1.0] * 7, 0.0, 1.0)
+
+    def test_unrolled_step_equals_reference_bit_for_bit(self):
+        # random states and stage derivatives, mixed with signed zeros,
+        # subnormals and entries near the overflow threshold
+        rng = np.random.default_rng(41)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.3e-315,
+                    1e300, -3e300, 1.7e308, -1.7e308]
+
+        def draw():
+            x = rng.standard_normal(7) * 10.0 ** rng.integers(-3, 4, 7)
+            for j in np.flatnonzero(rng.random(7) < 0.3):
+                x[j] = specials[rng.integers(len(specials))]
+            return x.tolist()
+
+        def bits(x):
+            return [float(a).hex() for a in x]
+
+        def run(step, x, ks, h):
+            seen = []
+
+            def rhs(z, tau):
+                seen.append((bits(z), tau))
+                return ks[len(seen) - 1]
+
+            try:
+                out = bits(step(rhs, x, 0.25, h))
+            except NonFiniteStateError:
+                out = "non-finite"
+            return out, seen
+
+        raised = 0
+        for _ in range(2000):
+            x, ks = draw(), [tuple(draw()) for _ in range(4)]
+            h = float(rng.choice([1e-3, 0.1, 1.0, 3.0]))
+            got, want = run(rk4_step, x, ks, h), run(rk4_step_reference, x, ks, h)
+            assert got == want
+            raised += got[0] == "non-finite"
+        assert 0 < raised < 2000
 
 
 class TestDisturbances:
@@ -213,6 +253,51 @@ class TestCallGraph:
         run_bundle(scenario_b(seed=0, t_end=0.5))
         steps = 500
         assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
+
+    def test_per_step_calls_governor_off(self, monkeypatch):
+        """With the governor off, v is constant up to the sign of a zero, so
+        Gamma is computed once per run, and each logged row still holds the
+        Gamma of its own state's v."""
+        counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
+        states = []
+        rk4 = sim_module.rk4_step
+
+        def step(rhs, x, t, h):
+            counts["rk4_step"] += 1
+            states.append(x)
+            x_next = rk4(rhs, x, t, h)
+            if len(states) == steps:
+                states.append(x_next)
+            return x_next
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim_module, "rk4_step", step)
+        monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
+        monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
+        bundle = scenario_a(seed=0, t_end=0.5)
+        signed_zero = SimConfig(
+            t_end=0.5, t_s=bundle.sim.t_s, seed=1, erg_on=False, mpc_on=False,
+            frozen_reference=(400.0, 0.0), x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, -0.0),
+        )
+        steps = 500
+        gam = GammaEvaluator(bundle.constraints, bundle.P)
+        for sim in (bundle.sim, signed_zero):
+            assert not sim.erg_on
+            counts.update(rk4_step=0, plant_rhs=0, gamma=0)
+            states.clear()
+            log, _ = run_layered(
+                bundle.plant, None, bundle.erg_cfg, bundle.spec, sim,
+                bundle.constraints, bundle.P, None,
+            )
+            assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": 1}
+            assert math.copysign(1.0, states[0][6]) == math.copysign(1.0, sim.v0[1])
+            per_row = [gam.gamma((z[5], z[6])) for z in states]
+            assert log.columns["Gamma_v"].tolist() == per_row
 
 
 class TestScenarioA:
