@@ -27,7 +27,6 @@ from .erg import ErgConfig, GammaEvaluator
 from .errors import FieldValueError
 from .hess import ConstraintConfig, HessParams, LoadProfile
 from .iss_cert import (
-    IssCertificate,
     coordinate_bound,
     iss_gain,
     noise_floor,
@@ -220,9 +219,14 @@ def load_bundle(cfg: dict) -> RunBundle:
         cert=_load(CertificateInputs, cfg, "certificates"),
     )
     weight = _section(cfg, "lyapunov_weight")
-    # the other sections are valid by now, so a failure here comes from R
-    with _at("lyapunov_weight"):
+    try:
         return RunBundle(R=np.asarray(weight, dtype=float), **parts)
+    except FieldValueError as exc:
+        # the cross-section rule of RunBundle names its full key path
+        raise ConfigError(exc.field, str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        # the other sections are valid by now, so a failure here comes from R
+        raise ConfigError("lyapunov_weight", str(exc)) from None
 
 
 def read_config(path: str) -> dict:
@@ -278,19 +282,12 @@ def build_certificate(bundle: RunBundle) -> dict:
     v_bar_h = cert.v_bar_h_override if cert.v_bar_h_override is not None else v_bar_opt
     eps_l = [coordinate_bound(P, v_bar_h, i) for i in range(2)]
 
-    iss = IssCertificate(
-        lambda_e=lam_e,
-        m=cert.m_overshoot,
-        gamma_iss=iss_gain(cert.m_overshoot, B_norm, lam_e),
-        epsilon=noise_floor(iss_gain(cert.m_overshoot, B_norm, lam_e), cert.h_max),
-        V_bar_h=float(v_bar_h),
-        theta_star=float(theta_star),
-        z_star=(float(z_star[0]), float(z_star[1])),
-    )
+    gamma_iss = iss_gain(cert.m_overshoot, B_norm, lam_e)
+    eps = noise_floor(gamma_iss, cert.h_max)
     r_bar_b = bundle.spec.r_bar[1]
     settling = settling_time(
-        m=iss.m, lambda_e=iss.lambda_e, gamma_iss=iss.gamma_iss, r_bar=r_bar_b,
-        eps=iss.epsilon, kappa_lo=bundle.erg_cfg.kappa_lo * cert.kappa_lo,
+        m=cert.m_overshoot, lambda_e=lam_e, gamma_iss=gamma_iss, r_bar=r_bar_b,
+        eps=eps, kappa_lo=bundle.erg_cfg.kappa_lo * cert.kappa_lo,
         r_lo=cert.r_lo, delta=cert.settle_delta, H_max=cert.h_max,
         M=cert.ff_residual_bound, mode=cert.settle_mode,
     )
@@ -322,13 +319,13 @@ def build_certificate(bundle: RunBundle) -> dict:
         "eigenvalues": [float(x) for x in eigenvalues],
         "kappa_P": P.cond(),
         "lambda_e": lam_e,
-        "V_bar_h": iss.V_bar_h,
+        "V_bar_h": float(v_bar_h),
         "V_bar_h_optimized": float(v_bar_opt),
-        "theta_star_deg": math.degrees(iss.theta_star),
-        "z_star": list(iss.z_star),
+        "theta_star_deg": math.degrees(theta_star),
+        "z_star": [float(z_star[0]), float(z_star[1])],
         "eps_L": [float(x) for x in eps_l],
-        "gamma_iss": iss.gamma_iss,
-        "eps": iss.epsilon,
+        "gamma_iss": gamma_iss,
+        "eps": eps,
         "tau1": settling.tau1,
         "tau2": settling.tau2,
         "tau_LL": settling.tau_LL,
@@ -399,7 +396,7 @@ def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:
         )
     entry = omega_entry_time(log, v_bar_h)
     safety = report.violation_counts().get("G_safe", 0)
-    max_w_tilde = float(np.max(np.abs(log.w_tilde))) if log.w_tilde.size else 0.0
+    max_w_tilde = float(np.max(np.abs(report.w_tilde))) if report.w_tilde.size else 0.0
     return {
         "K_live": report.k_live,
         "max_Phi": float(np.max(log.columns["Phi"])),
@@ -438,11 +435,7 @@ def execute_run(cfg: dict, seed: int | None = None):
     if seed is not None:
         cfg = _merge(cfg, {"sim": {"seed": seed}})
     bundle = load_bundle(cfg)
-    log, report = run_layered(
-        bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.spec,
-        bundle.sim, bundle.constraints, bundle.P, bundle.load_profile,
-    )
-    return bundle, log, report
+    return bundle, *run_layered(bundle)
 
 
 def cmd_run(args) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .erg import HalfspaceConstraint
 from .errors import FieldValueError
-from .numkit import NotHurwitzError, decay_rate
+from .numkit import decay_rate
 
 
 # Field metadata for a config field that is computed from the plant (and the
@@ -193,16 +193,6 @@ def control_uS(v_gr: float, i_s: float, v: float, d_bar: float, d_bar_dot: float
 def error_state(x, v: float, v_dot: float, d_bar: float, p: HessParams) -> tuple[float, float]:
     """Voltage-loop tracking error: (V_gr - v, bus-rate error)."""
     return x[0] - v, (x[1] + d_bar) / p.c_bus - v_dot
-
-
-def error_matrices(p: HessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-loop error dynamics (A, B, B_v): de = A e + B w - B_v psi."""
-    A = p.error_matrix()
-    if np.max(np.linalg.eigvals(A).real) >= 0.0:
-        raise NotHurwitzError("voltage-loop gains do not stabilize the error dynamics")
-    B = np.array([0.0, 1.0 / p.c_bus])
-    B_v = np.array([0.0, 1.0])
-    return A, B, B_v
 
 
 @dataclass(frozen=True)

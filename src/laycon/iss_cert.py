@@ -18,25 +18,6 @@ from .numkit import SpdMatrix, invert_spd
 
 
 @dataclass(frozen=True)
-class IssCertificate:
-    """Linear ISS envelope data: ||e(t)|| <= m e^{-lambda_e t} ||e0|| + epsilon."""
-
-    lambda_e: float
-    m: float
-    gamma_iss: float
-    epsilon: float
-    V_bar_h: float
-    theta_star: float
-    z_star: tuple[float, float]
-
-    def __post_init__(self):
-        if self.m < 1.0:
-            raise ValueError("overshoot factor m must be >= 1")
-        if self.V_bar_h < 0.0:
-            raise ValueError("invariant level must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SettlingTimes:
     """Two-phase settling decomposition tau_LL = tau1 (transit) + tau2 (decay)."""
 

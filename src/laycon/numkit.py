@@ -2,8 +2,8 @@
 
 Everything here operates on matrices no larger than 8x8 (the plant and
 error models are 2-5 dimensional), so all solvers are direct: the Lyapunov
-equation is solved through its Kronecker-product linear system and the
-symmetric eigenproblem through cyclic Jacobi sweeps.
+equation is solved through its Kronecker-product linear system, and the
+extreme eigenvalues of an SPD matrix come from np.linalg.eigvalsh.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class SpdMatrix:
         mat = _as_square(mat, "SpdMatrix")
         _check_symmetric(mat, "SpdMatrix")
         mat = 0.5 * (mat + mat.T)
-        w, _ = sym_eigen(mat)
+        w = np.linalg.eigvalsh(mat)
         if w[0] <= 0.0:
             raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e} is not positive")
         self.mat = mat
@@ -84,53 +84,6 @@ class SpdMatrix:
 
     def __repr__(self):
         return f"SpdMatrix({self.mat!r})"
-
-
-def sym_eigen(S):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Raises NotSymmetricError when S is not symmetric within 1e-12 relative
-    tolerance.
-    """
-    S = _as_square(S, "S")
-    _check_symmetric(S, "S")
-    n = S.shape[0]
-    A = 0.5 * (S + S.T)
-    V = np.eye(n)
-    scale = np.sqrt(np.sum(A * A))
-    if scale == 0.0:
-        return np.zeros(n), V
-    tol = 1e-15 * scale
-    for _ in range(60):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided rotation in the (p, q) plane
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
 
 
 def solve_lyapunov(A, R):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .contracts import ContractSpec, MismatchParams
 from .erg import ErgConfig, HalfspaceConstraint
+from .errors import FieldValueError
 from .hess import (
     ConstraintConfig,
     HessParams,
@@ -54,7 +55,9 @@ class CertificateInputs:
 class RunBundle:
     """One configuration. The Lyapunov metric P (from the plant's error
     matrix and the weight R) and the governor's constraint rows (from
-    constraint_cfg) are derived here and never serialised."""
+    constraint_cfg) are derived here and never serialised. A run uses the
+    planner iff planner_cfg is not None; without one, the reference is
+    sim.frozen_reference, which is then required."""
 
     name: str
     plant: HessParams
@@ -70,6 +73,9 @@ class RunBundle:
     constraints: list[HalfspaceConstraint] = field(init=False)
 
     def __post_init__(self):
+        if self.planner_cfg is None and self.sim.frozen_reference is None:
+            # spans two sections, so the field is its full key path
+            raise FieldValueError("sim.frozen_reference", "no planner: a frozen reference is required")
         object.__setattr__(self, "P", solve_lyapunov(self.plant.error_matrix(), self.R))
         con = self.constraint_cfg
         object.__setattr__(self, "constraints", hess_constraints(
@@ -88,7 +94,6 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:
         disturbance="mixed",
         w_max=w_max,
         erg_on=False,
-        mpc_on=False,
         frozen_reference=(400.0, 0.0),
         x0=(403.0, 0.0, 0.0, 0.0, 0.0),  # tracking error starts at (3, 0)
         v0=(400.0, 0.0),
@@ -145,7 +150,6 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> RunBundle:
         disturbance="mixed",
         w_max=w_max,
         erg_on=True,
-        mpc_on=True,
         x0=(400.0, 0.0, 0.0, 0.0, 0.0),
         v0=(400.0, 0.0),
     )

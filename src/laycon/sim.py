@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Literal, get_args
+from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
@@ -44,15 +44,18 @@ from .contracts import (
     check_G_safe,
     check_G_track,
 )
-from .erg import ErgConfig, GammaEvaluator
+from .erg import GammaEvaluator
 from .errors import FieldValueError
-from .hess import HessParams, LoadProfile, control_uB, control_uS, error_state
+from .hess import control_uB, control_uS, error_state
 from .hess import load as load_eval
 from .hess import outputs, plant_rhs
 from .iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
-from .mpc import Planner, PlannerConfig, abstract_step
+from .mpc import Planner, abstract_step
 from .numkit import SpdMatrix
 from .qp import QpSolution
+
+if TYPE_CHECKING:  # scenarios imports this module
+    from .scenarios import RunBundle
 
 
 class NonFiniteStateError(RuntimeError):
@@ -76,7 +79,6 @@ class SimConfig:
     disturbance: DisturbanceMode = "mixed"
     w_max: float = 3.0
     erg_on: bool = True
-    mpc_on: bool = True
     frozen_reference: tuple[float, float] | None = None
     x0: tuple[float, float, float, float, float] = (400.0, 0.0, 0.0, 0.0, 0.0)
     v0: tuple[float, float] | None = None
@@ -88,8 +90,6 @@ class SimConfig:
                 raise FieldValueError(name, f"{name} must be positive")
         if self.disturbance not in get_args(DisturbanceMode):
             raise FieldValueError("disturbance", f"unknown disturbance mode {self.disturbance!r}")
-        if not self.mpc_on and self.frozen_reference is None:
-            raise FieldValueError("frozen_reference", "planner disabled: a frozen reference is required")
         if self.w_max < 0.0:
             raise FieldValueError("w_max", "w_max must be nonnegative")
 
@@ -108,7 +108,6 @@ class TrajectoryLog:
     y_samples: np.ndarray  # (K+1, 2) sampled (E_B, E_S)
     predictions: np.ndarray  # (K, 2) one-step-ahead abstract states
     v_n_star: np.ndarray  # (K,) optimal values, NaN on fallback steps
-    w_tilde: np.ndarray  # (K, 2) realized one-step mismatch
     ref_points: np.ndarray  # (K+1, 2) held references, row 0 = initial
     fallback_steps: np.ndarray  # (K,) bool
     plan_qps: list[QpSolution]  # (K,) the planner's QP per period; empty without planner
@@ -177,25 +176,19 @@ def disturbance_adversarial(e, P: SpdMatrix, B, w_max: float) -> float:
     return w_max if s >= 0.0 else -w_max
 
 
-def run_layered(
-    plant: HessParams,
-    planner_cfg: PlannerConfig | None,
-    erg_cfg: ErgConfig,
-    spec: ContractSpec,
-    sim: SimConfig,
-    constraints,
-    P: SpdMatrix,
-    load_profile: LoadProfile | None = None,
-) -> tuple[TrajectoryLog, MonitorReport]:
-    """Simulate the full layered loop and monitor every contract clause.
+def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
+    """Simulate the full layered loop of one configuration and monitor every
+    contract clause.
 
-    At each sampling instant the planner sees only the sampled slow state;
-    its reference is held for the whole period while plant and governor
-    integrate continuously. Safety clauses are monitored at every
-    integration step, the discrete clauses at period boundaries.
+    The planner runs iff the bundle has one; without it the reference is
+    sim.frozen_reference throughout. At each sampling instant the planner
+    sees only the sampled slow state; its reference is held for the whole
+    period while plant and governor integrate continuously. Safety clauses
+    are monitored at every integration step, the discrete clauses at period
+    boundaries.
     """
-    if sim.mpc_on and planner_cfg is None:
-        raise ValueError("planner enabled but no planner configuration given")
+    plant, planner_cfg, erg_cfg, sim = bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.sim
+    P, load_profile = bundle.P, bundle.load_profile
     spp = max(1, round(sim.t_s / sim.h))
     t_s_eff = spp * sim.h
     if abs(t_s_eff - sim.t_s) > 1e-9 * max(1.0, sim.t_s):
@@ -206,14 +199,15 @@ def run_layered(
     n_steps = round(sim.t_end / sim.h)
     n_periods = n_steps // spp
 
-    if sim.mpc_on:
-        r = (float(planner_cfg.v_nom), float(sim.r_init_ib))
-    else:
+    if planner_cfg is None:
         r = tuple(map(float, sim.frozen_reference))
+        planner = None
+    else:
+        r = (float(planner_cfg.v_nom), float(sim.r_init_ib))
+        planner = Planner(planner_cfg, r_init=r[1])
     v = tuple(map(float, sim.v0)) if sim.v0 is not None else r
     z = [*map(float, sim.x0), *v]  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
-    planner = Planner(planner_cfg, r_init=r[1]) if sim.mpc_on else None
-    gam = GammaEvaluator(constraints, P)
+    gam = GammaEvaluator(bundle.constraints, P)
     B_w = np.array([0.0, 1.0 / plant.c_bus])
     gain_b = plant.lambda_b_gain
     erg_on = sim.erg_on
@@ -234,7 +228,7 @@ def run_layered(
         d_steps = d_dot_steps = [0.0] * (n_steps + 1)
     else:
         d_steps, d_dot_steps = (values.tolist() for values in load_table(step_times))
-    if sim.mpc_on:
+    if planner is not None:
         # row k holds the planner's forecast times t_k + j t_s_eff
         period_starts = step_times[:n_periods * spp:spp]
         forecast_times = period_starts[:, None] + np.arange(planner_cfg.horizon) * t_s_eff
@@ -278,7 +272,7 @@ def run_layered(
                 _, y_k = outputs(z)
                 y_samples[k] = y_k
                 if k < n_periods:
-                    if sim.mpc_on:
+                    if planner is not None:
                         res = planner.step(y_k, forecasts[k])
                         r = tuple(map(float, res.r_k))
                         fallback_now = float(res.fallback_used)
@@ -310,7 +304,6 @@ def run_layered(
         y_samples=y_samples,
         predictions=predictions,
         v_n_star=v_n_star,
-        w_tilde=(y_samples[1:] - predictions) if sim.mpc_on else np.zeros((0, 2)),
         ref_points=ref_points,
         fallback_steps=fallback_steps,
         plan_qps=plan_qps,
@@ -320,10 +313,10 @@ def run_layered(
     E = np.column_stack((cols["e1"], cols["e2"]))
     cols["V_e"][:] = np.vecdot(E @ P.mat, E)
     cols["Phi"][:] = cols["V_e"] - cols["Gamma_v"]
-    return log, _build_report(log, spec, sim, spp)
+    return log, _build_report(log, bundle.spec, spp)
 
 
-def _build_report(log: TrajectoryLog, spec: ContractSpec, sim: SimConfig, spp: int) -> MonitorReport:
+def _build_report(log: TrajectoryLog, spec: ContractSpec, spp: int) -> MonitorReport:
     report = MonitorReport()
     cols = log.columns
     report.record("A_env", check_A_env(cols["w"], spec.w_max))
@@ -335,7 +328,7 @@ def _build_report(log: TrajectoryLog, spec: ContractSpec, sim: SimConfig, spp: i
         end_idx = [(k + 1) * spp for k in range(log.n_periods)]
         ends = np.stack([cols["V_gr"][end_idx], cols["I_B"][end_idx]], axis=1)
         report.record("G_track", check_G_track(ends, log.ref_points[1:], spec.eps_l))
-    if sim.mpc_on and log.n_periods >= 1:
+    if log.plan_qps:  # the planner ran at least one period
         verdicts, w_tilde = check_A_mis(log.y_samples, log.predictions, spec.eps_e)
         report.record("A_mis", verdicts)
         report.w_tilde = w_tilde

@@ -2,6 +2,7 @@
 each asserted at its stated tolerance. One pass/fail line prints per
 criterion (run with -s or check the captured output)."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -37,13 +38,6 @@ R_B = np.diag([100.0, 10.0])
 def report(criterion: int, description: str, ok: bool) -> bool:
     print(f"criterion {criterion:02d} [{'PASS' if ok else 'FAIL'}] {description}")
     return ok
-
-
-def run_bundle(bundle):
-    return run_layered(
-        bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.spec,
-        bundle.sim, bundle.constraints, bundle.P, bundle.load_profile,
-    )
 
 
 def test_criterion_01_lyapunov_solve():
@@ -103,7 +97,7 @@ def test_criterion_06_erg_threshold():
 
 def test_criterion_07_scenario_a_run():
     bundle = scenario_a(seed=0)
-    log, _ = run_bundle(bundle)
+    log, _ = run_layered(bundle)
     v_bar, _, _ = ultimate_level_optimized(
         bundle.P, SpdMatrix(bundle.R), np.array([0.0, 1.0]), bundle.cert.h_max
     )
@@ -119,7 +113,7 @@ def test_criterion_07_scenario_a_run():
 
 def test_criterion_08_scenario_b_run():
     bundle = scenario_b(seed=0)
-    log, report_b = run_bundle(bundle)
+    log, report_b = run_layered(bundle)
     c = log.columns
     late = c["t"] >= 4.5
     ok = (
@@ -154,9 +148,9 @@ def test_criterion_10_upward_handshake_soundness():
     from laycon.cli import build_certificate
 
     bundle = scenario_b(seed=0)
-    log, _ = run_bundle(bundle)
+    _, monitor = run_layered(bundle)
     eps_e = build_certificate(bundle)["eps_E"]
-    measured = float(np.max(np.abs(log.w_tilde)))
+    measured = float(np.max(np.abs(monitor.w_tilde)))
     ok = measured <= eps_e
     assert report(10, f"measured mismatch {measured:.3f} below certified bound {eps_e:.1f}", ok)
 
@@ -250,13 +244,10 @@ def test_criterion_12_monitor_reconstruction():
     bundle = scenario_b(seed=0)
     nominal_sim = type(bundle.sim)(
         t_end=6.0, t_s=0.1, h=bundle.sim.h, seed=0, disturbance="none",
-        w_max=bundle.sim.w_max, erg_on=True, mpc_on=True,
+        w_max=bundle.sim.w_max, erg_on=True,
         x0=bundle.sim.x0, v0=bundle.sim.v0,
     )
-    log, monitor = run_layered(
-        bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.spec,
-        nominal_sim, bundle.constraints, bundle.P, None,
-    )
+    log, monitor = run_layered(dataclasses.replace(bundle, sim=nominal_sim, load_profile=None))
     spec = bundle.spec
     band = spec.eps_e + spec.eps_t + spec.delta
     k_live = monitor.k_live

@@ -19,13 +19,6 @@ from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import COLUMNS, TrajectoryLog, run_layered
 
 
-def run_bundle(bundle):
-    return run_layered(
-        bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.spec,
-        bundle.sim, bundle.constraints, bundle.P, bundle.load_profile,
-    )
-
-
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("maker", [scenario_a, scenario_b])
     def test_bundle_survives_serialization(self, maker):
@@ -85,6 +78,8 @@ BAD_KEYS = [
     ("sim.h", lambda cfg: cfg["sim"].update(h=0.0)),
     ("constraints.kappa_bar", lambda cfg: cfg["constraints"].update(kappa_bar=-0.1)),
     ("planner.q_weight", lambda cfg: cfg["planner"].update(q_weight=-1.0)),
+    ("sim.frozen_reference", lambda cfg: cfg.update(planner=None)),
+    ("sim.mpc_on", lambda cfg: cfg["sim"].update(mpc_on=False)),
 ]
 
 
@@ -104,7 +99,7 @@ class TestConfigErrors:
 class TestTrajectoryCsv:
     def test_round_trip_exact(self, tmp_path):
         bundle = scenario_a(seed=2, t_end=0.5)
-        log, _ = run_bundle(bundle)
+        log, _ = run_layered(bundle)
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
         parsed = read_trajectory_csv(path)
@@ -124,7 +119,7 @@ class TestTrajectoryCsv:
             data[k, :] = value
         log = TrajectoryLog(
             data=data, y_samples=np.zeros((1, 2)), predictions=np.zeros((0, 2)),
-            v_n_star=np.zeros(0), w_tilde=np.zeros((0, 2)), ref_points=np.zeros((1, 2)),
+            v_n_star=np.zeros(0), ref_points=np.zeros((1, 2)),
             fallback_steps=np.zeros(0, dtype=bool), plan_qps=[], t_s_eff=0.1,
         )
         path = tmp_path / "trajectory.csv"
@@ -139,7 +134,7 @@ class TestTrajectoryCsv:
 
     def test_header_contract(self, tmp_path):
         bundle = scenario_a(seed=0, t_end=0.2)
-        log, _ = run_bundle(bundle)
+        log, _ = run_layered(bundle)
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
         header = path.read_text().splitlines()[0]
@@ -224,6 +219,19 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fallback_count"] == sum(rec["status"] != "optimal" for rec in planner)
         assert np.all(read_trajectory_csv(out / "trajectory.csv")["r_IB"] == 0.0)  # held from the start
+
+    def test_planner_less_scenario_b(self, tmp_path):
+        # the planner layer is absent iff planner is null; the frozen
+        # reference then holds for the whole run
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps({"planner": None, "sim": {"frozen_reference": [400.0, 0.0]}}))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "b", "--config", str(path), "--seed", "0", "--out", str(out)]) == 0
+        monitor = json.loads((out / "monitor.json").read_text())
+        assert monitor["planner"] == []
+        assert monitor["w_tilde"] == [] and monitor["k_live"] is None
+        columns = read_trajectory_csv(out / "trajectory.csv")
+        assert np.all(columns["r_V"] == 400.0) and np.all(columns["r_IB"] == 0.0)
 
     def test_unknown_scenario_exits_1(self, tmp_path):
         assert main(["run", "--scenario", "zz", "--out", str(tmp_path)]) == 1
@@ -313,3 +321,13 @@ class TestSweepCommand:
 
     def test_rejects_zero_seeds(self, tmp_path):
         assert main(["sweep", "--scenario", "a", "--seeds", "0", "--out", str(tmp_path)]) == 1
+
+    def test_planner_less_config_without_reference_exits_1(self, tmp_path, capsys):
+        # rejected before the seeds fan out, so no worker raises
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps({"planner": None}))
+        assert main(["sweep", "--scenario", "b", "--config", str(path), "--seeds", "2",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error at sim.frozen_reference")
+        assert not (tmp_path / "aggregate.json").exists()

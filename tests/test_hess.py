@@ -13,7 +13,6 @@ from laycon.hess import (
     battery_interface_bounds,
     control_uB,
     control_uS,
-    error_matrices,
     error_state,
     hess_constraints,
     load,
@@ -85,16 +84,13 @@ class TestErrorCoordinates:
         e = error_state(x, 400.0, 0.5, 1.0, P_B)
         assert e[1] == pytest.approx(3.0 / P_B.c_bus - 0.5)
 
-    def test_error_matrices_published_eigenvalues(self):
-        A, B, B_v = error_matrices(P_A)
-        eigs = np.sort(np.linalg.eigvals(A).real)
+    def test_error_matrix_published_eigenvalues(self):
+        eigs = np.sort(np.linalg.eigvals(P_A.error_matrix()).real)
         assert abs(eigs[1] + 3.21) <= 0.01
         assert abs(eigs[0] + 7.79) <= 0.01
-        assert np.allclose(B, [0.0, 1.0 / P_A.c_bus])
-        assert np.allclose(B_v, [0.0, 1.0])
 
     def test_companion_identities(self):
-        A, _, _ = error_matrices(P_B)
+        A = P_B.error_matrix()
         assert np.trace(A) == pytest.approx(-P_B.k2)
         assert np.linalg.det(A) == pytest.approx(P_B.k1)
 

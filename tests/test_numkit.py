@@ -10,7 +10,6 @@ from laycon.numkit import (
     decay_rate,
     invert_spd,
     solve_lyapunov,
-    sym_eigen,
 )
 
 # Controller gains of the two published operating points.
@@ -93,41 +92,39 @@ class TestSolveLyapunov:
 
 
 class TestSymEigen:
+    """SpdMatrix's extreme eigenvalues and condition number."""
+
     def test_diagonal(self):
-        w, V = sym_eigen(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-12)
-        assert np.allclose(np.abs(V), np.eye(3), atol=1e-12)
+        P = SpdMatrix(np.diag([1.0, 2.0, 3.0]))
+        assert P.lam_min == pytest.approx(1.0, abs=1e-12)
+        assert P.lam_max == pytest.approx(3.0, abs=1e-12)
+        assert P.cond() == pytest.approx(3.0, abs=1e-12)
 
     def test_condition_number_published(self):
-        P = np.array([[14.409, 1.0], [1.0, 0.1364]])
-        w, _ = sym_eigen(P)
-        assert abs(w[-1] / w[0] - 217.0) <= 3.0
+        P = SpdMatrix(np.array([[14.409, 1.0], [1.0, 0.1364]]))
+        assert abs(P.cond() - 217.0) <= 3.0
 
     def test_against_charpoly_oracle(self):
         rng = np.random.default_rng(11)
         for n in (2, 4):
             for _ in range(50):
-                S = rng.standard_normal((n, n))
-                S = 0.5 * (S + S.T)
-                w, V = sym_eigen(S)
-                assert np.allclose(w, charpoly_roots(S), rtol=1e-8, atol=1e-8)
-                # reconstruction and orthonormality
-                assert np.linalg.norm(S - V @ np.diag(w) @ V.T) <= 1e-10 * max(1.0, np.linalg.norm(S))
-                assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
+                S = random_spd(rng, n)
+                w = charpoly_roots(S)
+                P = SpdMatrix(S)
+                assert np.allclose([P.lam_min, P.lam_max], w[[0, -1]], rtol=1e-8, atol=1e-8)
+                assert P.cond() == pytest.approx(w[-1] / w[0], rel=1e-6)
 
     def test_orthogonal_similarity_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            S = rng.standard_normal((4, 4))
-            S = 0.5 * (S + S.T)
+            S = random_spd(rng, 4)
             Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-            w1, _ = sym_eigen(S)
-            w2, _ = sym_eigen(Q @ S @ Q.T)
-            assert np.allclose(w1, w2, rtol=1e-9, atol=1e-9)
+            P1, P2 = SpdMatrix(S), SpdMatrix(Q @ S @ Q.T)
+            assert np.allclose([P1.lam_min, P1.lam_max], [P2.lam_min, P2.lam_max], rtol=1e-9, atol=1e-9)
 
     def test_not_symmetric_rejected(self):
         with pytest.raises(NotSymmetricError):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            SpdMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestDecayRate:

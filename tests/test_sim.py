@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,13 +21,6 @@ from laycon.sim import (
     rk4_step,
     run_layered,
 )
-
-
-def run_bundle(bundle):
-    return run_layered(
-        bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.spec,
-        bundle.sim, bundle.constraints, bundle.P, bundle.load_profile,
-    )
 
 
 class TestRk4:
@@ -147,20 +141,17 @@ class TestRunLayered:
         bundle = scenario_a()
         sim = SimConfig(
             t_end=1.0, t_s=0.1, seed=0, disturbance="none",
-            erg_on=False, mpc_on=False, frozen_reference=(400.0, 0.0),
+            erg_on=False, frozen_reference=(400.0, 0.0),
             x0=(400.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
         )
-        log, report = run_layered(
-            bundle.plant, None, bundle.erg_cfg, bundle.spec, sim,
-            bundle.constraints, bundle.P, None,
-        )
+        log, report = run_layered(dataclasses.replace(bundle, sim=sim))
         assert np.all(log.columns["V_gr"] == 400.0)
         assert np.all(log.columns["I_S"] == 0.0)
         assert report.all_pass()
 
     def test_zero_order_hold(self):
         bundle = scenario_b(seed=3, t_end=2.0)
-        log, _ = run_bundle(bundle)
+        log, _ = run_layered(bundle)
         spp = round(0.1 / bundle.sim.h)
         r_ib = log.columns["r_IB"]
         for k in range(log.n_periods):
@@ -168,8 +159,8 @@ class TestRunLayered:
             assert np.all(seg == seg[0])
 
     def test_bit_identical_replay(self):
-        a, _ = run_bundle(scenario_a(seed=11, t_end=1.0))
-        b, _ = run_bundle(scenario_a(seed=11, t_end=1.0))
+        a, _ = run_layered(scenario_a(seed=11, t_end=1.0))
+        b, _ = run_layered(scenario_a(seed=11, t_end=1.0))
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
         assert np.array_equal(a.y_samples, b.y_samples)
@@ -178,7 +169,7 @@ class TestRunLayered:
         # V_e and Phi are filled in after the loop; each row must equal the
         # per-step scalar evaluation V(e) = e'Pe and Phi = V(e) - Gamma(v)
         for bundle in (scenario_a(seed=3, t_end=1.0), scenario_b(seed=1, t_end=1.0)):
-            log, _ = run_bundle(bundle)
+            log, _ = run_layered(bundle)
             c = log.columns
             for i in range(log.n_rows):
                 v_e = bundle.P.quad((c["e1"][i], c["e2"][i]))
@@ -189,26 +180,20 @@ class TestRunLayered:
         bundle = scenario_a()
         sim = SimConfig(
             t_end=0.5, t_s=0.0995, seed=0, disturbance="none",
-            erg_on=False, mpc_on=False, frozen_reference=(400.0, 0.0),
+            erg_on=False, frozen_reference=(400.0, 0.0),
         )
         with pytest.warns(UserWarning):
-            log, _ = run_layered(
-                bundle.plant, None, bundle.erg_cfg, bundle.spec, sim,
-                bundle.constraints, bundle.P, None,
-            )
+            log, _ = run_layered(dataclasses.replace(bundle, sim=sim))
         assert log.t_s_eff == pytest.approx(0.1)
 
     def test_matches_matrix_exponential_without_noise(self):
         bundle = scenario_a(t_end=2.0)
         sim = SimConfig(
             t_end=2.0, t_s=0.1, seed=0, disturbance="none",
-            erg_on=False, mpc_on=False, frozen_reference=(400.0, 0.0),
+            erg_on=False, frozen_reference=(400.0, 0.0),
             x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
         )
-        log, _ = run_layered(
-            bundle.plant, None, bundle.erg_cfg, bundle.spec, sim,
-            bundle.constraints, bundle.P, None,
-        )
+        log, _ = run_layered(dataclasses.replace(bundle, sim=sim))
         A = bundle.plant.error_matrix()
         e0 = np.array([3.0, 0.0])
         for i in range(0, log.n_rows, 200):
@@ -219,7 +204,7 @@ class TestRunLayered:
 
     def test_energy_bookkeeping_consistent(self):
         bundle = scenario_b(seed=0, t_end=3.0)
-        log, _ = run_bundle(bundle)
+        log, _ = run_layered(bundle)
         c = log.columns
         integrand = bundle.plant.lambda_s * c["V_gr"] * c["I_S"]
         trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0
@@ -230,7 +215,7 @@ class TestRunLayered:
     def test_battery_input_never_saturates_past_budget(self):
         # rides the saturation boundary exactly; integrator dust allowance 1e-8
         bundle = scenario_b(seed=0, t_end=3.0)
-        log, _ = run_bundle(bundle)
+        log, _ = run_layered(bundle)
         assert np.max(np.abs(log.columns["u_B"])) <= bundle.plant.u_b_bar * (1.0 + 1e-8)
 
 
@@ -250,7 +235,7 @@ class TestCallGraph:
         monkeypatch.setattr(sim_module, "rk4_step", counted("rk4_step", sim_module.rk4_step))
         monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
-        run_bundle(scenario_b(seed=0, t_end=0.5))
+        run_layered(scenario_b(seed=0, t_end=0.5))
         steps = 500
         assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
 
@@ -281,7 +266,7 @@ class TestCallGraph:
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
         bundle = scenario_a(seed=0, t_end=0.5)
         signed_zero = SimConfig(
-            t_end=0.5, t_s=bundle.sim.t_s, seed=1, erg_on=False, mpc_on=False,
+            t_end=0.5, t_s=bundle.sim.t_s, seed=1, erg_on=False,
             frozen_reference=(400.0, 0.0), x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, -0.0),
         )
         steps = 500
@@ -290,10 +275,7 @@ class TestCallGraph:
             assert not sim.erg_on
             counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             states.clear()
-            log, _ = run_layered(
-                bundle.plant, None, bundle.erg_cfg, bundle.spec, sim,
-                bundle.constraints, bundle.P, None,
-            )
+            log, _ = run_layered(dataclasses.replace(bundle, sim=sim))
             assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": 1}
             assert math.copysign(1.0, states[0][6]) == math.copysign(1.0, sim.v0[1])
             per_row = [gam.gamma((z[5], z[6])) for z in states]
@@ -303,7 +285,7 @@ class TestCallGraph:
 class TestScenarioA:
     def test_entry_and_invariance(self):
         bundle = scenario_a(seed=0)
-        log, report = run_bundle(bundle)
+        log, report = run_layered(bundle)
         from laycon.iss_cert import ultimate_level_optimized
 
         v_bar, _, _ = ultimate_level_optimized(
@@ -317,7 +299,7 @@ class TestScenarioA:
 
     def test_calibrated_envelope_holds_everywhere(self):
         bundle = scenario_a(seed=0)
-        log, _ = run_bundle(bundle)
+        log, _ = run_layered(bundle)
         lam_e = 3.2087121525220805
         m, eps = calibrated_overshoot_for_run(log, lam_e, 1.0, bundle.sim.w_max)
         assert 2.5 <= m <= 3.4
@@ -330,7 +312,7 @@ class TestScenarioA:
 class TestScenarioB:
     def test_full_stack_published_behavior(self):
         bundle = scenario_b(seed=0)
-        log, report = run_bundle(bundle)
+        log, report = run_layered(bundle)
         c = log.columns
         assert c["V_gr"].min() >= 399.99
         assert c["V_gr"].max() <= 400.02
@@ -345,7 +327,7 @@ class TestScenarioB:
     def test_behavior_is_not_seed_fragile(self):
         for seed in (1, 2, 3):
             bundle = scenario_b(seed=seed, t_end=4.0)
-            log, report = run_bundle(bundle)
+            log, report = run_layered(bundle)
             c = log.columns
             assert c["V_gr"].min() >= 399.99 and c["V_gr"].max() <= 400.02
             assert c["Phi"].max() < 0.0
@@ -364,13 +346,10 @@ class TestErgInvarianceUnderMotion:
         for seed in range(10):
             sim = SimConfig(
                 t_end=3.0, t_s=0.1, seed=seed, disturbance="mixed", w_max=3.0,
-                erg_on=True, mpc_on=False, frozen_reference=(415.0, 0.0),
+                erg_on=True, frozen_reference=(415.0, 0.0),
                 x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
             )
-            log, _ = run_layered(
-                base.plant, None, erg_cfg, base.spec, sim,
-                base.constraints, base.P, None,
-            )
+            log, _ = run_layered(dataclasses.replace(base, sim=sim, erg_cfg=erg_cfg))
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["v"][-1] > 410.0  # transit actually happened
 
@@ -386,13 +365,10 @@ class TestErgInvarianceUnderMotion:
         for seed in range(5):
             sim = SimConfig(
                 t_end=3.0, t_s=0.1, seed=seed, disturbance="mixed", w_max=3.0,
-                erg_on=True, mpc_on=False, frozen_reference=(425.0, 0.0),
+                erg_on=True, frozen_reference=(425.0, 0.0),
                 x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
             )
-            log, _ = run_layered(
-                base.plant, None, erg_cfg, base.spec, sim,
-                base.constraints, base.P, None,
-            )
+            log, _ = run_layered(dataclasses.replace(base, sim=sim, erg_cfg=erg_cfg))
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["V_gr"].max() <= base.plant.v_max + 1e-6
             assert log.columns["v"].max() < base.plant.v_max
