@@ -23,7 +23,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .contracts import ContractSpec, certificate_report, mismatch_bound_hess
-from .erg import ErgConfig, GammaEvaluator
+from .erg import ErgConfig
 from .errors import FieldValueError
 from .hess import ConstraintConfig, HessParams, LoadProfile
 from .iss_cert import (
@@ -32,10 +32,8 @@ from .iss_cert import (
     noise_floor,
     settling_time,
     timing_check,
-    ultimate_level_optimized,
 )
 from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_bound
-from .numkit import SpdMatrix, decay_rate
 from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
 from .sim import (
     COLUMNS,
@@ -77,7 +75,7 @@ class ConfigError(ValueError):
 #
 # Each section is one config dataclass, and each of its keys one field. A
 # field marked DERIVED is computed from other sections by a from_hess
-# constructor and never serialised; P and the constraint rows are derived
+# constructor and never serialised; P, the governor and V_bar_h are derived
 # by RunBundle itself. Defaults are the dataclass field defaults.
 
 _SECTIONS = ("scenario", "plant", "lyapunov_weight", "constraints", "erg", "planner",
@@ -130,8 +128,11 @@ def _field_value(hint, value, path: str):
         raise ConfigError(path, f"expected {len(items)} values, got {len(value)}")
     row_type = items[0]
     if is_dataclass(row_type):
-        with _at(path):
-            return tuple(row_type(*row) for row in value)
+        rows = []
+        for i, row in enumerate(value):
+            with _at(f"{path}.{i}"):
+                rows.append(row_type(*row))
+        return tuple(rows)
     return tuple(value)
 
 
@@ -269,17 +270,13 @@ def resolve_config(scenario: str | None, config_path: str | None) -> dict:
 
 def build_certificate(bundle: RunBundle) -> dict:
     """Run the full offline certificate chain for one configuration."""
-    plant, cert = bundle.plant, bundle.cert
-    A = plant.error_matrix()
-    P = bundle.P
-    lam_e = decay_rate(A)
-    eigenvalues = sorted(np.linalg.eigvals(A).real, reverse=True)
+    plant, cert, P = bundle.plant, bundle.cert, bundle.P
+    lam_e = plant.lambda_e
+    eigenvalues = sorted(np.linalg.eigvals(plant.error_matrix()).real, reverse=True)
     B_norm = 1.0 / plant.c_bus
 
-    v_bar_opt, theta_star, z_star = ultimate_level_optimized(
-        P, SpdMatrix(bundle.R), np.array([0.0, 1.0]), cert.h_max
-    )
-    v_bar_h = cert.v_bar_h_override if cert.v_bar_h_override is not None else v_bar_opt
+    v_bar_opt, theta_star, z_star = bundle.level
+    v_bar_h = bundle.v_bar_h
     eps_l = [coordinate_bound(P, v_bar_h, i) for i in range(2)]
 
     gamma_iss = iss_gain(cert.m_overshoot, B_norm, lam_e)
@@ -301,19 +298,14 @@ def build_certificate(bundle: RunBundle) -> dict:
         l_v = 0.0
     iss_data = PlannerIssData(cert.lambda_min_p, cert.lambda_max_p, l_v, cert.lambda_min_q)
 
-    gam = GammaEvaluator(bundle.constraints, P)
-    v_nominal = np.array(bundle.sim.v0 if bundle.sim.v0 else (plant.v_nom, 0.0))
-    gamma_star = gam.gamma(v_nominal)
+    gamma_star = bundle.governor.gamma(bundle.v_start)
     mismatch = mismatch_bound_hess(mismatch_params_for(
         bundle, z_peak=settling.z_peak, tau1=settling.tau1, tau2=settling.tau2,
         eps1=eps_l[0], eps2=eps_l[1], gamma_star=gamma_star,
     ))
     eps_t = planner_iss_bound(iss_data, mismatch.eps_e)
 
-    verdicts = certificate_report(
-        bundle.spec, v_bar_h, settling, timing, eps_t, mismatch,
-        bundle.constraints, P, [v_nominal],
-    )
+    verdicts = certificate_report(bundle.spec, v_bar_h, settling, timing, eps_t, mismatch, gamma_star)
     return {
         "P": P.mat.tolist(),
         "eigenvalues": [float(x) for x in eigenvalues],
@@ -342,7 +334,7 @@ def build_certificate(bundle: RunBundle) -> dict:
         "timing_decay_window_ok": verdicts.timing_decay_window_ok,
         "vertical_compat": verdicts.vertical_compat,
         "admissibility": verdicts.admissible_disturbance,
-        "gamma_inf": verdicts.gamma_inf if math.isfinite(verdicts.gamma_inf) else None,
+        "gamma_inf": verdicts.gamma_inf,
         "all_ok": verdicts.all_ok,
     }
 
@@ -387,13 +379,7 @@ def write_trajectory_csv(log: TrajectoryLog, path: Path) -> None:
 
 
 def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:
-    cert = bundle.cert
-    if cert.v_bar_h_override is not None:
-        v_bar_h = cert.v_bar_h_override
-    else:
-        v_bar_h, _, _ = ultimate_level_optimized(
-            bundle.P, SpdMatrix(bundle.R), np.array([0.0, 1.0]), cert.h_max
-        )
+    v_bar_h = bundle.v_bar_h
     entry = omega_entry_time(log, v_bar_h)
     safety = report.violation_counts().get("G_safe", 0)
     max_w_tilde = float(np.max(np.abs(report.w_tilde))) if report.w_tilde.size else 0.0
@@ -465,8 +451,8 @@ def cmd_run(args) -> int:
 def _sweep_worker(payload):
     cfg, seed = payload
     bundle, log, report = execute_run(cfg, seed)
-    lam_e = decay_rate(bundle.plant.error_matrix())
-    m, _ = calibrated_overshoot_for_run(log, lam_e, 1.0 / bundle.plant.c_bus, bundle.sim.w_max)
+    plant = bundle.plant
+    m, _ = calibrated_overshoot_for_run(log, plant.lambda_e, 1.0 / plant.c_bus, bundle.sim.w_max)
     summary = summarize_run(bundle, log, report)
     return {
         "seed": seed,

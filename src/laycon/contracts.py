@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erg import GammaEvaluator
 from .hess import DERIVED, HessParams, battery_interface_bounds
 from .iss_cert import SettlingTimes, TimingVerdict
-from .numkit import SpdMatrix
 
 
 @dataclass(frozen=True)
@@ -290,29 +288,20 @@ def certificate_report(
     timing: TimingVerdict,
     eps_t: float,
     mismatch: MismatchBound,
-    constraints,
-    P: SpdMatrix,
-    v_samples,
+    gamma_inf: float,
 ) -> CertificateVerdicts:
     """Assemble the offline compatibility verdicts for one configuration.
 
     The admissibility check compares the disturbance-induced invariant
-    level against the smallest governor threshold over the supplied
-    reference samples; an empty constraint list leaves the threshold
-    unbounded (+inf), so admissibility holds vacuously.
+    level against gamma_inf, the governor threshold at the reference the
+    governor starts from.
     """
-    constraints = list(constraints)
-    if constraints:
-        evaluator = GammaEvaluator(constraints, P)
-        gamma_inf = min(evaluator.gamma(np.asarray(v, dtype=float)) for v in v_samples)
-    else:
-        gamma_inf = float("inf")
     return CertificateVerdicts(
         admissible_disturbance=bool(v_bar_h < gamma_inf),
         vertical_compat=vertical_compat(mismatch.eps_e, eps_t, spec.delta, spec.eps_h),
         timing_period_covers_settling=timing.period_covers_settling,
         timing_decay_window_ok=timing.window_within_transit,
-        gamma_inf=float(gamma_inf),
+        gamma_inf=gamma_inf,
         v_bar_h=float(v_bar_h),
         eps_e=mismatch.eps_e,
         eps_t=eps_t,

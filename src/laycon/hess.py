@@ -11,7 +11,7 @@ planner's slew limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, get_args
 
 import numpy as np
@@ -39,8 +39,8 @@ class HessParams:
     lambda_b_energy and lambda_s convert bus power to stored energy rate
     (defaulting to 1/V_nom so energies read in ampere-seconds at nominal
     voltage); lambda_b_gain is the battery current-loop gain and must
-    exceed the voltage-loop decay rate so the current settles well within
-    each sampling period.
+    exceed the voltage-loop decay rate lambda_e (derived, never serialised)
+    so the current settles well within each sampling period.
     """
 
     c_bus: float = 1.0
@@ -56,6 +56,7 @@ class HessParams:
     i_b_bar: float = 5.0
     u_s_bar: float = 50.0
     u_b_bar: float = 30.0
+    lambda_e: float = field(init=False)
 
     def __post_init__(self):
         for name in ("c_bus", "v_nom", "k1", "k2", "lambda_b_gain", "lambda_b_energy",
@@ -69,6 +70,7 @@ class HessParams:
                 f"battery loop gain {self.lambda_b_gain} must exceed the "
                 f"voltage-loop decay rate {lam_e:.3f}",
             )
+        object.__setattr__(self, "lambda_e", lam_e)
 
     def error_matrix(self) -> np.ndarray:
         return np.array([[0.0, 1.0], [-self.k1, -self.k2]])
@@ -87,9 +89,9 @@ class LoadSegment:
 
     def __post_init__(self):
         if self.t_end <= self.t_start:
-            raise ValueError("segment must have positive duration")
+            raise FieldValueError("t_end", "segment must have positive duration")
         if self.kind not in ("constant", "cubic-ramp"):
-            raise ValueError(f"unknown segment kind {self.kind!r}")
+            raise FieldValueError("kind", f"unknown segment kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,10 @@ class LoadProfile:
     def __post_init__(self):
         segs = tuple(self.segments)
         if not segs:
-            raise ValueError("load profile needs at least one segment")
+            raise FieldValueError("segments", "load profile needs at least one segment")
         for a, b in zip(segs, segs[1:]):
             if abs(a.t_end - b.t_start) > 1e-12:
-                raise ValueError("segments must be contiguous")
+                raise FieldValueError("segments", "segments must be contiguous")
         object.__setattr__(self, "segments", segs)
 
     @property

@@ -11,13 +11,14 @@ things identically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .contracts import ContractSpec, MismatchParams
-from .erg import ErgConfig, HalfspaceConstraint
+from .erg import ErgConfig, GammaEvaluator
 from .errors import FieldValueError
 from .hess import (
     ConstraintConfig,
@@ -27,6 +28,7 @@ from .hess import (
     hess_constraints,
     scenario_b_load,
 )
+from .iss_cert import ultimate_level_optimized
 from .mpc import PlannerConfig
 from .numkit import SpdMatrix, solve_lyapunov
 from .sim import SimConfig
@@ -53,11 +55,15 @@ class CertificateInputs:
 
 @dataclass(frozen=True)
 class RunBundle:
-    """One configuration. The Lyapunov metric P (from the plant's error
-    matrix and the weight R) and the governor's constraint rows (from
-    constraint_cfg) are derived here and never serialised. A run uses the
-    planner iff planner_cfg is not None; without one, the reference is
-    sim.frozen_reference, which is then required."""
+    """One configuration, plus what a run and its certificate both read, each
+    derived once here and never serialised: the Lyapunov metric P (from the
+    plant's error matrix and R), the governor (the Gamma evaluator over the
+    rows constraint_cfg selects, and P), the reference r_start at t = 0
+    (sim.frozen_reference without a planner, else (v_nom, sim.r_init_ib)),
+    the governor's start v_start (sim.v0, or r_start when v0 is None), the
+    optimized invariant level (computed on first use) and v_bar_h (the
+    override, else that level). A run uses the planner iff planner_cfg is
+    not None; without one, sim.frozen_reference is required."""
 
     name: str
     plant: HessParams
@@ -70,17 +76,34 @@ class RunBundle:
     load_profile: LoadProfile | None
     cert: CertificateInputs
     P: SpdMatrix = field(init=False)
-    constraints: list[HalfspaceConstraint] = field(init=False)
+    governor: GammaEvaluator = field(init=False)
+    r_start: tuple[float, float] = field(init=False)
+    v_start: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         if self.planner_cfg is None and self.sim.frozen_reference is None:
             # spans two sections, so the field is its full key path
             raise FieldValueError("sim.frozen_reference", "no planner: a frozen reference is required")
-        object.__setattr__(self, "P", solve_lyapunov(self.plant.error_matrix(), self.R))
+        P = solve_lyapunov(self.plant.error_matrix(), self.R)
         con = self.constraint_cfg
-        object.__setattr__(self, "constraints", hess_constraints(
-            self.plant, con.mode, con.kappa_bar, con.d_bar_max, con.d_bar_dot_max,
-        ))
+        rows = hess_constraints(self.plant, con.mode, con.kappa_bar, con.d_bar_max, con.d_bar_dot_max)
+        if self.planner_cfg is None:
+            r = tuple(map(float, self.sim.frozen_reference))
+        else:
+            r = (float(self.planner_cfg.v_nom), float(self.sim.r_init_ib))
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "governor", GammaEvaluator(rows, P))
+        object.__setattr__(self, "r_start", r)
+        object.__setattr__(self, "v_start", r if self.sim.v0 is None else tuple(map(float, self.sim.v0)))
+
+    @functools.cached_property
+    def level(self) -> tuple[float, float, np.ndarray]:
+        return ultimate_level_optimized(self.P, SpdMatrix(self.R), np.array([0.0, 1.0]), self.cert.h_max)
+
+    @property
+    def v_bar_h(self) -> float:
+        override = self.cert.v_bar_h_override
+        return self.level[0] if override is None else override
 
 
 def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:
@@ -201,10 +224,10 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> RunBundle:
 
 
 def mismatch_params_for(bundle: RunBundle, z_peak: float, tau1: float, tau2: float,
-                        eps1: float, eps2: float, gamma_star: float = 1.0) -> MismatchParams:
+                        eps1: float, eps2: float, gamma_star: float) -> MismatchParams:
     """Assemble the mismatch-bound inputs from a bundle plus settling data.
 
-    gamma_star is the governor threshold at the operating reference; the
+    gamma_star is the governor threshold where the governor starts; the
     peak reference rate is the governor gain's upper range times that
     margin.
     """

@@ -44,7 +44,6 @@ from .contracts import (
     check_G_safe,
     check_G_track,
 )
-from .erg import GammaEvaluator
 from .errors import FieldValueError
 from .hess import control_uB, control_uS, error_state
 from .hess import load as load_eval
@@ -181,11 +180,12 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     contract clause.
 
     The planner runs iff the bundle has one; without it the reference is
-    sim.frozen_reference throughout. At each sampling instant the planner
-    sees only the sampled slow state; its reference is held for the whole
-    period while plant and governor integrate continuously. Safety clauses
-    are monitored at every integration step, the discrete clauses at period
-    boundaries.
+    sim.frozen_reference throughout. The reference starts at bundle.r_start
+    and the governor (bundle.governor) at bundle.v_start. At each sampling
+    instant the planner sees only the sampled slow state; its reference is
+    held for the whole period while plant and governor integrate
+    continuously. Safety clauses are monitored at every integration step,
+    the discrete clauses at period boundaries.
     """
     plant, planner_cfg, erg_cfg, sim = bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.sim
     P, load_profile = bundle.P, bundle.load_profile
@@ -199,15 +199,9 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     n_steps = round(sim.t_end / sim.h)
     n_periods = n_steps // spp
 
-    if planner_cfg is None:
-        r = tuple(map(float, sim.frozen_reference))
-        planner = None
-    else:
-        r = (float(planner_cfg.v_nom), float(sim.r_init_ib))
-        planner = Planner(planner_cfg, r_init=r[1])
-    v = tuple(map(float, sim.v0)) if sim.v0 is not None else r
+    r, v, gam = bundle.r_start, bundle.v_start, bundle.governor
+    planner = None if planner_cfg is None else Planner(planner_cfg, r_init=r[1])
     z = [*map(float, sim.x0), *v]  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
-    gam = GammaEvaluator(bundle.constraints, P)
     B_w = np.array([0.0, 1.0 / plant.c_bus])
     gain_b = plant.lambda_b_gain
     erg_on = sim.erg_on

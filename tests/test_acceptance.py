@@ -10,7 +10,6 @@ import math
 import numpy as np
 from helpers import QpProblem, solve_qp
 from laycon.cli import main
-from laycon.erg import GammaEvaluator
 from laycon.iss_cert import (
     coordinate_bound,
     decay_time,
@@ -90,7 +89,7 @@ def test_criterion_05_iss_gain_chain():
 
 def test_criterion_06_erg_threshold():
     bundle = scenario_b()
-    g = GammaEvaluator(bundle.constraints, bundle.P).gamma(np.array([400.0, 0.0]))
+    g = bundle.governor.gamma(np.array([400.0, 0.0]))
     ok = abs(g - 9.3) <= 0.1
     assert report(6, "actuator-limited governor threshold 9.3", ok)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -8,11 +9,14 @@ from helpers import read_trajectory_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laycon import scenarios as scenarios_module
 from laycon.cli import (
     bundle_to_config,
+    dump_json,
     load_bundle,
     main,
     resolve_config,
+    summarize_run,
     write_trajectory_csv,
 )
 from laycon.scenarios import scenario_a, scenario_b
@@ -30,9 +34,13 @@ class TestConfigRoundTrip:
         assert rebuilt.spec == original.spec
         assert rebuilt.sim == original.sim
         assert np.allclose(rebuilt.R, original.R)
-        assert len(rebuilt.constraints) == len(original.constraints)
-        assert rebuilt.constraints == original.constraints
+        assert len(rebuilt.governor.constraints) == len(original.governor.constraints)
+        assert rebuilt.governor.constraints == original.governor.constraints
         assert rebuilt.cert == original.cert
+        assert rebuilt.r_start == original.r_start
+        assert rebuilt.v_start == original.v_start
+        assert rebuilt.plant.lambda_e == original.plant.lambda_e
+        assert rebuilt.v_bar_h == original.v_bar_h
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -66,6 +74,8 @@ BAD_KEYS = [
     ("sim.typo", lambda cfg: cfg["sim"].update(typo=1)),
     ("planner.horizon", lambda cfg: cfg["planner"].pop("horizon")),
     ("load.segments", lambda cfg: cfg["load"].update(segments=[[0.0, 8.0, "constant"]])),
+    ("load.segments.1.t_end", lambda cfg: cfg["load"]["segments"][1].__setitem__(1, 0.5)),
+    ("load.segments.1.kind", lambda cfg: cfg["load"]["segments"][1].__setitem__(2, "bogus")),
     ("constraints.mode", lambda cfg: cfg["constraints"].update(mode="bogus")),
     ("sim.x0", lambda cfg: cfg["sim"].update(x0=[400.0, 0.0, 0.0])),
     ("certificates.settle_mode", lambda cfg: cfg["certificates"].update(settle_mode="bogus")),
@@ -94,6 +104,58 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count(key_path) == 1
         assert err.count("config error") == 1
+
+    def test_load_segment_gap_names_segments(self, tmp_path, capsys):
+        cfg = resolve_config("b", None)
+        cfg["load"]["segments"][1][0] = 0.6
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["certify", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error at load.segments: ")
+
+
+class TestDerivedOnce:
+    """The bundle derives the governor, its start point and V_bar_h once;
+    run and certify read them from it."""
+
+    def test_certify_evaluates_gamma_where_the_run_starts(self, tmp_path):
+        # without v0 the governor starts at the frozen reference, not at (v_nom, 0)
+        overlay = tmp_path / "v0_null.json"
+        overlay.write_text(json.dumps({"sim": {"v0": None, "frozen_reference": [405.0, 0.0], "t_end": 0.2}}))
+        main(["certify", "--scenario", "a", "--config", str(overlay), "--out", str(tmp_path)])
+        assert main(["run", "--scenario", "a", "--config", str(overlay), "--out", str(tmp_path)]) == 0
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        with (tmp_path / "trajectory.csv").open(newline="", encoding="utf-8") as fh:
+            first = next(csv.DictReader(fh))
+        assert cert["gamma_inf"] == float(first["Gamma_v"]) == 1592.0454545454547
+
+    def test_override_replaces_the_optimized_level(self, tmp_path):
+        bundle = scenario_a(t_end=0.2)
+        bundle = dataclasses.replace(bundle, cert=dataclasses.replace(bundle.cert, v_bar_h_override=0.3))
+        assert bundle.v_bar_h == 0.3
+        summary = summarize_run(bundle, *run_layered(bundle))
+        dump_json(summary, tmp_path / "summary.json")
+        assert json.loads((tmp_path / "summary.json").read_text())["V_bar_h"] == 0.3
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["run", "--scenario", "b"], 0),  # V_bar_h is overridden, so the level is never read
+        (["certify", "--scenario", "a"], 1),
+    ], ids=["run_b", "certify_a"])
+    def test_optimized_level_calls(self, tmp_path, monkeypatch, argv, calls):
+        counts = {"ultimate_level_optimized": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counts["ultimate_level_optimized"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scenarios_module, "ultimate_level_optimized",
+                            counted(scenarios_module.ultimate_level_optimized))
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+        main([*argv, "--config", str(overlay), "--out", str(tmp_path)])
+        assert counts == {"ultimate_level_optimized": calls}
 
 
 class TestTrajectoryCsv:

@@ -15,7 +15,7 @@ from laycon.contracts import (
     mismatch_bound_hess,
     vertical_compat,
 )
-from laycon.erg import HalfspaceConstraint
+from laycon.erg import GammaEvaluator, HalfspaceConstraint
 from laycon.iss_cert import SettlingTimes, TimingVerdict
 from laycon.numkit import solve_lyapunov
 
@@ -166,30 +166,32 @@ class TestCertificateReport:
             HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=420.0, c_v=(1.0, 0.0), label="v_max"),
             HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-380.0, c_v=(-1.0, 0.0), label="v_min"),
         ]
+        gamma_inf = GammaEvaluator(rows, P).gamma(np.array([400.0, 0.0]))
         b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
             make_spec(eps_h=1e4), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
-            mismatch=b, constraints=rows, P=P, v_samples=[np.array([400.0, 0.0])],
+            mismatch=b, gamma_inf=gamma_inf,
         )
         assert rep.admissible_disturbance
-        assert rep.gamma_inf > 0.51
+        assert rep.gamma_inf == gamma_inf > 0.51
+
+    def test_admissibility_is_strict(self):
+        b = mismatch_bound_hess(make_mismatch_params())
+        verdicts = [
+            certificate_report(
+                make_spec(eps_h=1e4), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
+                mismatch=b, gamma_inf=gamma_inf,
+            ).admissible_disturbance
+            for gamma_inf in (0.52, 0.51, 0.5)
+        ]
+        assert verdicts == [True, False, False]
 
     def test_tight_budget_fails_overall(self):
-        P = solve_lyapunov(np.array([[0.0, 1.0], [-25.0, -11.0]]), np.diag([50.0, 1.0]))
         b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
             make_spec(eps_h=0.0001), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
-            mismatch=b, constraints=[], P=P, v_samples=[],
+            mismatch=b, gamma_inf=1e4,
         )
+        assert rep.admissible_disturbance
         assert not rep.vertical_compat
         assert not rep.all_ok
-
-    def test_empty_constraints_unbounded_threshold(self):
-        P = solve_lyapunov(np.array([[0.0, 1.0], [-25.0, -11.0]]), np.diag([50.0, 1.0]))
-        b = mismatch_bound_hess(make_mismatch_params())
-        rep = certificate_report(
-            make_spec(eps_h=1e4), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
-            mismatch=b, constraints=[], P=P, v_samples=[],
-        )
-        assert rep.gamma_inf == float("inf")
-        assert rep.admissible_disturbance

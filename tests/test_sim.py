@@ -270,7 +270,7 @@ class TestCallGraph:
             frozen_reference=(400.0, 0.0), x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, -0.0),
         )
         steps = 500
-        gam = GammaEvaluator(bundle.constraints, bundle.P)
+        gam = bundle.governor
         for sim in (bundle.sim, signed_zero):
             assert not sim.erg_on
             counts.update(rk4_step=0, plant_rhs=0, gamma=0)
