@@ -58,9 +58,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def dump_json(obj, path: Path) -> None:
+def dump_json(obj, path: Path, indent: int | None = 2) -> None:
+    """Write obj as sorted-key JSON. indent=None writes it on one line,
+    which json encodes in C (an indent forces its pure-Python encoder)."""
     path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(obj, indent=indent, sort_keys=True, default=_json_default) + "\n",
         encoding="utf-8",
     )
 
@@ -305,7 +307,7 @@ def build_certificate(bundle: RunBundle) -> dict:
     ))
     eps_t = planner_iss_bound(iss_data, mismatch.eps_e)
 
-    verdicts = certificate_report(bundle.spec, v_bar_h, settling, timing, eps_t, mismatch, gamma_star)
+    verdicts = certificate_report(bundle.spec, v_bar_h, timing, eps_t, mismatch, gamma_star)
     return {
         "P": P.mat.tolist(),
         "eigenvalues": [float(x) for x in eigenvalues],
@@ -434,7 +436,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(log, out_dir / "trajectory.csv")
-    dump_json(monitor_to_dict(report, log), out_dir / "monitor.json")
+    dump_json(monitor_to_dict(report, log), out_dir / "monitor.json", indent=None)
     summary = summarize_run(bundle, log, report)
     dump_json(summary, out_dir / "summary.json")
     print(f"wrote {out_dir}/trajectory.csv, monitor.json, summary.json")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hess import DERIVED, HessParams, battery_interface_bounds
-from .iss_cert import SettlingTimes, TimingVerdict
+from .iss_cert import TimingVerdict
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,6 @@ class CertificateVerdicts:
 def certificate_report(
     spec: ContractSpec,
     v_bar_h: float,
-    settling: SettlingTimes,
     timing: TimingVerdict,
     eps_t: float,
     mismatch: MismatchBound,

@@ -10,9 +10,9 @@ on the governed safe set.
 GammaEvaluator precomputes the P^-1-metric normal lengths once per
 (constraints, P) pair and evaluates every governor quantity from them on
 Python floats: v and r are read as (v[0], v[1]) and the fields come back
-as float pairs. The reductions whose rounding numpy's kernels set stay on
-arrays (V(e) = e'Pe and the Euclidean norms), so a run reproduces the
-array evaluation bit for bit.
+as float pairs. V(e) is SpdMatrix.quad's fixed-order float form and each
+Euclidean norm is sqrt(a*a + b*b), so no governor value depends on the
+BLAS kernel.
 """
 
 from __future__ import annotations
@@ -98,14 +98,8 @@ def _sublevel(margin: float, denom: float) -> float:
 
 
 def _norm(a: float, b: float) -> float:
-    """Euclidean norm of (a, b), rounded as np.linalg.norm rounds it (the
-    square root of numpy's dot product, which may fuse the multiply-add).
-    With a zero component the sum has one rounded term, which no fusing
-    can change, so that case is taken in floats."""
-    if a == 0.0 or b == 0.0:
-        return math.sqrt(a * a + b * b)
-    ab = np.array((a, b))
-    return math.sqrt(ab.dot(ab))
+    """Euclidean norm of (a, b) as sqrt(a*a + b*b) in floats."""
+    return math.sqrt(a * a + b * b)
 
 
 class GammaEvaluator:

@@ -4,6 +4,12 @@ Everything here operates on matrices no larger than 8x8 (the plant and
 error models are 2-5 dimensional), so all solvers are direct: the Lyapunov
 equation is solved through its Kronecker-product linear system, and the
 extreme eigenvalues of an SPD matrix come from np.linalg.eigvalsh.
+
+The forms an SPD matrix evaluates on a vector, e'Pe and e'Pf, are
+fixed-order sums of products in Python floats, not BLAS dot products, so
+their rounding does not depend on the BLAS kernel. The same expression
+applied to arrays evaluates the form elementwise; each numpy elementwise
+operation is correctly rounded, so every element equals the float form.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ class SpdMatrix:
 
     Houses the quadratic form V(e) = e' P e used throughout the certificate
     computations. Construction validates symmetry (1e-12 relative) and
-    positive definiteness.
+    positive definiteness, and folds the coefficients of the float forms.
     """
 
     def __init__(self, mat):
@@ -68,6 +74,11 @@ class SpdMatrix:
         self.mat = mat
         self.lam_min = float(w[0])
         self.lam_max = float(w[-1])
+        n = mat.shape[0]
+        self._rows = mat.tolist()
+        # e'Pe = sum_i p_ii e_i e_i + sum_{i<j} (2 p_ij) e_i e_j; 2 p_ij is exact
+        self._quad_terms = [(self._rows[i][i], i, i) for i in range(n)] + [
+            (2.0 * self._rows[i][j], i, j) for i in range(n) for j in range(i + 1, n)]
 
     @property
     def n(self) -> int:
@@ -77,10 +88,28 @@ class SpdMatrix:
         """Spectral condition number lambda_max / lambda_min."""
         return self.lam_max / self.lam_min
 
-    def quad(self, e) -> float:
-        """Quadratic form e' P e."""
-        e = np.asarray(e, dtype=float)
-        return float(e @ self.mat @ e)
+    def quad(self, e):
+        """Quadratic form e' P e as a fixed-order float sum: the diagonal
+        terms p_ii e_i e_i, then the upper-triangle terms (2 p_ij) e_i e_j row
+        by row, each taken as (c e_i) e_j and summed left to right from 0.0.
+
+        e holds n floats, or n arrays of one shape (the columns of a batch of
+        vectors), for which the form is taken elementwise and each element
+        equals the float form of its vector bit for bit."""
+        acc = 0.0
+        for c, i, j in self._quad_terms:
+            acc = acc + c * e[i] * e[j]
+        return acc
+
+    def bilinear(self, e, f):
+        """Bilinear form e' P f as the fixed-order float sum over rows i and
+        then columns j of (p_ij e_i) f_j, summed left to right from 0.0.
+        Like quad, it takes floats or arrays of one shape."""
+        acc = 0.0
+        for e_i, row in zip(e, self._rows):
+            for p_ij, f_j in zip(row, f):
+                acc = acc + p_ij * e_i * f_j
+        return acc
 
     def __repr__(self):
         return f"SpdMatrix({self.mat!r})"

@@ -10,14 +10,18 @@ are bit-reproducible for a given seed.
 
 The loop runs on Python floats: the joint state is a list of seven floats
 (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB), RK4 is unrolled over its entries,
-and each logged step is one row of a preallocated array. The reductions
-whose rounding numpy's kernels set stay on arrays (V(e) = e'Pe, the
-adversarial disturbance's e'PB and the governor's Euclidean norms), so
-every value equals the array evaluation. Work that depends only on time,
-or that only the log reads, stays out of the loop: the mixed disturbance
-and the load (at every step and forecast time) are evaluated for the
-whole run before it, so is Gamma(v) when the governor is off, and the
-logged V(e) and Phi columns are computed from the logged error after it.
+and each logged step is one row of a preallocated array. The stage RHS
+evaluates the controllers and the tracking error inline, in the order of
+the hess helpers and from constants folded once per run, so each stage
+value equals the helpers' bit for bit. The reductions (V(e) = e'Pe, the
+adversarial disturbance's e'PB and the governor's Euclidean norms) are
+fixed-order float sums, so they do not depend on the BLAS kernel. Work
+that depends only on time, or that only the log reads, stays out of the
+loop: the mixed disturbance and the load (at every step and forecast
+time) are evaluated for the whole run before it, so is Gamma(v) when the
+governor is off, and the logged V(e) and Phi columns are computed from
+the logged error after it, by SpdMatrix.quad's expression on the columns,
+which equals its float form on every row.
 
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
@@ -169,10 +173,9 @@ def disturbance_mixed(times: np.ndarray, w_max: float, stream: np.random.Generat
 
 
 def disturbance_adversarial(e, P: SpdMatrix, B, w_max: float) -> float:
-    """Worst-case alignment with the Lyapunov gradient's input channel;
-    sign(0) is taken as +1."""
-    s = 2.0 * float(np.asarray(e) @ P.mat @ np.asarray(B))
-    return w_max if s >= 0.0 else -w_max
+    """Worst-case alignment with the Lyapunov gradient's input channel,
+    the sign of 2 e'PB (P.bilinear's float form); sign(0) is taken as +1."""
+    return w_max if P.bilinear(e, B) >= 0.0 else -w_max
 
 
 def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
@@ -202,7 +205,7 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     r, v, gam = bundle.r_start, bundle.v_start, bundle.governor
     planner = None if planner_cfg is None else Planner(planner_cfg, r_init=r[1])
     z = [*map(float, sim.x0), *v]  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
-    B_w = np.array([0.0, 1.0 / plant.c_bus])
+    B_w = (0.0, 1.0 / plant.c_bus)
     gain_b = plant.lambda_b_gain
     erg_on = sim.erg_on
     h = sim.h
@@ -244,18 +247,25 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     plan_qps = []
     fallback_now = 0.0
 
+    # control_uB, control_uS and error_state inline, with their constants
+    # folded: -gain (i_b - ref) is (-gain) * (...), -c_bus * k1 * (...) is
+    # ((-c_bus) * k1) * (...), and x - 0.0 is x, so every value is the same
+    neg_gain_b = -gain_b
+    k_v = -plant.c_bus * plant.k1
+    k2, c_bus = plant.k2, plant.c_bus
+
     def joint_rhs(z, tau):
         # the exogenous signals w, d, d_dot and r are the step's held values,
         # which the loop rebinds once per step, so they are frozen over its
         # four stages; the feedback controllers follow the stage states
-        ub = control_uB(z[2], r[1], gain_b)
-        dbar = d + z[2]
-        us = control_uS(z[0], z[1], z[5], dbar, d_dot + ub, plant)
+        v_gr, i_s, i_b, v_v = z[0], z[1], z[2], z[5]
+        ub = neg_gain_b * (i_b - r[1])
+        balance = i_s + (d + i_b)
+        us = k_v * (v_gr - v_v) - k2 * balance - (d_dot + ub)
         dx = plant_rhs(z, (us, ub), w, d, plant)
         if not erg_on:
             return dx + (0.0, 0.0)
-        ee = error_state(z, z[5], 0.0, dbar, plant)
-        return dx + gam.erg_rhs(ee, (z[5], z[6]), r, erg_cfg)
+        return dx + gam.erg_rhs((v_gr - v_v, balance / c_bus), (v_v, z[6]), r, erg_cfg)
 
     for i in range(n_steps + 1):
         t = i * h
@@ -304,8 +314,7 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         t_s_eff=t_s_eff,
     )
     cols = log.columns
-    E = np.column_stack((cols["e1"], cols["e2"]))
-    cols["V_e"][:] = np.vecdot(E @ P.mat, E)
+    cols["V_e"][:] = P.quad((cols["e1"], cols["e2"]))
     cols["Phi"][:] = cols["V_e"] - cols["Gamma_v"]
     return log, _build_report(log, bundle.spec, spp)
 

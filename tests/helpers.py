@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from laycon.hess import LoadProfile, OutOfSpanError
+from laycon.numkit import SpdMatrix
 from laycon.qp import QpSolution, QpSolver
 from laycon.sim import NonFiniteStateError
 
@@ -37,6 +38,13 @@ def rk4_step_reference(rhs, x, t: float, h: float) -> list[float]:
     if not all(map(math.isfinite, x_next)):
         raise NonFiniteStateError(f"non-finite state at t={t + h:.6f}: {x_next}")
     return x_next
+
+
+def quad_reference(P: SpdMatrix, e) -> float:
+    """Quadratic form e'Pe as numpy's matrix products, whose rounding the
+    BLAS kernel sets."""
+    e = np.asarray(e, dtype=float)
+    return float(e @ P.mat @ e)
 
 
 def load_reference(t: float, profile: LoadProfile) -> tuple[float, float]:

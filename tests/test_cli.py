@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from helpers import read_trajectory_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laycon
 from laycon import scenarios as scenarios_module
 from laycon.cli import (
     bundle_to_config,
@@ -311,45 +316,45 @@ class TestRunCommand:
 _FULL = {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 10.0}
 
 # SHA-256 of (trajectory.csv, monitor.json, summary.json) for 0.5 s runs,
-# recorded with the array-valued (numpy per step) simulation loop on x86-64
-# Linux (Intel Xeon, 2 vCPU), Python 3.11.7, numpy 2.4.6. The loop must
-# reproduce that evaluation bit for bit. Another numpy build or CPU may
-# round its dot products differently and so write other bytes.
+# recorded on x86-64 Linux (Intel Xeon, 2 vCPU), Python 3.11.7, numpy 2.4.6
+# with OpenBLAS 0.3.31. The scenario-A runs do not depend on the BLAS kernel
+# (TestBlasKernels); the scenario-B runs do, since their P comes from a
+# LAPACK solve and their planner QP runs on BLAS.
 PINNED_RUNS = [
     ("a_mixed", "a", {"sim": {"t_end": 0.5}}, 1, (
-        "4f23c45bef683d0dcfce3d3b6cd13648b9407fb2bc3577c8fed09a79558a3661",
-        "f7ff973a01c808eeefef56dfe441911f4cdd06b8d3f192262a3ebb3ff988dd92",
+        "c579a2fc0994c036d22cb270068bfa29fdd133af2276325d399469cf6e9cc901",
+        "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
         "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
     ("a_adversarial", "a", {"sim": {"t_end": 0.5, "disturbance": "adversarial"}}, 1, (
-        "9d2e6ac3b44879cf57ab495ed1c433253b1bbef822455e1b802d4a55b505f707",
-        "f7ff973a01c808eeefef56dfe441911f4cdd06b8d3f192262a3ebb3ff988dd92",
+        "037ed40cfda1f6acd035d633a0abe555584dace1534eddf11d58b6a2c5a62be3",
+        "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
         "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
     ("a_none", "a", {"sim": {"t_end": 0.5, "disturbance": "none"}}, 1, (
-        "cbc4c77da2432392abdf143aa4c43d28a9e0573cad043773300db9f14b67e27a",
-        "f7ff973a01c808eeefef56dfe441911f4cdd06b8d3f192262a3ebb3ff988dd92",
+        "6f1613ccee3dfe1795ef51e70632a7dbbd2ea842e668fbc049dfe809830f162a",
+        "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
         "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
     ("b_mixed", "b", {"sim": {"t_end": 0.5}}, 3, (
-        "1328fb9e846751d1a7786554377d82d9226f00e367e7f9a66ce294bc5574641d",
-        "ca6b3137304caa728ff6e1a5a5a20a910bcd76354f7404d4b07773abc9bcea6b",
+        "8354ef019e7303f93aa72803821cce91d11926da5d3d90fd3b6cbd0dd4a81529",
+        "34c7339ee1904260b732fcd8ff951f3d7f591abc75fdac9091a7f235af0a9910",
         "d25f31c6c94d2c3874e0618e2e901e7d960f054f21d7b4953ea4f93c54ec04a3")),
     # full mode: self-referential rows, so Gamma runs its fixed point
     ("b_full", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL}, 7, (
-        "6ece2ace85b12e01389c670b1d98f027143bd144ed55aa9cbf9602d90e03c094",
-        "c144c0236c9ce27760599d0a4898552d71f786720ae62dd6495bb5af311a5a60",
-        "bba8551e73647ae80c757890592c07704887995567b3c5f0847bd0e34c1157b7")),
+        "b3319779bd478163d9fe66bc3578843bd4d324d036136828df18a2ec6f9e17a8",
+        "7fb9c4939f0a8d657d3457bdd7bf0c5fc4fbcf3274ecb67af0d37731ffb78b1b",
+        "68de9c873abd533397f14b478b3d6f6ba80d3919e3250427aaef5ba9104a07e3")),
     # repulsion on: equal strengths on v_max/v_min cancel exactly while
     # v_V stays at 400, so this run writes the same bytes as b_full
     ("b_full_repulsion", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                "erg": {"eta_rep": [0.1, 0.1, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "6ece2ace85b12e01389c670b1d98f027143bd144ed55aa9cbf9602d90e03c094",
-        "c144c0236c9ce27760599d0a4898552d71f786720ae62dd6495bb5af311a5a60",
-        "bba8551e73647ae80c757890592c07704887995567b3c5f0847bd0e34c1157b7")),
+        "b3319779bd478163d9fe66bc3578843bd4d324d036136828df18a2ec6f9e17a8",
+        "7fb9c4939f0a8d657d3457bdd7bf0c5fc4fbcf3274ecb67af0d37731ffb78b1b",
+        "68de9c873abd533397f14b478b3d6f6ba80d3919e3250427aaef5ba9104a07e3")),
     # unequal strengths: the net repulsion moves v_V
     ("b_full_repulsion_asym", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                     "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "73393bdd78dda663a41d113dd8c4c4b76c924112f33dedb8cbde2cb8d6b4e06a",
-        "69d90787989537630b41cd740e934eea1be8cbef79948c61eedf1d117a15e9d9",
-        "6e20fe7eb0c95e7e2d1c3606cd72a9aa685106ab71d62c60059db8b8baf41286")),
+        "de57202ae5fd4e0f2d213f3e6965c0b0ef6e789f5ec153c651c8f16df2650940",
+        "30f715dfa9b09be82c8d0acba915ccffecb588493bf5367173d68acf2acfbb31",
+        "1308a4e8e727614b262e9f32339e9420c3769257e3313da1d4e62373f8e858f9")),
 ]
 
 
@@ -364,6 +369,53 @@ class TestPinnedOutputs:
                      "--out", str(out)]) == 0
         names = ("trajectory.csv", "monitor.json", "summary.json")
         assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names) == hashes
+
+
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
+class TestBlasKernels:
+    """`run --scenario a` writes the same bytes under every OpenBLAS kernel:
+    P, its inverse and the Gamma denominators come out bit-equal, and every
+    value the loop and the logs take from them is a fixed-order float form.
+    Scenario B stays kernel-specific: its P comes from a LAPACK solve whose
+    rounding the kernel sets, and its planner QP runs on BLAS."""
+
+    KERNELS = (None, "Haswell", "Prescott")  # None: the one OpenBLAS picks
+
+    @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("disturbance", ["mixed", "adversarial"])
+    def test_scenario_a_bytes_do_not_depend_on_the_kernel(self, tmp_path, disturbance):
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5, "disturbance": disturbance}}))
+        src = str(Path(laycon.__file__).resolve().parents[1])
+        procs = []
+        try:
+            for kernel in self.KERNELS:
+                # OPENBLAS_CORETYPE is read when the child loads OpenBLAS
+                env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+                if kernel is not None:
+                    env["OPENBLAS_CORETYPE"] = kernel
+                out = tmp_path / (kernel or "default")
+                cmd = [sys.executable, "-m", "laycon.cli", "run", "--scenario", "a",
+                       "--config", str(overlay), "--seed", "0", "--out", str(out)]
+                procs.append((out, subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                                    stderr=subprocess.PIPE)))
+            hashes = []
+            for out, proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err.decode()
+                names = ("trajectory.csv", "monitor.json", "summary.json")
+                hashes.append(tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names))
+        finally:
+            for _, proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert hashes[1:] == [hashes[0]] * (len(self.KERNELS) - 1)
 
 
 class TestSweepCommand:

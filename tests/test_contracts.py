@@ -16,7 +16,7 @@ from laycon.contracts import (
     vertical_compat,
 )
 from laycon.erg import GammaEvaluator, HalfspaceConstraint
-from laycon.iss_cert import SettlingTimes, TimingVerdict
+from laycon.iss_cert import TimingVerdict
 from laycon.numkit import solve_lyapunov
 
 
@@ -157,7 +157,6 @@ class TestMismatchBound:
 
 
 class TestCertificateReport:
-    SETTLING = SettlingTimes(tau1=0.2, tau2=1.42, tau_LL=1.62, z_peak=8.81)
     TIMING = TimingVerdict(True, True, 0.1, 0.2, 0.0)
 
     def test_admissibility_from_constraints(self):
@@ -169,7 +168,7 @@ class TestCertificateReport:
         gamma_inf = GammaEvaluator(rows, P).gamma(np.array([400.0, 0.0]))
         b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
-            make_spec(eps_h=1e4), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
+            make_spec(eps_h=1e4), 0.51, self.TIMING, eps_t=0.1,
             mismatch=b, gamma_inf=gamma_inf,
         )
         assert rep.admissible_disturbance
@@ -179,7 +178,7 @@ class TestCertificateReport:
         b = mismatch_bound_hess(make_mismatch_params())
         verdicts = [
             certificate_report(
-                make_spec(eps_h=1e4), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
+                make_spec(eps_h=1e4), 0.51, self.TIMING, eps_t=0.1,
                 mismatch=b, gamma_inf=gamma_inf,
             ).admissible_disturbance
             for gamma_inf in (0.52, 0.51, 0.5)
@@ -189,7 +188,7 @@ class TestCertificateReport:
     def test_tight_budget_fails_overall(self):
         b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
-            make_spec(eps_h=0.0001), 0.51, self.SETTLING, self.TIMING, eps_t=0.1,
+            make_spec(eps_h=0.0001), 0.51, self.TIMING, eps_t=0.1,
             mismatch=b, gamma_inf=1e4,
         )
         assert rep.admissible_disturbance

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import quad_reference
 from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
 from laycon.numkit import (
@@ -182,6 +183,35 @@ class TestSpdMatrix:
     def test_quadratic_form(self):
         P = SpdMatrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
         assert P.quad([1.0, -1.0]) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_float_forms_equal_column_forms_bit_for_bit(self, n):
+        # the simulator takes V(e) on floats in its loop and on the logged
+        # error columns after it; both must give the same bits per row
+        rng = np.random.default_rng(n)
+        mats = [solve_lyapunov(A_SCEN_A, R_SCEN_A), solve_lyapunov(A_SCEN_B, np.eye(2))] if n == 2 else []
+        for P in mats + [SpdMatrix(random_spd(rng, n)) for _ in range(3)]:
+            E = rng.standard_normal((n, 500)) * 10.0 ** rng.integers(-3, 4, (n, 500))
+            f = rng.standard_normal(n)
+            cols = tuple(E)
+            quads, bilinears = P.quad(cols), P.bilinear(cols, f)
+            for k, e in enumerate(E.T.tolist()):
+                assert P.quad(e).hex() == float(quads[k]).hex()
+                assert P.bilinear(e, f.tolist()).hex() == float(bilinears[k]).hex()
+
+    def test_float_forms_match_matrix_products(self):
+        # both are sums of the same products in another order, so they agree
+        # to within a few roundings of the sum of the terms' magnitudes
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        for P in (solve_lyapunov(A_SCEN_A, R_SCEN_A), solve_lyapunov(A_SCEN_B, np.eye(2))):
+            for _ in range(2000):
+                e = rng.standard_normal(2) * 10.0 ** rng.integers(-4, 3)
+                f = rng.standard_normal(2)
+                scale = float(np.abs(e) @ np.abs(P.mat) @ np.abs(e))
+                assert abs(P.quad(e.tolist()) - quad_reference(P, e)) <= 8.0 * eps * scale
+                scale = float(np.abs(e) @ np.abs(P.mat) @ np.abs(f))
+                assert abs(P.bilinear(e.tolist(), f.tolist()) - float(e @ P.mat @ f)) <= 8.0 * eps * scale
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):

@@ -282,6 +282,33 @@ class TestCallGraph:
             assert log.columns["Gamma_v"].tolist() == per_row
 
 
+class TestFusedStage:
+    def test_stage_values_equal_the_helpers(self, monkeypatch):
+        """The stage RHS evaluates control_uB, control_uS and error_state
+        inline. A step's first stage sees the logged state, so its inputs and
+        its governor error must equal the row's helper values bit for bit."""
+        inputs, errors = [], []
+        plant_rhs, erg_rhs = sim_module.plant_rhs, GammaEvaluator.erg_rhs
+
+        def record_inputs(x, u, w, d, p):
+            inputs.append(u)
+            return plant_rhs(x, u, w, d, p)
+
+        def record_error(self, e, v, r, cfg):
+            errors.append(e)
+            return erg_rhs(self, e, v, r, cfg)
+
+        monkeypatch.setattr(sim_module, "plant_rhs", record_inputs)
+        monkeypatch.setattr(GammaEvaluator, "erg_rhs", record_error)
+        log, _ = run_layered(scenario_b(seed=0, t_end=0.5))
+        c = {name: col[:-1].tolist() for name, col in log.columns.items()}
+        assert len(inputs) == len(errors) == 4 * len(c["t"])
+        assert [tuple(map(float.hex, u)) for u in inputs[::4]] == [
+            (a.hex(), b.hex()) for a, b in zip(c["u_S"], c["u_B"])]
+        assert [tuple(map(float.hex, e)) for e in errors[::4]] == [
+            (a.hex(), b.hex()) for a, b in zip(c["e1"], c["e2"])]
+
+
 class TestScenarioA:
     def test_entry_and_invariance(self):
         bundle = scenario_a(seed=0)
