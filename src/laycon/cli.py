@@ -37,6 +37,7 @@ from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_
 from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
 from .sim import (
     COLUMNS,
+    NonFiniteStateError,
     SimConfig,
     TrajectoryLog,
     calibrated_overshoot_for_run,
@@ -419,17 +420,11 @@ def monitor_to_dict(report, log: TrajectoryLog) -> dict:
     }
 
 
-def execute_run(cfg: dict, seed: int | None = None):
-    if seed is not None:
-        cfg = _merge(cfg, {"sim": {"seed": seed}})
-    bundle = load_bundle(cfg)
-    return bundle, *run_layered(bundle)
-
-
 def cmd_run(args) -> int:
     try:
-        cfg = resolve_config(args.scenario, args.config)
-        bundle, log, report = execute_run(cfg, args.seed)
+        overlay = {} if args.seed is None else {"sim": {"seed": args.seed}}
+        bundle = load_bundle(_merge(resolve_config(args.scenario, args.config), overlay))
+        log, report = run_layered(bundle)
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -451,8 +446,13 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(payload):
-    cfg, seed = payload
-    bundle, log, report = execute_run(cfg, seed)
+    """One seed's record, or {"seed", "error"} if its state turned non-finite."""
+    bundle, seed = payload
+    bundle = bundle.with_seed(seed)
+    try:
+        log, report = run_layered(bundle)
+    except NonFiniteStateError as exc:
+        return {"seed": seed, "error": str(exc)}
     plant = bundle.plant
     m, _ = calibrated_overshoot_for_run(log, plant.lambda_e, 1.0 / plant.c_bus, bundle.sim.w_max)
     summary = summarize_run(bundle, log, report)
@@ -470,28 +470,30 @@ def cmd_sweep(args) -> int:
         print("seed count must be at least 1", file=sys.stderr)
         return 1
     try:
-        cfg = resolve_config(args.scenario, args.config)
-        load_bundle(cfg)  # validate before fanning out
+        bundle = load_bundle(resolve_config(args.scenario, args.config))
+        bundle.v_bar_h  # derived once here; each worker receives it with the bundle
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    payloads = [(cfg, seed) for seed in range(args.seeds)]
+    payloads = [(bundle, seed) for seed in range(args.seeds)]
     if args.seeds == 1:
-        results = [_sweep_worker(payloads[0])]
+        outcomes = [_sweep_worker(payloads[0])]
     else:
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    results.sort(key=lambda r: r["seed"])
+            outcomes = list(pool.map(_sweep_worker, payloads))
+    failed = [r for r in outcomes if "error" in r]  # map keeps the seed order
+    results = [r for r in outcomes if "error" not in r]
     ms = [r["m_calibrated"] for r in results]
     aggregate = {
         "seeds": args.seeds,
+        "failed_seeds": [r["seed"] for r in failed],
         "phi_violation_total": sum(r["phi_violations"] for r in results),
         "invariant_violation_total": sum(r["invariant_violations"] for r in results),
         "safety_violation_total": sum(r["safety_violations"] for r in results),
         "m_values": ms,
-        "m_min": min(ms),
-        "m_max": max(ms),
-        "m_mean": sum(ms) / len(ms),
+        "m_min": min(ms) if ms else None,
+        "m_max": max(ms) if ms else None,
+        "m_mean": sum(ms) / len(ms) if ms else None,
         "per_seed": results,
     }
     out_dir = Path(args.out)
@@ -500,8 +502,11 @@ def cmd_sweep(args) -> int:
     dump_json(aggregate, path)
     print(f"wrote {path}")
     print(f"  phi_violation_total: {aggregate['phi_violation_total']}")
-    print(f"  m range: [{aggregate['m_min']:.3f}, {aggregate['m_max']:.3f}]")
-    bad = aggregate["phi_violation_total"] + aggregate["safety_violation_total"]
+    if ms:
+        print(f"  m range: [{aggregate['m_min']:.3f}, {aggregate['m_max']:.3f}]")
+    for r in failed:
+        print(f"seed {r['seed']} failed: {r['error']}", file=sys.stderr)
+    bad = aggregate["phi_violation_total"] + aggregate["safety_violation_total"] + len(failed)
     return 0 if bad == 0 else 1
 
 

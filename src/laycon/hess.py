@@ -4,9 +4,9 @@ State is (V_gr, I_S, I_B, E_S, E_B): DC bus voltage, supercapacitor and
 battery currents, and their accumulated energies. The battery current is
 regulated by a proportional loop toward the planner's current reference;
 the supercapacitor regulates bus voltage with disturbance-cancelling PD
-feedback. The module also builds the governor's constraint library and
-the battery-side interface bounds that tie the current loop to the
-planner's slew limit.
+feedback; both loops and the tracking error are one feedback law. The
+module also builds the governor's constraint library and the battery-side
+interface bounds that tie the current loop to the planner's slew limit.
 """
 
 from __future__ import annotations
@@ -181,20 +181,24 @@ def plant_rhs(x, u, w: float, d: float, p: HessParams) -> tuple[float, ...]:
     )
 
 
-def control_uB(i_b: float, i_b_ref: float, lambda_b_gain: float) -> float:
-    """Proportional battery current loop; converges exponentially at the gain rate."""
-    return -lambda_b_gain * (i_b - i_b_ref)
+def feedback_law(p: HessParams):
+    """law(v_gr, i_s, i_b, v, i_b_ref, d, d_dot) -> (u_S, u_B, e1, e2), with
+    p's constants folded once: the battery current loop, the supercapacitor
+    input (voltage feedback, damping on the bus balance I_S + d + I_B, and
+    cancellation of the load rate and of u_B) and the voltage-loop tracking
+    error (V_gr - v, balance / c_bus). It takes floats, or arrays of one
+    shape whose every element equals the float form bit for bit."""
+    neg_gain = -p.lambda_b_gain
+    k_v = -p.c_bus * p.k1
+    k2, c_bus = p.k2, p.c_bus
 
+    def law(v_gr, i_s, i_b, v, i_b_ref, d, d_dot):
+        u_b = neg_gain * (i_b - i_b_ref)
+        balance = i_s + (d + i_b)
+        u_s = k_v * (v_gr - v) - k2 * balance - (d_dot + u_b)
+        return u_s, u_b, v_gr - v, balance / c_bus
 
-def control_uS(v_gr: float, i_s: float, v: float, d_bar: float, d_bar_dot: float, p: HessParams) -> float:
-    """Supercapacitor input: proportional voltage feedback, damping on the
-    bus current balance, and cancellation of the known load rate."""
-    return -p.c_bus * p.k1 * (v_gr - v) - p.k2 * (i_s + d_bar) - d_bar_dot
-
-
-def error_state(x, v: float, v_dot: float, d_bar: float, p: HessParams) -> tuple[float, float]:
-    """Voltage-loop tracking error: (V_gr - v, bus-rate error)."""
-    return x[0] - v, (x[1] + d_bar) / p.c_bus - v_dot
+    return law
 
 
 @dataclass(frozen=True)

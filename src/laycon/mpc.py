@@ -79,7 +79,6 @@ class PlannerConfig:
 @dataclass(frozen=True)
 class PlanResult:
     r_k: tuple[float, float]  # (voltage target, battery current reference)
-    feasible: bool
     V_N_star: float | None
     fallback_used: bool
     qp: QpSolution  # the period's QP: status, iterations, active set, KKT residual
@@ -171,26 +170,18 @@ def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> tuple[np.nda
     return g, b_ineq
 
 
-def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver | None = None) -> PlanResult:
+def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver) -> PlanResult:
     """Receding-horizon step: solve the condensed QP and extract the first
     reference; on infeasibility hold the previous reference (a zero step,
     so the slew guarantee survives the fallback). `solver` must be bound to
-    `qp_matrices(cfg)`; without one, a solver is built for this call."""
-    if solver is None:
-        solver = QpSolver(*qp_matrices(cfg))
+    `qp_matrices(cfg)`."""
     g, b_ineq = build_qp(y_k, d_forecast, r_prev, cfg)
     sol = solver.solve(g, b_ineq, max_iters=50 * max(cfg.horizon, 4))
     if sol.status is QpStatus.OPTIMAL:
         offset = cfg.q_weight * cfg.horizon * (float(y_k[0]) - cfg.e_b_goal) ** 2
         value = max(0.0, sol.objective + offset)
-        return PlanResult(
-            r_k=(cfg.v_nom, float(sol.x[0])),
-            feasible=True,
-            V_N_star=value,
-            fallback_used=False,
-            qp=sol,
-        )
-    return PlanResult(r_k=(cfg.v_nom, r_prev), feasible=False, V_N_star=None, fallback_used=True, qp=sol)
+        return PlanResult(r_k=(cfg.v_nom, float(sol.x[0])), V_N_star=value, fallback_used=False, qp=sol)
+    return PlanResult(r_k=(cfg.v_nom, r_prev), V_N_star=None, fallback_used=True, qp=sol)
 
 
 class Planner:

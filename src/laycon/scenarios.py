@@ -11,8 +11,9 @@ things identically.
 
 from __future__ import annotations
 
+import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -104,6 +105,12 @@ class RunBundle:
     def v_bar_h(self) -> float:
         override = self.cert.v_bar_h_override
         return self.level[0] if override is None else override
+
+    def with_seed(self, seed: int) -> RunBundle:
+        """This bundle under another sim.seed, sharing every derived value."""
+        out = copy.copy(self)
+        object.__setattr__(out, "sim", replace(self.sim, seed=seed))
+        return out
 
 
 def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:

@@ -11,17 +11,15 @@ are bit-reproducible for a given seed.
 The loop runs on Python floats: the joint state is a list of seven floats
 (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB), RK4 is unrolled over its entries,
 and each logged step is one row of a preallocated array. The stage RHS
-evaluates the controllers and the tracking error inline, in the order of
-the hess helpers and from constants folded once per run, so each stage
-value equals the helpers' bit for bit. The reductions (V(e) = e'Pe, the
+calls hess.feedback_law on floats. The reductions (V(e) = e'Pe, the
 adversarial disturbance's e'PB and the governor's Euclidean norms) are
 fixed-order float sums, so they do not depend on the BLAS kernel. Work
 that depends only on time, or that only the log reads, stays out of the
 loop: the mixed disturbance and the load (at every step and forecast
 time) are evaluated for the whole run before it, so is Gamma(v) when the
-governor is off, and the logged V(e) and Phi columns are computed from
-the logged error after it, by SpdMatrix.quad's expression on the columns,
-which equals its float form on every row.
+governor is off, and the logged inputs, error, V(e) and Phi after it, by
+the same law and SpdMatrix.quad on the logged columns, whose every row
+equals the float form (so a row holds its step's first-stage values).
 
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
@@ -49,9 +47,8 @@ from .contracts import (
     check_G_track,
 )
 from .errors import FieldValueError
-from .hess import control_uB, control_uS, error_state
+from .hess import feedback_law, outputs, plant_rhs
 from .hess import load as load_eval
-from .hess import outputs, plant_rhs
 from .iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
 from .mpc import Planner, abstract_step
 from .numkit import SpdMatrix
@@ -134,8 +131,8 @@ def rk4_step(rhs, x, t: float, h: float) -> list[float]:
 
     x and each rhs(x, t) are sequences of seven floats, the joint state
     (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB). The step is unrolled over the
-    entries: stages 2 and 3 are a + (h/2) k, stage 4 is a + h k, and the
-    result is a + (h/6) (k1 + 2 k2 + 2 k3 + k4), each summed left to right.
+    entries: stages 2 and 3 are x + (h/2) s, stage 4 is x + h s, and the
+    result is x + (h/6) (s1 + 2 s2 + 2 s3 + s4), each summed left to right.
     """
     x0, x1, x2, x3, x4, x5, x6 = x
     half = 0.5 * h
@@ -206,7 +203,7 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     planner = None if planner_cfg is None else Planner(planner_cfg, r_init=r[1])
     z = [*map(float, sim.x0), *v]  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
     B_w = (0.0, 1.0 / plant.c_bus)
-    gain_b = plant.lambda_b_gain
+    law = feedback_law(plant)
     erg_on = sim.erg_on
     h = sim.h
     adversarial = sim.disturbance == "adversarial"
@@ -222,9 +219,10 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         return load_eval(np.clip(times, lo, hi), load_profile)
 
     if load_profile is None:
-        d_steps = d_dot_steps = [0.0] * (n_steps + 1)
+        d_run = d_dot_run = np.zeros(n_steps + 1)
     else:
-        d_steps, d_dot_steps = (values.tolist() for values in load_table(step_times))
+        d_run, d_dot_run = load_table(step_times)
+    d_steps, d_dot_steps = d_run.tolist(), d_dot_run.tolist()
     if planner is not None:
         # row k holds the planner's forecast times t_k + j t_s_eff
         period_starts = step_times[:n_periods * spp:spp]
@@ -247,25 +245,16 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     plan_qps = []
     fallback_now = 0.0
 
-    # control_uB, control_uS and error_state inline, with their constants
-    # folded: -gain (i_b - ref) is (-gain) * (...), -c_bus * k1 * (...) is
-    # ((-c_bus) * k1) * (...), and x - 0.0 is x, so every value is the same
-    neg_gain_b = -gain_b
-    k_v = -plant.c_bus * plant.k1
-    k2, c_bus = plant.k2, plant.c_bus
-
     def joint_rhs(z, tau):
         # the exogenous signals w, d, d_dot and r are the step's held values,
         # which the loop rebinds once per step, so they are frozen over its
-        # four stages; the feedback controllers follow the stage states
-        v_gr, i_s, i_b, v_v = z[0], z[1], z[2], z[5]
-        ub = neg_gain_b * (i_b - r[1])
-        balance = i_s + (d + i_b)
-        us = k_v * (v_gr - v_v) - k2 * balance - (d_dot + ub)
-        dx = plant_rhs(z, (us, ub), w, d, plant)
+        # four stages; the feedback law follows the stage states
+        v_gr, v_v = z[0], z[5]
+        u_s, u_b, e1, e2 = law(v_gr, z[1], z[2], v_v, r[1], d, d_dot)
+        dx = plant_rhs(z, (u_s, u_b), w, d, plant)
         if not erg_on:
             return dx + (0.0, 0.0)
-        return dx + gam.erg_rhs((v_gr - v_v, balance / c_bus), (v_v, z[6]), r, erg_cfg)
+        return dx + gam.erg_rhs((e1, e2), (v_v, z[6]), r, erg_cfg)
 
     for i in range(n_steps + 1):
         t = i * h
@@ -289,15 +278,13 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
 
         d_dot = d_dot_steps[i]
         v_gr, i_s, i_b, e_s, e_b, v_v, v_ib = z
-        u_b = control_uB(i_b, r[1], gain_b)
-        d_bar = d + i_b
-        u_s = control_uS(v_gr, i_s, v_v, d_bar, d_dot + u_b, plant)
-        e = error_state(z, v_v, 0.0, d_bar, plant)
-        w = disturbance_adversarial(e, P, B_w, sim.w_max) if adversarial else w_steps[i]
+        w = w_steps[i]
+        if adversarial:  # the loop's one use of the error: the sign of e'PB sets w
+            w = disturbance_adversarial(law(v_gr, i_s, i_b, v_v, r[1], d, d_dot)[2:], P, B_w, sim.w_max)
         gamma_v = gam.gamma((v_v, v_ib)) if gamma_fixed is None else gamma_fixed
-        # V_e and Phi are filled in after the loop; nothing in it reads them
-        rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], e[0], e[1],
-                   0.0, gamma_v, 0.0, w, d, u_s, u_b, fallback_now)
+        # the error, V_e, Phi and the inputs are filled in after the loop
+        rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], 0.0, 0.0,
+                   0.0, gamma_v, 0.0, w, d, 0.0, 0.0, fallback_now)
 
         if i == n_steps:
             break
@@ -314,6 +301,8 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         t_s_eff=t_s_eff,
     )
     cols = log.columns
+    cols["u_S"][:], cols["u_B"][:], cols["e1"][:], cols["e2"][:] = law(
+        cols["V_gr"], cols["I_S"], cols["I_B"], cols["v"], cols["r_IB"], cols["d"], d_dot_run)
     cols["V_e"][:] = P.quad((cols["e1"], cols["e2"]))
     cols["Phi"][:] = cols["V_e"] - cols["Gamma_v"]
     return log, _build_report(log, bundle.spec, spp)
@@ -342,7 +331,7 @@ def _build_report(log: TrajectoryLog, spec: ContractSpec, spp: int) -> MonitorRe
 
 
 def calibrated_overshoot_for_run(
-    log: TrajectoryLog, lambda_e: float, norm_b: float, w_max: float, iters: int = 80
+    log: TrajectoryLog, lambda_e: float, norm_b: float, w_max: float
 ) -> tuple[float, float]:
     """Self-consistent hindsight overshoot for one run.
 
@@ -357,7 +346,7 @@ def calibrated_overshoot_for_run(
     decay = envelope_decay(cols["t"], lambda_e)
     e0 = norms[0]
     m = 1.0
-    for _ in range(iters):
+    for _ in range(80):
         eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
         m_next = 0.5 * (m + calibrate_overshoot(norms, decay, eps, e0))
         if abs(m_next - m) <= 1e-13:
@@ -375,9 +364,9 @@ def omega_entry_time(log: TrajectoryLog, v_bar_h: float) -> float | None:
     return float(log.columns["t"][idx[0]]) if idx.size else None
 
 
-def invariant_violations(log: TrajectoryLog, v_bar_h: float, after: float | None = None) -> int:
-    """Count samples with V(e) above the invariant level (after entry)."""
-    t0 = omega_entry_time(log, v_bar_h) if after is None else after
+def invariant_violations(log: TrajectoryLog, v_bar_h: float) -> int:
+    """Count samples with V(e) above the invariant level after entry."""
+    t0 = omega_entry_time(log, v_bar_h)
     if t0 is None:
         return 0
     mask = log.columns["t"] >= t0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laycon
+from laycon import cli as cli_module
 from laycon import scenarios as scenarios_module
 from laycon.cli import (
     bundle_to_config,
@@ -25,7 +26,7 @@ from laycon.cli import (
     write_trajectory_csv,
 )
 from laycon.scenarios import scenario_a, scenario_b
-from laycon.sim import COLUMNS, TrajectoryLog, run_layered
+from laycon.sim import COLUMNS, NonFiniteStateError, TrajectoryLog, run_layered
 
 
 class TestConfigRoundTrip:
@@ -119,6 +120,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("config error at load.segments: ")
 
 
+def count_level_calls(monkeypatch) -> dict:
+    counts = {"ultimate_level_optimized": 0}
+    original = scenarios_module.ultimate_level_optimized
+
+    def counted(*args, **kwargs):
+        counts["ultimate_level_optimized"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios_module, "ultimate_level_optimized", counted)
+    return counts
+
+
 class TestDerivedOnce:
     """The bundle derives the governor, its start point and V_bar_h once;
     run and certify read them from it."""
@@ -147,20 +160,20 @@ class TestDerivedOnce:
         (["certify", "--scenario", "a"], 1),
     ], ids=["run_b", "certify_a"])
     def test_optimized_level_calls(self, tmp_path, monkeypatch, argv, calls):
-        counts = {"ultimate_level_optimized": 0}
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                counts["ultimate_level_optimized"] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(scenarios_module, "ultimate_level_optimized",
-                            counted(scenarios_module.ultimate_level_optimized))
+        counts = count_level_calls(monkeypatch)
         overlay = tmp_path / "short.json"
         overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
         main([*argv, "--config", str(overlay), "--out", str(tmp_path)])
         assert counts == {"ultimate_level_optimized": calls}
+
+    def test_with_seed_shares_the_derived_values(self):
+        bundle = scenario_a(t_end=0.2)
+        level = bundle.level
+        other = bundle.with_seed(5)
+        assert (other.sim.seed, bundle.sim.seed) == (5, 0)
+        assert other.P is bundle.P and other.governor is bundle.governor and other.level is level
+        fresh = dataclasses.replace(bundle, sim=dataclasses.replace(bundle.sim, seed=5))
+        assert np.array_equal(run_layered(other)[0].data, run_layered(fresh)[0].data)
 
 
 class TestTrajectoryCsv:
@@ -418,6 +431,20 @@ class TestBlasKernels:
         assert hashes[1:] == [hashes[0]] * (len(self.KERNELS) - 1)
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps the workers in this process,
+    so the tests can count calls and patch what the workers run."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return list(map(fn, iterable))
+
+
 class TestSweepCommand:
     def test_single_seed_matches_run(self, tmp_path):
         code = main(["sweep", "--scenario", "a", "--seeds", "1", "--out", str(tmp_path)])
@@ -445,3 +472,47 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error at sim.frozen_reference")
         assert not (tmp_path / "aggregate.json").exists()
+
+    def test_level_is_derived_once_per_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+        counts = count_level_calls(monkeypatch)
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+        assert main(["sweep", "--scenario", "a", "--config", str(overlay), "--seeds", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert counts == {"ultimate_level_optimized": 1}
+        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        assert [r["seed"] for r in agg["per_seed"]] == [0, 1, 2]
+        assert agg["failed_seeds"] == []
+
+    def test_failed_seed_is_reported_and_the_rest_finish(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+
+        def run_or_fail(bundle):
+            if bundle.sim.seed == 1:
+                raise NonFiniteStateError("non-finite state at t=0.001000")
+            return run_layered(bundle)
+
+        monkeypatch.setattr(cli_module, "run_layered", run_or_fail)
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+        assert main(["sweep", "--scenario", "a", "--config", str(overlay), "--seeds", "3",
+                     "--out", str(tmp_path)]) == 1
+        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        assert agg["failed_seeds"] == [1]
+        assert agg["seeds"] == 3
+        assert [r["seed"] for r in agg["per_seed"]] == [0, 2]
+        assert len(agg["m_values"]) == 2 and agg["m_min"] <= agg["m_mean"] <= agg["m_max"]
+        assert "seed 1 failed: non-finite state" in capsys.readouterr().err
+
+    def test_no_finished_seed_gives_null_statistics(self, tmp_path, monkeypatch):
+        # a disturbance bound this large overflows the first step of every seed
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+        overlay = tmp_path / "huge_w.json"
+        overlay.write_text(json.dumps({"sim": {"w_max": 1e308}}))
+        assert main(["sweep", "--scenario", "a", "--config", str(overlay), "--seeds", "2",
+                     "--out", str(tmp_path)]) == 1
+        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        assert agg["failed_seeds"] == [0, 1]
+        assert agg["per_seed"] == agg["m_values"] == []
+        assert agg["m_min"] is agg["m_max"] is agg["m_mean"] is None

@@ -11,9 +11,7 @@ from laycon.hess import (
     LoadSegment,
     OutOfSpanError,
     battery_interface_bounds,
-    control_uB,
-    control_uS,
-    error_state,
+    feedback_law,
     hess_constraints,
     load,
     outputs,
@@ -21,10 +19,11 @@ from laycon.hess import (
     scenario_b_load,
 )
 from laycon.numkit import solve_lyapunov
-from laycon.scenarios import scenario_b
+from laycon.scenarios import scenario_a, scenario_b
 
 P_B = HessParams()  # published full-stack gain set (k1=35, k2=12)
 P_A = HessParams(k1=25.0, k2=11.0)
+LAW_B = feedback_law(P_B)
 
 
 class TestPlantRhs:
@@ -45,44 +44,76 @@ class TestPlantRhs:
 
 
 class TestControllers:
+    """law(v_gr, i_s, i_b, v, i_b_ref, d, d_dot) -> (u_S, u_B, e1, e2)."""
+
     def test_ub_at_reference(self):
-        assert control_uB(1.5, 1.5, P_B.lambda_b_gain) == 0.0
+        assert LAW_B(400.0, 0.0, 1.5, 400.0, 1.5, 0.0, 0.0)[1] == 0.0
 
     def test_ub_saturation_boundary(self):
         err = P_B.u_b_bar / P_B.lambda_b_gain
-        assert abs(control_uB(err, 0.0, P_B.lambda_b_gain)) == pytest.approx(P_B.u_b_bar)
+        assert abs(LAW_B(400.0, 0.0, err, 400.0, 0.0, 0.0, 0.0)[1]) == pytest.approx(P_B.u_b_bar)
 
     def test_ub_direct(self):
-        assert control_uB(1.0, 0.0, 2.0) == pytest.approx(-2.0)
+        law = feedback_law(HessParams(k1=2.0, k2=3.0, lambda_b_gain=2.0))
+        assert law(400.0, 0.0, 1.0, 400.0, 0.0, 0.0, 0.0)[1] == pytest.approx(-2.0)
 
     def test_us_on_reference(self):
-        # balanced bus (I_S = -d_bar), zero load rate
-        assert control_uS(400.0, -3.0, 400.0, 3.0, 0.0, P_B) == 0.0
+        # balanced bus (I_S = -(d + I_B)), zero load rate
+        assert LAW_B(400.0, -3.0, 0.0, 400.0, 0.0, 3.0, 0.0)[0] == 0.0
 
     def test_us_pure_voltage_error(self):
-        assert control_uS(401.0, -3.0, 400.0, 3.0, 0.0, P_B) == pytest.approx(-P_B.c_bus * P_B.k1)
+        assert LAW_B(401.0, -3.0, 0.0, 400.0, 0.0, 3.0, 0.0)[0] == pytest.approx(-P_B.c_bus * P_B.k1)
 
     def test_us_hand_value(self):
         # voltage error 1, bus imbalance 2, load rate 3
         expected = -P_B.c_bus * P_B.k1 * 1.0 - P_B.k2 * 2.0 - 3.0
-        assert control_uS(401.0, -1.0, 400.0, 3.0, 3.0, P_B) == pytest.approx(expected)
+        assert LAW_B(401.0, -1.0, 0.0, 400.0, 0.0, 3.0, 3.0)[0] == pytest.approx(expected)
+
+    def test_us_cancels_the_battery_input(self):
+        # balance -1 + (2 + 1) = 2 again, and d_dot + u_B = 53 - 50 = 3
+        expected = -P_B.c_bus * P_B.k1 * 1.0 - P_B.k2 * 2.0 - 3.0
+        assert LAW_B(401.0, -1.0, 1.0, 400.0, 0.0, 2.0, 53.0)[0] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("maker", [scenario_a, scenario_b], ids=["a", "b"])
+    def test_columns_equal_floats_bit_for_bit(self, maker):
+        law = feedback_law(maker().plant)
+        rng = np.random.default_rng(13)
+        n = 2000
+        args = [
+            400.0 + rng.normal(0.0, 3.0, n),  # V_gr
+            rng.normal(0.0, 5.0, n),  # I_S
+            rng.normal(0.0, 2.0, n),  # I_B
+            400.0 + rng.normal(0.0, 1.0, n),  # v
+            rng.normal(0.0, 2.0, n),  # I_B reference
+            rng.normal(0.0, 5.0, n),  # d
+            rng.normal(0.0, 10.0, n),  # d_dot
+        ]
+        # signed zeros: every argument +0.0 or -0.0, and the exact cancellations
+        # V_gr = v and I_B = reference, whose differences are +0.0
+        for row in range(2 ** 7):
+            for j, arg in enumerate(args):
+                arg[row] = -0.0 if row >> j & 1 else 0.0
+        args[0][200:300] = args[3][200:300]
+        args[2][200:300] = args[4][200:300]
+        columns = law(*args)
+        floats = [law(*row) for row in zip(*(a.tolist() for a in args))]
+        assert [tuple(map(float.hex, out)) for out in zip(*(c.tolist() for c in columns))] == [
+            tuple(map(float.hex, out)) for out in floats]
 
 
 class TestErrorCoordinates:
     def test_exact_tracking(self):
-        x = np.array([400.0, -3.0, 1.0, 0.0, 0.0])
-        assert np.allclose(error_state(x, 400.0, 0.0, 3.0, P_B), 0.0)
+        assert np.allclose(LAW_B(400.0, -3.0, 1.0, 400.0, 0.0, 2.0, 0.0)[2:], 0.0)
 
     def test_balanced_bus_zero_rate_error(self):
-        x = np.array([402.0, -3.0, 1.0, 0.0, 0.0])
-        e = error_state(x, 400.0, 0.0, 3.0, P_B)
+        e = LAW_B(402.0, -3.0, 1.0, 400.0, 0.0, 2.0, 0.0)[2:]
         assert e[0] == pytest.approx(2.0)
         assert e[1] == 0.0
 
     def test_numeric(self):
-        x = np.array([401.0, 2.0, 0.0, 0.0, 0.0])
-        e = error_state(x, 400.0, 0.5, 1.0, P_B)
-        assert e[1] == pytest.approx(3.0 / P_B.c_bus - 0.5)
+        law = feedback_law(HessParams(c_bus=2.0))
+        e = law(401.0, 2.0, 0.0, 400.0, 0.0, 1.0, 0.0)[2:]
+        assert e[1] == pytest.approx(3.0 / 2.0)
 
     def test_error_matrix_published_eigenvalues(self):
         eigs = np.sort(np.linalg.eigvals(P_A.error_matrix()).real)

@@ -94,29 +94,30 @@ class TestBuildQp:
 
     def test_scenario_b_first_step_feasible(self):
         cfg = scenario_b_cfg()
-        res = plan(np.array([0.0, 0.0]), np.zeros(20), 0.0, cfg)
-        assert res.feasible and not res.fallback_used
+        res = plan(np.array([0.0, 0.0]), np.zeros(20), 0.0, cfg, QpSolver(*qp_matrices(cfg)))
+        assert not res.fallback_used
 
 
 class TestPlan:
     def test_at_goal(self):
         cfg = make_cfg()
-        res = plan(np.array([5.0, 0.0]), np.zeros(cfg.horizon), 0.0, cfg)
+        res = plan(np.array([5.0, 0.0]), np.zeros(cfg.horizon), 0.0, cfg, QpSolver(*qp_matrices(cfg)))
         assert res.r_k == (400.0, pytest.approx(0.0, abs=1e-10))
         assert res.V_N_star == pytest.approx(0.0, abs=1e-10)
 
     def test_value_positive_beyond_reach(self):
         cfg = make_cfg()
         reach_1 = cfg.gain_b * cfg.slew_bound
-        near = plan(np.array([5.0 - 0.5 * reach_1, 0.0]), np.zeros(cfg.horizon), 0.0, cfg)
+        solver = QpSolver(*qp_matrices(cfg))
+        near = plan(np.array([5.0 - 0.5 * reach_1, 0.0]), np.zeros(cfg.horizon), 0.0, cfg, solver)
         assert near.V_N_star == pytest.approx(0.0, abs=1e-10)
-        far = plan(np.array([0.0, 0.0]), np.zeros(cfg.horizon), 0.0, cfg)
+        far = plan(np.array([0.0, 0.0]), np.zeros(cfg.horizon), 0.0, cfg, solver)
         assert far.V_N_star > 1.0
 
     def test_contradictory_tightening_falls_back(self):
         cfg = make_cfg(tighten_eps_e=100.0)
-        res = plan(np.array([5.0, 0.0]), np.zeros(cfg.horizon), 0.25, cfg)
-        assert res.fallback_used and not res.feasible
+        res = plan(np.array([5.0, 0.0]), np.zeros(cfg.horizon), 0.25, cfg, QpSolver(*qp_matrices(cfg)))
+        assert res.fallback_used
         assert res.r_k == (400.0, 0.25)
         assert res.V_N_star is None
 
@@ -184,12 +185,12 @@ class TestPlan:
             y = np.array([rng.uniform(0.5, 9.5), rng.uniform(-15.0, 15.0)])
             planner = Planner(cfg)
             first = planner.step(y, np.zeros(cfg.horizon))
-            if not first.feasible:
+            if first.fallback_used:
                 continue
             y = abstract_step(y, first.r_k[1], 0.0, cfg)
             for _ in range(15):
                 res = planner.step(y, np.zeros(cfg.horizon))
-                assert res.feasible
+                assert not res.fallback_used
                 y = abstract_step(y, res.r_k[1], 0.0, cfg)
 
 

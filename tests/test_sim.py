@@ -283,10 +283,12 @@ class TestCallGraph:
 
 
 class TestFusedStage:
-    def test_stage_values_equal_the_helpers(self, monkeypatch):
-        """The stage RHS evaluates control_uB, control_uS and error_state
-        inline. A step's first stage sees the logged state, so its inputs and
-        its governor error must equal the row's helper values bit for bit."""
+    def test_stage_values_equal_the_logged_columns(self, monkeypatch):
+        """The stage RHS calls the feedback law on floats, and the logged
+        u_S, u_B, e1 and e2 columns come from the same law on the columns
+        after the loop. A step's first stage sees the logged state, so its
+        inputs and its governor error must equal the row's logged values
+        bit for bit."""
         inputs, errors = [], []
         plant_rhs, erg_rhs = sim_module.plant_rhs, GammaEvaluator.erg_rhs
 
