@@ -16,7 +16,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, astuple, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -74,12 +74,13 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config <-> bundle
+# config -> bundle
 #
 # Each section is one config dataclass, and each of its keys one field. A
 # field marked DERIVED is computed from other sections by a from_hess
 # constructor and never serialised; P, the governor and V_bar_h are derived
 # by RunBundle itself. Defaults are the dataclass field defaults.
+# load_bundle is the one constructor of a RunBundle.
 
 _SECTIONS = ("scenario", "plant", "lyapunov_weight", "constraints", "erg", "planner",
              "contract", "sim", "load", "certificates")
@@ -110,33 +111,52 @@ def _at(path: str):
 
 
 def _field_value(hint, value, path: str):
-    """A JSON value as a field value: a scalar field takes its JSON type, a
-    tuple field a list of its length (a tuple of dataclasses a list of
-    rows), and a Literal field one of its values."""
+    """A JSON value as a field value, checked against the field's annotation
+    down to every leaf: a scalar field takes its JSON type (a float field
+    only a finite number), an optional field null or its type, a Literal
+    field one of its values, and a tuple field a list of its length whose
+    elements are checked at path.<index> (a tuple of dataclasses a list of
+    rows, each row's entries at path.<index>.<field>)."""
     if hint in _SCALARS:
         if not isinstance(value, _SCALARS[hint]) or isinstance(value, bool) is not (hint is bool):
             raise ConfigError(path, f"expected {hint.__name__}, got {value!r}")
+        if hint is float and not math.isfinite(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
         return value
+    args = get_args(hint)
     if get_origin(hint) is Literal:
-        if value not in get_args(hint):
-            raise ConfigError(path, f"expected one of {', '.join(get_args(hint))}, got {value!r}")
+        if value not in args:
+            raise ConfigError(path, f"expected one of {', '.join(args)}, got {value!r}")
         return value
-    tup = next((t for t in (hint, *get_args(hint)) if get_origin(t) is tuple), None)
-    if tup is None or value is None:
-        return value
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (t for t in args if t is not type(None))
+        return _field_value(hint, value, path)
+    if is_dataclass(hint):
+        return _row(hint, value, path)
     if not isinstance(value, list):
         raise ConfigError(path, f"expected a list, got {value!r}")
-    items = get_args(tup)
-    if Ellipsis not in items and len(value) != len(items):
-        raise ConfigError(path, f"expected {len(items)} values, got {len(value)}")
-    row_type = items[0]
-    if is_dataclass(row_type):
-        rows = []
-        for i, row in enumerate(value):
-            with _at(f"{path}.{i}"):
-                rows.append(row_type(*row))
-        return tuple(rows)
-    return tuple(value)
+    if Ellipsis in args:
+        args = args[:1] * len(value)
+    elif len(value) != len(args):
+        raise ConfigError(path, f"expected {len(args)} values, got {len(value)}")
+    return tuple(_field_value(t, v, f"{path}.{i}") for i, (t, v) in enumerate(zip(args, value)))
+
+
+def _row(cls, value, path: str):
+    """A dataclass from a list of its field values in field order; the
+    trailing fields that have defaults may be left out."""
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    schema = _schema(cls)
+    required = sum(req for _, req in schema.values())
+    if not required <= len(value) <= len(schema):
+        raise ConfigError(path, f"expected {required} to {len(schema)} values, got {len(value)}")
+    kwargs = {name: _field_value(hint, v, f"{path}.{name}")
+              for (name, (hint, _)), v in zip(schema.items(), value)}
+    with _at(path):
+        return cls(**kwargs)
 
 
 def _section(cfg: dict, key: str):
@@ -165,35 +185,6 @@ def _load(cls, cfg: dict, key: str, build=None):
         return (build or cls)(**kwargs)
 
 
-def _dump(obj) -> dict | None:
-    """Inverse of _load: the serialised fields, tuples as lists (and rows)."""
-    if obj is None:
-        return None
-    out = {}
-    for name in _schema(type(obj)):
-        value = getattr(obj, name)
-        if isinstance(value, tuple):
-            value = [list(astuple(v)) if is_dataclass(v) else v for v in value]
-        out[name] = value
-    return out
-
-
-def bundle_to_config(bundle: RunBundle) -> dict:
-    """Serialize a run bundle into the JSON config schema."""
-    return {
-        "scenario": bundle.name,
-        "plant": _dump(bundle.plant),
-        "lyapunov_weight": np.asarray(bundle.R).tolist(),
-        "constraints": _dump(bundle.constraint_cfg),
-        "erg": _dump(bundle.erg_cfg),
-        "planner": _dump(bundle.planner_cfg),
-        "contract": _dump(bundle.spec),
-        "sim": _dump(bundle.sim),
-        "load": _dump(bundle.load_profile),
-        "certificates": _dump(bundle.cert),
-    }
-
-
 def load_bundle(cfg: dict) -> RunBundle:
     """Build a run bundle from a complete config document. An unknown,
     missing or invalid key raises ConfigError naming its key path."""
@@ -211,7 +202,7 @@ def load_bundle(cfg: dict) -> RunBundle:
     if _section(cfg, "load") is not None:
         profile = _load(LoadProfile, cfg, "load")
     parts = dict(
-        name=_section(cfg, "scenario"),
+        name=_field_value(str, _section(cfg, "scenario"), "scenario"),
         plant=plant,
         constraint_cfg=_load(ConstraintConfig, cfg, "constraints"),
         erg_cfg=_load(ErgConfig, cfg, "erg"),
@@ -222,9 +213,10 @@ def load_bundle(cfg: dict) -> RunBundle:
         load_profile=profile,
         cert=_load(CertificateInputs, cfg, "certificates"),
     )
-    weight = _section(cfg, "lyapunov_weight")
+    weight = _field_value(tuple[tuple[float, float], tuple[float, float]],
+                          _section(cfg, "lyapunov_weight"), "lyapunov_weight")
     try:
-        return RunBundle(R=np.asarray(weight, dtype=float), **parts)
+        return RunBundle(R=np.array(weight, dtype=float), **parts)
     except FieldValueError as exc:
         # the cross-section rule of RunBundle names its full key path
         raise ConfigError(exc.field, str(exc)) from None
@@ -255,10 +247,12 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def resolve_config(scenario: str | None, config_path: str | None) -> dict:
+    """The config document of a command: scenario a's or b's document with
+    the file's keys merged over it, or the file alone (scenario custom)."""
     if scenario not in ("a", "b", "custom", None):
         raise ConfigError("scenario", f"unknown scenario {scenario!r} (expected a, b, or custom)")
     if scenario in ("a", "b"):
-        base = bundle_to_config(scenario_a() if scenario == "a" else scenario_b())
+        base = scenario_a() if scenario == "a" else scenario_b()
         if config_path:
             base = _merge(base, read_config(config_path))
         return base

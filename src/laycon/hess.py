@@ -116,20 +116,6 @@ class LoadProfile:
         return self.segments[0].t_start, self.segments[-1].t_end
 
 
-def scenario_b_load(t_end: float = 6.0) -> LoadProfile:
-    """Default time-varying load: 0 A, cubic ramp to -5 A over [0.5, 0.8] s,
-    then constant, with a 0.5 A / 2 Hz ripple throughout."""
-    return LoadProfile(
-        segments=(
-            LoadSegment(0.0, 0.5, "constant", 0.0),
-            LoadSegment(0.5, 0.8, "cubic-ramp", 0.0, -5.0),
-            LoadSegment(0.8, t_end, "constant", -5.0),
-        ),
-        osc_amplitude=0.5,
-        osc_freq_hz=2.0,
-    )
-
-
 def load(times, profile: LoadProfile) -> tuple[np.ndarray, np.ndarray]:
     """Load values and exact derivatives at each of the given times (an
     array of any shape; times within 1e-12 of the span are clamped into it).

@@ -39,9 +39,6 @@ class TimingVerdict:
 
     period_covers_settling: bool
     window_within_transit: bool
-    settling_slack: float
-    window_slack_low: float
-    window_slack_high: float
 
 
 def _planar_level(theta, P, R, B, H_max):
@@ -203,7 +200,4 @@ def timing_check(T_s: float, times: SettlingTimes) -> TimingVerdict:
     return TimingVerdict(
         period_covers_settling=T_s >= times.tau_LL,
         window_within_transit=0.0 <= window <= times.tau1,
-        settling_slack=T_s - times.tau_LL,
-        window_slack_low=window,
-        window_slack_high=times.tau1 - window,
     )

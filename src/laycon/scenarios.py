@@ -1,12 +1,12 @@
-"""Canonical operating-point wirings.
+"""Canonical operating points, and the run bundle every run reads.
 
 Scenario A exercises the disturbed tracking loop alone: planner off,
 reference frozen, error started well outside the invariant set, mixed
 disturbance. Scenario B runs the full stack (planner, governor,
 controllers) against the ramped load, charging the battery to its target.
-Both builders return one bundle carrying every object a run or a
-certificate needs, so the CLI, the tests, and the sweep driver wire
-things identically.
+Both are config documents, the same JSON-shaped dicts `--config` files
+overlay; `laycon.cli.load_bundle` turns a document into the one
+`RunBundle` a run, a certificate or a sweep reads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .hess import (
     LoadProfile,
     battery_interface_bounds,
     hess_constraints,
-    scenario_b_load,
 )
 from .iss_cert import ultimate_level_optimized
 from .mpc import PlannerConfig
@@ -53,11 +52,23 @@ class CertificateInputs:
     lambda_min_q: float
     l_v: float | None  # None: estimate empirically
 
+    def __post_init__(self):
+        for name in ("settle_delta", "kappa_lo", "r_lo"):
+            if getattr(self, name) <= 0.0:
+                raise FieldValueError(name, f"{name} must be positive")
+        if self.m_overshoot < 1.0:
+            raise FieldValueError("m_overshoot", "m_overshoot must be at least 1")
+        for name in ("h_max", "ff_residual_bound", "l_v", "v_bar_h_override"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise FieldValueError(name, f"{name} must be nonnegative")
+
 
 @dataclass(frozen=True)
 class RunBundle:
-    """One configuration, plus what a run and its certificate both read, each
-    derived once here and never serialised: the Lyapunov metric P (from the
+    """One configuration, built only by laycon.cli.load_bundle from a config
+    document, plus what a run and its certificate both read, each derived
+    once here and never serialised: the Lyapunov metric P (from the
     plant's error matrix and R), the governor (the Gamma evaluator over the
     rows constraint_cfg selects, and P), the reference r_start at t = 0
     (sim.frozen_reference without a planner, else (v_nom, sim.r_init_ib)),
@@ -113,121 +124,95 @@ class RunBundle:
         return out
 
 
-def scenario_a(seed: int = 0, t_end: float = 4.0) -> RunBundle:
+def _plant(k1: float, k2: float) -> dict:
+    """The plant section at one gain point; every other constant is the
+    HessParams default."""
+    return {
+        "c_bus": 1.0, "v_nom": 400.0, "k1": k1, "k2": k2, "lambda_b_gain": 50.0,
+        "lambda_b_energy": 1.0 / 400.0, "lambda_s": 1.0 / 400.0, "v_min": 380.0, "v_max": 420.0,
+        "i_s_bar": 12.0, "i_b_bar": 5.0, "u_s_bar": 50.0, "u_b_bar": 30.0,
+    }
+
+
+def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
     """Frozen-reference invariance/decay study at the (25, 11) gain point."""
-    plant = HessParams(k1=25.0, k2=11.0)
+    plant = _plant(k1=25.0, k2=11.0)
     w_max = 3.0
-    sim = SimConfig(
-        t_end=t_end,
-        t_s=0.1,
-        seed=seed,
-        disturbance="mixed",
-        w_max=w_max,
-        erg_on=False,
-        frozen_reference=(400.0, 0.0),
-        x0=(403.0, 0.0, 0.0, 0.0, 0.0),  # tracking error starts at (3, 0)
-        v0=(400.0, 0.0),
-    )
-    spec = ContractSpec.from_hess(
-        plant, sim.t_s, w_max,
-        eps_e=0.5,
-        eps_t=0.1,
-        eps_l=(0.28, 0.005),
-        eps_h=1.0,
-        delta=0.1,
-        u_bounds=(200.0, plant.u_b_bar),  # supercap input unconstrained here
-        y_goal=0.0,
-    )
-    cert = CertificateInputs(
-        m_overshoot=2.94,
-        h_max=w_max / plant.c_bus,
-        v_bar_h_override=None,
-        kappa_lo=1.0,
-        r_lo=1.0,
-        settle_delta=0.1,
-        settle_mode="relative",
-        ff_residual_bound=0.0,
-        eta=0.01,
-        lambda_min_p=1.0,
-        lambda_max_p=1.0,
-        lambda_min_q=1.0,
-        l_v=0.0,
-    )
-    return RunBundle(
-        name="a",
-        plant=plant,
-        R=np.diag([50.0, 1.0]),
+    return {
+        "scenario": "a",
+        "plant": plant,
+        "lyapunov_weight": [[50.0, 0.0], [0.0, 1.0]],
         # governor idle; only the voltage box shapes the logged threshold
-        constraint_cfg=ConstraintConfig(mode="voltage_only"),
-        erg_cfg=ErgConfig(kappa_erg=1.0, eta=0.05),
-        planner_cfg=None,
-        spec=spec,
-        sim=sim,
-        load_profile=None,
-        cert=cert,
-    )
+        "constraints": {"mode": "voltage_only", "kappa_bar": 0.0, "d_bar_max": 0.0, "d_bar_dot_max": 0.0},
+        "erg": {"kappa_erg": 1.0, "eta": 0.05, "eta_rep": []},
+        "planner": None,
+        "contract": {
+            "eps_e": 0.5, "eps_t": 0.1, "eps_l": [0.28, 0.005], "eps_h": 1.0, "delta": 0.1,
+            "u_bounds": [200.0, plant["u_b_bar"]],  # supercap input unconstrained here
+            "y_goal": 0.0,
+        },
+        "sim": {
+            "t_end": t_end, "t_s": 0.1, "h": 0.001, "seed": seed, "disturbance": "mixed",
+            "w_max": w_max, "erg_on": False, "frozen_reference": [400.0, 0.0],
+            "x0": [403.0, 0.0, 0.0, 0.0, 0.0],  # tracking error starts at (3, 0)
+            "v0": [400.0, 0.0], "r_init_ib": 0.0,
+        },
+        "load": None,
+        "certificates": {
+            "m_overshoot": 2.94, "h_max": w_max / plant["c_bus"], "v_bar_h_override": None,
+            "kappa_lo": 1.0, "r_lo": 1.0, "settle_delta": 0.1, "settle_mode": "relative",
+            "ff_residual_bound": 0.0, "eta": 0.01, "lambda_min_p": 1.0, "lambda_max_p": 1.0,
+            "lambda_min_q": 1.0, "l_v": 0.0,
+        },
+    }
 
 
-def scenario_b(seed: int = 0, t_end: float = 6.0) -> RunBundle:
+def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
     """Full hierarchy at the (35, 12) gain point: charge 5 A-s under the
     ramped load while the governor certifies the actuator margin."""
-    plant = HessParams()
-    w_max = 2.0
-    sim = SimConfig(
-        t_end=t_end,
-        t_s=0.1,
-        seed=seed,
-        disturbance="mixed",
-        w_max=w_max,
-        erg_on=True,
-        x0=(400.0, 0.0, 0.0, 0.0, 0.0),
-        v0=(400.0, 0.0),
-    )
-    # goal on the battery's upper SOC bound (charge to full, no overshoot);
-    # per-step tightening 0.02 A-s dominates the battery-channel mismatch,
-    # so one bad step cannot strand a nominally feasible plan
-    planner_cfg = PlannerConfig.from_hess(
-        plant, sim.t_s, horizon=20, q_weight=1.0, e_b_goal=5.0,
-        e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=0.02,
-    )
-    _, eps_l_ib = battery_interface_bounds(plant, sim.t_s)
-    spec = ContractSpec.from_hess(
-        plant, sim.t_s, w_max,
-        eps_e=0.5,
-        eps_t=0.2,
-        eps_l=(0.15, eps_l_ib),
-        eps_h=1.0,
-        delta=0.1,
-        u_bounds=(plant.u_s_bar, plant.u_b_bar),
-        y_goal=planner_cfg.e_b_goal,
-    )
-    cert = CertificateInputs(
-        m_overshoot=1.5,
-        h_max=w_max / plant.c_bus,
-        v_bar_h_override=0.50,
-        kappa_lo=10.0,
-        r_lo=1.0,
-        settle_delta=0.1,
-        settle_mode="relative",
-        ff_residual_bound=0.0,
-        eta=0.01,
-        lambda_min_p=1.0,
-        lambda_max_p=1.0,
-        lambda_min_q=1.0,
-        l_v=None,
-    )
-    return RunBundle(
-        name="b",
-        plant=plant,
-        R=np.diag([100.0, 10.0]),
-        constraint_cfg=ConstraintConfig(mode="input_only"),
-        erg_cfg=ErgConfig(kappa_erg=0.1, eta=0.01),
-        planner_cfg=planner_cfg,
-        spec=spec,
-        sim=sim,
-        load_profile=scenario_b_load(t_end + planner_cfg.horizon * planner_cfg.t_s),
-        cert=cert,
-    )
+    plant = _plant(k1=35.0, k2=12.0)
+    t_s, w_max, horizon = 0.1, 2.0, 20
+    _, eps_l_ib = battery_interface_bounds(HessParams(**plant), t_s)
+    return {
+        "scenario": "b",
+        "plant": plant,
+        "lyapunov_weight": [[100.0, 0.0], [0.0, 10.0]],
+        "constraints": {"mode": "input_only", "kappa_bar": 0.0, "d_bar_max": 0.0, "d_bar_dot_max": 0.0},
+        "erg": {"kappa_erg": 0.1, "eta": 0.01, "eta_rep": []},
+        # goal on the battery's upper SOC bound (charge to full, no overshoot);
+        # per-step tightening 0.02 A-s dominates the battery-channel mismatch,
+        # so one bad step cannot strand a nominally feasible plan
+        "planner": {
+            "horizon": horizon, "q_weight": 1.0, "e_b_goal": 5.0, "e_b_range": [0.0, 5.0],
+            "e_s_range": [-40.0, 40.0], "tighten_eps_e": 0.02,
+        },
+        "contract": {
+            "eps_e": 0.5, "eps_t": 0.2, "eps_l": [0.15, float(eps_l_ib)], "eps_h": 1.0, "delta": 0.1,
+            "u_bounds": [plant["u_s_bar"], plant["u_b_bar"]], "y_goal": 5.0,
+        },
+        "sim": {
+            "t_end": t_end, "t_s": t_s, "h": 0.001, "seed": seed, "disturbance": "mixed",
+            "w_max": w_max, "erg_on": True, "frozen_reference": None,
+            "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": [400.0, 0.0], "r_init_ib": 0.0,
+        },
+        # 0 A, a cubic ramp to -5 A over [0.5, 0.8] s, then constant up to the
+        # planner's last forecast time, with a 0.5 A / 2 Hz ripple throughout
+        "load": {
+            "segments": [
+                [0.0, 0.5, "constant", 0.0, 0.0],
+                [0.5, 0.8, "cubic-ramp", 0.0, -5.0],
+                [0.8, t_end + horizon * t_s, "constant", -5.0, 0.0],
+            ],
+            "osc_amplitude": 0.5,
+            "osc_freq_hz": 2.0,
+        },
+        "certificates": {
+            "m_overshoot": 1.5, "h_max": w_max / plant["c_bus"], "v_bar_h_override": 0.50,
+            "kappa_lo": 10.0, "r_lo": 1.0, "settle_delta": 0.1, "settle_mode": "relative",
+            "ff_residual_bound": 0.0, "eta": 0.01, "lambda_min_p": 1.0, "lambda_max_p": 1.0,
+            "lambda_min_q": 1.0, "l_v": None,
+        },
+    }
 
 
 def mismatch_params_for(bundle: RunBundle, z_peak: float, tau1: float, tau2: float,

@@ -111,7 +111,6 @@ class TrajectoryLog:
     ref_points: np.ndarray  # (K+1, 2) held references, row 0 = initial
     fallback_steps: np.ndarray  # (K,) bool
     plan_qps: list[QpSolution]  # (K,) the planner's QP per period; empty without planner
-    t_s_eff: float
     columns: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -298,7 +297,6 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         ref_points=ref_points,
         fallback_steps=fallback_steps,
         plan_qps=plan_qps,
-        t_s_eff=t_s_eff,
     )
     cols = log.columns
     cols["u_S"][:], cols["u_B"][:], cols["e1"][:], cols["e2"][:] = law(

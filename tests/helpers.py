@@ -3,15 +3,54 @@ tests compare the package's optimized code against."""
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
+from laycon import cli
 from laycon.hess import LoadProfile, OutOfSpanError
 from laycon.numkit import SpdMatrix
 from laycon.qp import QpSolution, QpSolver
+from laycon.scenarios import RunBundle
 from laycon.sim import NonFiniteStateError
+
+
+def bundle(doc: dict, overlay: dict | None = None) -> RunBundle:
+    """The run bundle of a scenario document with overlay merged over it;
+    the overlay replaces only the keys it names, as a --config file does."""
+    return cli.load_bundle(cli._merge(doc, overlay or {}))
+
+
+def _dump(obj) -> dict | None:
+    """The serialised fields of a config dataclass, tuples as lists (and
+    rows as lists of their field values)."""
+    if obj is None:
+        return None
+    out = {}
+    for name in cli._schema(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            value = [list(astuple(v)) if is_dataclass(v) else v for v in value]
+        out[name] = value
+    return out
+
+
+def bundle_to_config(b: RunBundle) -> dict:
+    """Serialise a run bundle back into its config document: the inverse of
+    cli.load_bundle, so a document that loads must round-trip through it."""
+    return {
+        "scenario": b.name,
+        "plant": _dump(b.plant),
+        "lyapunov_weight": np.asarray(b.R).tolist(),
+        "constraints": _dump(b.constraint_cfg),
+        "erg": _dump(b.erg_cfg),
+        "planner": _dump(b.planner_cfg),
+        "contract": _dump(b.spec),
+        "sim": _dump(b.sim),
+        "load": _dump(b.load_profile),
+        "certificates": _dump(b.cert),
+    }
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:

@@ -2,13 +2,12 @@
 each asserted at its stated tolerance. One pass/fail line prints per
 criterion (run with -s or check the captured output)."""
 
-import dataclasses
 import itertools
 import json
 import math
 
 import numpy as np
-from helpers import QpProblem, solve_qp
+from helpers import QpProblem, bundle, solve_qp
 from laycon.cli import main
 from laycon.iss_cert import (
     coordinate_bound,
@@ -88,20 +87,19 @@ def test_criterion_05_iss_gain_chain():
 
 
 def test_criterion_06_erg_threshold():
-    bundle = scenario_b()
-    g = bundle.governor.gamma(np.array([400.0, 0.0]))
+    g = bundle(scenario_b()).governor.gamma(np.array([400.0, 0.0]))
     ok = abs(g - 9.3) <= 0.1
     assert report(6, "actuator-limited governor threshold 9.3", ok)
 
 
 def test_criterion_07_scenario_a_run():
-    bundle = scenario_a(seed=0)
-    log, _ = run_layered(bundle)
+    a = bundle(scenario_a(seed=0))
+    log, _ = run_layered(a)
     v_bar, _, _ = ultimate_level_optimized(
-        bundle.P, SpdMatrix(bundle.R), np.array([0.0, 1.0]), bundle.cert.h_max
+        a.P, SpdMatrix(a.R), np.array([0.0, 1.0]), a.cert.h_max
     )
     entry = omega_entry_time(log, v_bar)
-    m, _ = calibrated_overshoot_for_run(log, decay_rate(A_GAINS_A), 1.0, bundle.sim.w_max)
+    m, _ = calibrated_overshoot_for_run(log, decay_rate(A_GAINS_A), 1.0, a.sim.w_max)
     ok = (
         entry is not None and 0.82 <= entry <= 1.12
         and invariant_violations(log, v_bar) == 0
@@ -111,8 +109,7 @@ def test_criterion_07_scenario_a_run():
 
 
 def test_criterion_08_scenario_b_run():
-    bundle = scenario_b(seed=0)
-    log, report_b = run_layered(bundle)
+    log, report_b = run_layered(bundle(scenario_b(seed=0)))
     c = log.columns
     late = c["t"] >= 4.5
     ok = (
@@ -146,9 +143,9 @@ def test_criterion_09_erg_robust_invariance(tmp_path):
 def test_criterion_10_upward_handshake_soundness():
     from laycon.cli import build_certificate
 
-    bundle = scenario_b(seed=0)
-    _, monitor = run_layered(bundle)
-    eps_e = build_certificate(bundle)["eps_E"]
+    b = bundle(scenario_b(seed=0))
+    _, monitor = run_layered(b)
+    eps_e = build_certificate(b)["eps_E"]
     measured = float(np.max(np.abs(monitor.w_tilde)))
     ok = measured <= eps_e
     assert report(10, f"measured mismatch {measured:.3f} below certified bound {eps_e:.1f}", ok)
@@ -240,14 +237,9 @@ def _brute_force(p: QpProblem):
 
 def test_criterion_12_monitor_reconstruction():
     # nominal: no disturbance, no load, planner sees an almost exact model
-    bundle = scenario_b(seed=0)
-    nominal_sim = type(bundle.sim)(
-        t_end=6.0, t_s=0.1, h=bundle.sim.h, seed=0, disturbance="none",
-        w_max=bundle.sim.w_max, erg_on=True,
-        x0=bundle.sim.x0, v0=bundle.sim.v0,
-    )
-    log, monitor = run_layered(dataclasses.replace(bundle, sim=nominal_sim, load_profile=None))
-    spec = bundle.spec
+    nominal = bundle(scenario_b(seed=0), {"sim": {"disturbance": "none"}, "load": None})
+    log, monitor = run_layered(nominal)
+    spec = nominal.spec
     band = spec.eps_e + spec.eps_t + spec.delta
     k_live = monitor.k_live
     ok = monitor.all_pass() and k_live is not None

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import read_trajectory_csv
+from helpers import bundle, bundle_to_config, read_trajectory_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ import laycon
 from laycon import cli as cli_module
 from laycon import scenarios as scenarios_module
 from laycon.cli import (
-    bundle_to_config,
     dump_json,
     load_bundle,
     main,
@@ -31,8 +29,18 @@ from laycon.sim import COLUMNS, NonFiniteStateError, TrajectoryLog, run_layered
 
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("maker", [scenario_a, scenario_b])
+    def test_document_survives_load(self, maker):
+        doc = maker()
+        assert bundle_to_config(load_bundle(doc)) == doc
+
+    def test_load_span_covers_the_last_forecast(self):
+        # scenario B's constant tail ends where the planner's last forecast does
+        doc = scenario_b(t_end=3.0)
+        assert doc["load"]["segments"][-1][1] == 3.0 + doc["planner"]["horizon"] * doc["sim"]["t_s"]
+
+    @pytest.mark.parametrize("maker", [scenario_a, scenario_b])
     def test_bundle_survives_serialization(self, maker):
-        original = maker()
+        original = bundle(maker())
         rebuilt = load_bundle(bundle_to_config(original))
         assert rebuilt.plant == original.plant
         assert rebuilt.erg_cfg == original.erg_cfg
@@ -96,6 +104,24 @@ BAD_KEYS = [
     ("planner.q_weight", lambda cfg: cfg["planner"].update(q_weight=-1.0)),
     ("sim.frozen_reference", lambda cfg: cfg.update(planner=None)),
     ("sim.mpc_on", lambda cfg: cfg["sim"].update(mpc_on=False)),
+    # every leaf is checked against its annotation, tuple elements and
+    # optional scalars included, and a float must be finite
+    ("certificates.l_v", lambda cfg: cfg["certificates"].update(l_v="x")),
+    ("sim.v0.0", lambda cfg: cfg["sim"].update(v0=["a", 0])),
+    ("contract.eps_l.0", lambda cfg: cfg["contract"].update(eps_l=["x", 1])),
+    ("sim.w_max", lambda cfg: cfg["sim"].update(w_max=float("nan"))),
+    ("sim.frozen_reference.0", lambda cfg: cfg["sim"].update(frozen_reference=[float("inf"), 0.0])),
+    ("load.segments.2.level_start", lambda cfg: cfg["load"]["segments"][2].__setitem__(3, None)),
+    ("lyapunov_weight.1.0", lambda cfg: cfg["lyapunov_weight"][1].__setitem__(0, "0")),
+    ("scenario", lambda cfg: cfg.update(scenario=5)),
+    # the certificate chain's inputs
+    ("certificates.settle_delta", lambda cfg: cfg["certificates"].update(settle_delta=0.0)),
+    ("certificates.kappa_lo", lambda cfg: cfg["certificates"].update(kappa_lo=0.0)),
+    ("certificates.r_lo", lambda cfg: cfg["certificates"].update(r_lo=-1.0)),
+    ("certificates.m_overshoot", lambda cfg: cfg["certificates"].update(m_overshoot=0.5)),
+    ("certificates.h_max", lambda cfg: cfg["certificates"].update(h_max=-1.0)),
+    ("certificates.ff_residual_bound", lambda cfg: cfg["certificates"].update(ff_residual_bound=-1.0)),
+    ("certificates.v_bar_h_override", lambda cfg: cfg["certificates"].update(v_bar_h_override=-0.5)),
 ]
 
 
@@ -110,6 +136,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count(key_path) == 1
         assert err.count("config error") == 1
+
+    @pytest.mark.parametrize("text, key_path", [
+        ('{"sim": {"w_max": NaN}}', "sim.w_max"),
+        ('{"sim": {"w_max": -Infinity}}', "sim.w_max"),
+        ('{"sim": {"frozen_reference": [1e400, 0]}}', "sim.frozen_reference.0"),
+        ('{"certificates": {"settle_delta": 0}}', "certificates.settle_delta"),
+        ('{"certificates": {"kappa_lo": 0}}', "certificates.kappa_lo"),
+        ('{"certificates": {"h_max": -1}}', "certificates.h_max"),
+        ('{"certificates": {"m_overshoot": 0.5}}', "certificates.m_overshoot"),
+        ('{"certificates": {"l_v": -1}}', "certificates.l_v"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_bad_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
+        path = tmp_path / "overlay.json"
+        path.write_text(text)
+        assert main([command, "--scenario", "a", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error at {key_path}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["overlay.json"]  # nothing written
 
     def test_load_segment_gap_names_segments(self, tmp_path, capsys):
         cfg = resolve_config("b", None)
@@ -148,10 +192,9 @@ class TestDerivedOnce:
         assert cert["gamma_inf"] == float(first["Gamma_v"]) == 1592.0454545454547
 
     def test_override_replaces_the_optimized_level(self, tmp_path):
-        bundle = scenario_a(t_end=0.2)
-        bundle = dataclasses.replace(bundle, cert=dataclasses.replace(bundle.cert, v_bar_h_override=0.3))
-        assert bundle.v_bar_h == 0.3
-        summary = summarize_run(bundle, *run_layered(bundle))
+        overridden = bundle(scenario_a(t_end=0.2), {"certificates": {"v_bar_h_override": 0.3}})
+        assert overridden.v_bar_h == 0.3
+        summary = summarize_run(overridden, *run_layered(overridden))
         dump_json(summary, tmp_path / "summary.json")
         assert json.loads((tmp_path / "summary.json").read_text())["V_bar_h"] == 0.3
 
@@ -166,20 +209,38 @@ class TestDerivedOnce:
         main([*argv, "--config", str(overlay), "--out", str(tmp_path)])
         assert counts == {"ultimate_level_optimized": calls}
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "b", "--seed", "0"],
+        ["certify", "--scenario", "a"],
+    ], ids=["run_b", "certify_a"])
+    def test_one_lyapunov_solve_per_command(self, tmp_path, monkeypatch, argv):
+        # the scenario is a document, so the command's bundle is the only one built
+        calls = []
+        original = scenarios_module.solve_lyapunov
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(scenarios_module, "solve_lyapunov", counted)
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+        assert main([*argv, "--config", str(overlay), "--out", str(tmp_path)]) in (0, 2)
+        assert len(calls) == 1
+
     def test_with_seed_shares_the_derived_values(self):
-        bundle = scenario_a(t_end=0.2)
-        level = bundle.level
-        other = bundle.with_seed(5)
-        assert (other.sim.seed, bundle.sim.seed) == (5, 0)
-        assert other.P is bundle.P and other.governor is bundle.governor and other.level is level
-        fresh = dataclasses.replace(bundle, sim=dataclasses.replace(bundle.sim, seed=5))
+        base = bundle(scenario_a(t_end=0.2))
+        level = base.level
+        other = base.with_seed(5)
+        assert (other.sim.seed, base.sim.seed) == (5, 0)
+        assert other.P is base.P and other.governor is base.governor and other.level is level
+        fresh = bundle(scenario_a(seed=5, t_end=0.2))
         assert np.array_equal(run_layered(other)[0].data, run_layered(fresh)[0].data)
 
 
 class TestTrajectoryCsv:
     def test_round_trip_exact(self, tmp_path):
-        bundle = scenario_a(seed=2, t_end=0.5)
-        log, _ = run_layered(bundle)
+        log, _ = run_layered(bundle(scenario_a(seed=2, t_end=0.5)))
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
         parsed = read_trajectory_csv(path)
@@ -200,7 +261,7 @@ class TestTrajectoryCsv:
         log = TrajectoryLog(
             data=data, y_samples=np.zeros((1, 2)), predictions=np.zeros((0, 2)),
             v_n_star=np.zeros(0), ref_points=np.zeros((1, 2)),
-            fallback_steps=np.zeros(0, dtype=bool), plan_qps=[], t_s_eff=0.1,
+            fallback_steps=np.zeros(0, dtype=bool), plan_qps=[],
         )
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
@@ -213,8 +274,7 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == reference.read_bytes()
 
     def test_header_contract(self, tmp_path):
-        bundle = scenario_a(seed=0, t_end=0.2)
-        log, _ = run_layered(bundle)
+        log, _ = run_layered(bundle(scenario_a(seed=0, t_end=0.2)))
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
         header = path.read_text().splitlines()[0]

@@ -157,7 +157,7 @@ class TestMismatchBound:
 
 
 class TestCertificateReport:
-    TIMING = TimingVerdict(True, True, 0.1, 0.2, 0.0)
+    TIMING = TimingVerdict(True, True)
 
     def test_admissibility_from_constraints(self):
         P = solve_lyapunov(np.array([[0.0, 1.0], [-25.0, -11.0]]), np.diag([50.0, 1.0]))

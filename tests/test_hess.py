@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import load_reference
+from helpers import bundle, load_reference
 
 from laycon.erg import GammaEvaluator
 from laycon.hess import (
@@ -16,7 +16,6 @@ from laycon.hess import (
     load,
     outputs,
     plant_rhs,
-    scenario_b_load,
 )
 from laycon.numkit import solve_lyapunov
 from laycon.scenarios import scenario_a, scenario_b
@@ -76,7 +75,7 @@ class TestControllers:
 
     @pytest.mark.parametrize("maker", [scenario_a, scenario_b], ids=["a", "b"])
     def test_columns_equal_floats_bit_for_bit(self, maker):
-        law = feedback_law(maker().plant)
+        law = feedback_law(bundle(maker()).plant)
         rng = np.random.default_rng(13)
         n = 2000
         args = [
@@ -176,26 +175,26 @@ class TestLoad:
         assert (d[0], d_dot[0]) == (-2.0, 0.0)
 
     def test_ramp_midpoint_with_ripple(self):
-        prof = scenario_b_load()
+        prof = bundle(scenario_b()).load_profile
         d, _ = load([0.65], prof)
         assert d[0] == pytest.approx(-2.5 + 0.5 * math.sin(2.0 * math.pi * 2.0 * 0.65))
 
     def test_joins_are_c1(self):
-        prof = scenario_b_load()
+        prof = bundle(scenario_b()).load_profile
         for t_join in (0.5, 0.8):
             (d_lo, d_hi), (dd_lo, dd_hi) = load([t_join - 1e-9, t_join + 1e-9], prof)
             assert abs(d_hi - d_lo) <= 1e-7
             assert abs(dd_hi - dd_lo) <= 1e-6
 
     def test_derivative_matches_finite_difference(self):
-        prof = scenario_b_load()
+        prof = bundle(scenario_b()).load_profile
         h = 1e-6
         for t in (0.2, 0.6, 0.75, 2.0):
             (d_minus, _, d_plus), (_, d_dot, _) = load([t - h, t, t + h], prof)
             assert d_dot == pytest.approx((d_plus - d_minus) / (2 * h), abs=1e-4)
 
     def test_out_of_span(self):
-        prof = scenario_b_load()
+        prof = bundle(scenario_b()).load_profile
         with pytest.raises(OutOfSpanError):
             load([0.0, -0.5], prof)
         with pytest.raises(OutOfSpanError):
@@ -205,9 +204,9 @@ class TestLoad:
         # a scenario-B run reads the load at every step time i h and at every
         # forecast time t_k + j t_s (clamped to the span); the vector
         # evaluation must give the scalar bits there, ramp polynomial included
-        bundle = scenario_b()
-        prof, h = bundle.load_profile, bundle.sim.h
-        n_steps, spp, horizon = round(bundle.sim.t_end / h), round(bundle.sim.t_s / h), bundle.planner_cfg.horizon
+        b = bundle(scenario_b())
+        prof, h = b.load_profile, b.sim.h
+        n_steps, spp, horizon = round(b.sim.t_end / h), round(b.sim.t_s / h), b.planner_cfg.horizon
         steps = np.arange(n_steps + 1) * h
         forecasts = steps[:n_steps:spp, None] + np.arange(horizon) * (spp * h)
         assert forecasts.tolist() == [[i * h + j * (spp * h) for j in range(horizon)]

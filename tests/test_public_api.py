@@ -1,16 +1,28 @@
-"""Every module-level public function and class of the package is used by
-other package code: a symbol that only the tests use is dropped, or moved
-into the tests."""
+"""Every public symbol of the package is used by package code: a
+module-level function or class, and each public method, property and
+annotated field of a class. A symbol that only the tests use is dropped,
+or moved into the tests. The benchmark's entry points and probes resolve."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import laycon
 
 SRC = Path(laycon.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # tested, but no run reports it yet: the planner's dissipation inequality
 # becomes a monitored clause once its bound is floor-corrected
 UNUSED_ALLOWED = {"descent_check"}
+UNUSED_MEMBERS_ALLOWED = {
+    # the per-period optimal values; the planner's run report will read them
+    "TrajectoryLog.v_n_star",
+    # the QP multipliers; the planner certificate's exact gradient will read them
+    "QpSolution.lam",
+    # the benchmark tracer counts its calls (erg.gamma_i_calls)
+    "GammaEvaluator.gamma_i",
+}
 
 
 def public_symbols_and_references() -> tuple[dict[str, str], set[str]]:
@@ -46,3 +58,59 @@ def test_allowlist_names_unused_symbols_only():
     defined, used = public_symbols_and_references()
     assert UNUSED_ALLOWED <= defined.keys()
     assert not UNUSED_ALLOWED & used
+
+
+def public_members_and_reads() -> tuple[dict[str, str], set[str]]:
+    """Public methods, properties and annotated fields of the package's
+    classes ("Class.member" -> file), and every attribute name that package
+    code reads, or names in a string (getattr loops over field names)."""
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    defined[f"{cls.name}.{name}"] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return defined, read
+
+
+def test_every_public_member_is_read_by_package_code():
+    defined, read = public_members_and_reads()
+    unread = {f"{path}:{member}" for member, path in defined.items()
+              if member.partition(".")[2] not in read and member not in UNUSED_MEMBERS_ALLOWED}
+    assert not unread, f"public members that no package code reads: {sorted(unread)}"
+
+
+def test_member_allowlist_names_unread_members_only():
+    defined, read = public_members_and_reads()
+    assert UNUSED_MEMBERS_ALLOWED <= defined.keys()
+    assert not {member.partition(".")[2] for member in UNUSED_MEMBERS_ALLOWED} & read
+
+
+def test_benchmark_probes_resolve():
+    """Every symbol the benchmark tracer wraps exists, so no traced metric
+    reads null; and the driver's entry points exist."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, module_name, path, _ in tracer.PROBES:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(name)
+    assert not missing, f"benchmark probes whose symbol is gone: {missing}"
+    cli = importlib.import_module("laycon.cli")
+    assert all(callable(getattr(cli, name, None)) for name in ("main", "resolve_config", "load_bundle"))

@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from helpers import rk4_step_reference
+from helpers import bundle, rk4_step_reference
 from scipy.linalg import expm
 
 from laycon import sim as sim_module
@@ -12,7 +11,6 @@ from laycon.numkit import SpdMatrix
 from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import (
     NonFiniteStateError,
-    SimConfig,
     calibrated_overshoot_for_run,
     disturbance_adversarial,
     disturbance_mixed,
@@ -124,9 +122,9 @@ class TestDisturbances:
         assert disturbance_adversarial(np.array([0.0, -1.0]), P, B, 3.0) == -3.0
 
     def test_adversarial_dominates_sampled_disturbances(self):
-        bundle = scenario_a()
-        P, B = bundle.P, np.array([0.0, 1.0])
-        R = bundle.R
+        base = bundle(scenario_a())
+        P, B = base.P, np.array([0.0, 1.0])
+        R = base.R
         rng = np.random.default_rng(2)
         for _ in range(200):
             e = rng.uniform(-2.0, 2.0, 2)
@@ -138,29 +136,25 @@ class TestDisturbances:
 
 class TestRunLayered:
     def test_stationary_equilibrium(self):
-        bundle = scenario_a()
-        sim = SimConfig(
-            t_end=1.0, t_s=0.1, seed=0, disturbance="none",
-            erg_on=False, frozen_reference=(400.0, 0.0),
-            x0=(400.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
-        )
-        log, report = run_layered(dataclasses.replace(bundle, sim=sim))
+        at_rest = bundle(scenario_a(t_end=1.0),
+                         {"sim": {"disturbance": "none", "x0": [400.0, 0.0, 0.0, 0.0, 0.0]}})
+        log, report = run_layered(at_rest)
         assert np.all(log.columns["V_gr"] == 400.0)
         assert np.all(log.columns["I_S"] == 0.0)
         assert report.all_pass()
 
     def test_zero_order_hold(self):
-        bundle = scenario_b(seed=3, t_end=2.0)
-        log, _ = run_layered(bundle)
-        spp = round(0.1 / bundle.sim.h)
+        b = bundle(scenario_b(seed=3, t_end=2.0))
+        log, _ = run_layered(b)
+        spp = round(0.1 / b.sim.h)
         r_ib = log.columns["r_IB"]
         for k in range(log.n_periods):
             seg = r_ib[k * spp:(k + 1) * spp]
             assert np.all(seg == seg[0])
 
     def test_bit_identical_replay(self):
-        a, _ = run_layered(scenario_a(seed=11, t_end=1.0))
-        b, _ = run_layered(scenario_a(seed=11, t_end=1.0))
+        a, _ = run_layered(bundle(scenario_a(seed=11, t_end=1.0)))
+        b, _ = run_layered(bundle(scenario_a(seed=11, t_end=1.0)))
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
         assert np.array_equal(a.y_samples, b.y_samples)
@@ -168,33 +162,24 @@ class TestRunLayered:
     def test_logged_lyapunov_value_and_barrier(self):
         # V_e and Phi are filled in after the loop; each row must equal the
         # per-step scalar evaluation V(e) = e'Pe and Phi = V(e) - Gamma(v)
-        for bundle in (scenario_a(seed=3, t_end=1.0), scenario_b(seed=1, t_end=1.0)):
-            log, _ = run_layered(bundle)
+        for b in (bundle(scenario_a(seed=3, t_end=1.0)), bundle(scenario_b(seed=1, t_end=1.0))):
+            log, _ = run_layered(b)
             c = log.columns
             for i in range(log.n_rows):
-                v_e = bundle.P.quad((c["e1"][i], c["e2"][i]))
+                v_e = b.P.quad((c["e1"][i], c["e2"][i]))
                 assert c["V_e"][i] == v_e
                 assert c["Phi"][i] == v_e - c["Gamma_v"][i]
 
     def test_period_rounding_warns(self):
-        bundle = scenario_a()
-        sim = SimConfig(
-            t_end=0.5, t_s=0.0995, seed=0, disturbance="none",
-            erg_on=False, frozen_reference=(400.0, 0.0),
-        )
-        with pytest.warns(UserWarning):
-            log, _ = run_layered(dataclasses.replace(bundle, sim=sim))
-        assert log.t_s_eff == pytest.approx(0.1)
+        off_grid = bundle(scenario_a(t_end=0.5), {"sim": {
+            "t_s": 0.0995, "disturbance": "none", "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": None}})
+        with pytest.warns(UserWarning, match=r"; using 0\.1$"):
+            run_layered(off_grid)
 
     def test_matches_matrix_exponential_without_noise(self):
-        bundle = scenario_a(t_end=2.0)
-        sim = SimConfig(
-            t_end=2.0, t_s=0.1, seed=0, disturbance="none",
-            erg_on=False, frozen_reference=(400.0, 0.0),
-            x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
-        )
-        log, _ = run_layered(dataclasses.replace(bundle, sim=sim))
-        A = bundle.plant.error_matrix()
+        noiseless = bundle(scenario_a(t_end=2.0), {"sim": {"disturbance": "none"}})
+        log, _ = run_layered(noiseless)
+        A = noiseless.plant.error_matrix()
         e0 = np.array([3.0, 0.0])
         for i in range(0, log.n_rows, 200):
             t = log.columns["t"][i]
@@ -203,10 +188,10 @@ class TestRunLayered:
             assert np.linalg.norm(sim_e - exact) <= 1e-6
 
     def test_energy_bookkeeping_consistent(self):
-        bundle = scenario_b(seed=0, t_end=3.0)
-        log, _ = run_layered(bundle)
+        b = bundle(scenario_b(seed=0, t_end=3.0))
+        log, _ = run_layered(b)
         c = log.columns
-        integrand = bundle.plant.lambda_s * c["V_gr"] * c["I_S"]
+        integrand = b.plant.lambda_s * c["V_gr"] * c["I_S"]
         trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0
         quad = trapezoid(integrand, c["t"])
         delta = c["E_S"][-1] - c["E_S"][0]
@@ -214,9 +199,9 @@ class TestRunLayered:
 
     def test_battery_input_never_saturates_past_budget(self):
         # rides the saturation boundary exactly; integrator dust allowance 1e-8
-        bundle = scenario_b(seed=0, t_end=3.0)
-        log, _ = run_layered(bundle)
-        assert np.max(np.abs(log.columns["u_B"])) <= bundle.plant.u_b_bar * (1.0 + 1e-8)
+        b = bundle(scenario_b(seed=0, t_end=3.0))
+        log, _ = run_layered(b)
+        assert np.max(np.abs(log.columns["u_B"])) <= b.plant.u_b_bar * (1.0 + 1e-8)
 
 
 class TestCallGraph:
@@ -235,7 +220,7 @@ class TestCallGraph:
         monkeypatch.setattr(sim_module, "rk4_step", counted("rk4_step", sim_module.rk4_step))
         monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
-        run_layered(scenario_b(seed=0, t_end=0.5))
+        run_layered(bundle(scenario_b(seed=0, t_end=0.5)))
         steps = 500
         assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
 
@@ -264,20 +249,17 @@ class TestCallGraph:
         monkeypatch.setattr(sim_module, "rk4_step", step)
         monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
-        bundle = scenario_a(seed=0, t_end=0.5)
-        signed_zero = SimConfig(
-            t_end=0.5, t_s=bundle.sim.t_s, seed=1, erg_on=False,
-            frozen_reference=(400.0, 0.0), x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, -0.0),
-        )
+        base = bundle(scenario_a(seed=0, t_end=0.5))
+        signed_zero = bundle(scenario_a(seed=1, t_end=0.5), {"sim": {"v0": [400.0, -0.0]}})
         steps = 500
-        gam = bundle.governor
-        for sim in (bundle.sim, signed_zero):
-            assert not sim.erg_on
+        gam = base.governor
+        for run in (base, signed_zero):
+            assert not run.sim.erg_on
             counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             states.clear()
-            log, _ = run_layered(dataclasses.replace(bundle, sim=sim))
+            log, _ = run_layered(run)
             assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": 1}
-            assert math.copysign(1.0, states[0][6]) == math.copysign(1.0, sim.v0[1])
+            assert math.copysign(1.0, states[0][6]) == math.copysign(1.0, run.sim.v0[1])
             per_row = [gam.gamma((z[5], z[6])) for z in states]
             assert log.columns["Gamma_v"].tolist() == per_row
 
@@ -302,7 +284,7 @@ class TestFusedStage:
 
         monkeypatch.setattr(sim_module, "plant_rhs", record_inputs)
         monkeypatch.setattr(GammaEvaluator, "erg_rhs", record_error)
-        log, _ = run_layered(scenario_b(seed=0, t_end=0.5))
+        log, _ = run_layered(bundle(scenario_b(seed=0, t_end=0.5)))
         c = {name: col[:-1].tolist() for name, col in log.columns.items()}
         assert len(inputs) == len(errors) == 4 * len(c["t"])
         assert [tuple(map(float.hex, u)) for u in inputs[::4]] == [
@@ -313,12 +295,12 @@ class TestFusedStage:
 
 class TestScenarioA:
     def test_entry_and_invariance(self):
-        bundle = scenario_a(seed=0)
-        log, report = run_layered(bundle)
+        a = bundle(scenario_a(seed=0))
+        log, report = run_layered(a)
         from laycon.iss_cert import ultimate_level_optimized
 
         v_bar, _, _ = ultimate_level_optimized(
-            bundle.P, SpdMatrix(bundle.R), np.array([0.0, 1.0]), bundle.cert.h_max
+            a.P, SpdMatrix(a.R), np.array([0.0, 1.0]), a.cert.h_max
         )
         entry = omega_entry_time(log, v_bar)
         assert 0.82 <= entry <= 1.12
@@ -327,10 +309,10 @@ class TestScenarioA:
         assert report.first_violation["A_env"] is None
 
     def test_calibrated_envelope_holds_everywhere(self):
-        bundle = scenario_a(seed=0)
-        log, _ = run_layered(bundle)
+        a = bundle(scenario_a(seed=0))
+        log, _ = run_layered(a)
         lam_e = 3.2087121525220805
-        m, eps = calibrated_overshoot_for_run(log, lam_e, 1.0, bundle.sim.w_max)
+        m, eps = calibrated_overshoot_for_run(log, lam_e, 1.0, a.sim.w_max)
         assert 2.5 <= m <= 3.4
         c = log.columns
         norms = np.hypot(c["e1"], c["e2"])
@@ -340,8 +322,7 @@ class TestScenarioA:
 
 class TestScenarioB:
     def test_full_stack_published_behavior(self):
-        bundle = scenario_b(seed=0)
-        log, report = run_layered(bundle)
+        log, report = run_layered(bundle(scenario_b(seed=0)))
         c = log.columns
         assert c["V_gr"].min() >= 399.99
         assert c["V_gr"].max() <= 400.02
@@ -355,8 +336,7 @@ class TestScenarioB:
 
     def test_behavior_is_not_seed_fragile(self):
         for seed in (1, 2, 3):
-            bundle = scenario_b(seed=seed, t_end=4.0)
-            log, report = run_layered(bundle)
+            log, report = run_layered(bundle(scenario_b(seed=seed, t_end=4.0)))
             c = log.columns
             assert c["V_gr"].min() >= 399.99 and c["V_gr"].max() <= 400.02
             assert c["Phi"].max() < 0.0
@@ -368,17 +348,10 @@ class TestErgInvarianceUnderMotion:
     def test_barrier_nonpositive_while_reference_transits(self):
         # command steps the voltage target toward the box edge; the governor
         # must slew v without ever spending more margin than it has
-        base = scenario_a()
-        from laycon.erg import ErgConfig
-
-        erg_cfg = ErgConfig(kappa_erg=0.005, eta=0.05)
         for seed in range(10):
-            sim = SimConfig(
-                t_end=3.0, t_s=0.1, seed=seed, disturbance="mixed", w_max=3.0,
-                erg_on=True, frozen_reference=(415.0, 0.0),
-                x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
-            )
-            log, _ = run_layered(dataclasses.replace(base, sim=sim, erg_cfg=erg_cfg))
+            transit = bundle(scenario_a(seed=seed, t_end=3.0), {
+                "sim": {"erg_on": True, "frozen_reference": [415.0, 0.0]}, "erg": {"kappa_erg": 0.005}})
+            log, _ = run_layered(transit)
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["v"][-1] > 410.0  # transit actually happened
 
@@ -386,20 +359,13 @@ class TestErgInvarianceUnderMotion:
         # the command sits beyond the voltage limit and the gain is set high
         # enough that the tracking lag reaches the shrinking threshold: the
         # gate must clamp with the plant never crossing the physical bound
-        base = scenario_a()
-        from laycon.erg import ErgConfig
-
-        erg_cfg = ErgConfig(kappa_erg=5.0, eta=0.05)
         contact = False
         for seed in range(5):
-            sim = SimConfig(
-                t_end=3.0, t_s=0.1, seed=seed, disturbance="mixed", w_max=3.0,
-                erg_on=True, frozen_reference=(425.0, 0.0),
-                x0=(403.0, 0.0, 0.0, 0.0, 0.0), v0=(400.0, 0.0),
-            )
-            log, _ = run_layered(dataclasses.replace(base, sim=sim, erg_cfg=erg_cfg))
+            clamped = bundle(scenario_a(seed=seed, t_end=3.0), {
+                "sim": {"erg_on": True, "frozen_reference": [425.0, 0.0]}, "erg": {"kappa_erg": 5.0}})
+            log, _ = run_layered(clamped)
             assert log.columns["Phi"].max() <= 1e-9
-            assert log.columns["V_gr"].max() <= base.plant.v_max + 1e-6
-            assert log.columns["v"].max() < base.plant.v_max
+            assert log.columns["V_gr"].max() <= clamped.plant.v_max + 1e-6
+            assert log.columns["v"].max() < clamped.plant.v_max
             contact = contact or log.columns["Phi"].max() > -1.0
         assert contact  # the clamp was actually exercised, not just approached
