@@ -5,6 +5,10 @@ the complete offline certificate chain and writes certificate.json;
 `laycon run` simulates one seeded scenario and writes trajectory.csv,
 monitor.json, and summary.json; `laycon sweep` fans independent seeds
 across processes and aggregates invariance evidence.
+
+`laycon run` forks one writer process (POSIX only) that renders
+trajectory.csv from the rows the simulation streams to it, so the CSV
+render overlaps the simulation.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -37,6 +41,7 @@ from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_
 from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
 from .sim import (
     COLUMNS,
+    STREAM_ROWS,
     NonFiniteStateError,
     SimConfig,
     TrajectoryLog,
@@ -359,20 +364,99 @@ def cmd_certify(args) -> int:
 # run
 
 
-_CSV_BLOCK = 256  # steps rendered per write; keeps the float copies small
+CSV_HEADER = ",".join(COLUMNS) + "\r\n"
 
 
-def write_trajectory_csv(log: TrajectoryLog, path: Path) -> None:
-    """Full-precision decimal rendering; parsing reproduces the arrays exactly.
+def render_rows(rows: np.ndarray, period: int) -> str:
+    """The CSV lines of rows, an (n, len(COLUMNS)) float array whose first
+    row starts a sampling period of `period` rows.
 
-    Writes the bytes csv.writer's default dialect writes: comma-separated,
-    CRLF-terminated, unquoted, since no name or float repr holds a comma,
-    quote or line break."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(COLUMNS) + "\r\n")
-        for j in range(0, log.n_rows, _CSV_BLOCK):
-            block = log.data[:, j:j + _CSV_BLOCK].T.tolist()
-            fh.writelines([",".join(map(repr, row)) + "\r\n" for row in block])
+    Each float is written as its repr, so parsing reproduces it exactly,
+    in the bytes csv.writer's default dialect writes: comma-separated,
+    CRLF-terminated and unquoted, since no float repr holds a comma, quote
+    or line break. Within each period a column whose bits are all equal
+    (so 0.0 and -0.0 differ) is rendered once into a %r row template, and
+    the period's lines are that template repeated, filled in one % call."""
+    lines = []
+    for j in range(0, len(rows), period):
+        sub = rows[j:j + period]
+        bits = sub.view(np.uint64)
+        fixed = (bits == bits[0]).all(axis=0)
+        template = ",".join([repr(x) if f else "%r" for x, f in zip(sub[0].tolist(), fixed.tolist())])
+        lines.append((template + "\r\n") * len(sub) % tuple(sub[:, ~fixed].ravel().tolist()))
+    return "".join(lines)
+
+
+class TrajectoryWriter:
+    """A forked child that renders the rows piped to it into path.part.
+
+    send(block) pipes one finished block of rows, as raw float64 bytes; the
+    blocks must start at period boundaries and come in order. The child
+    reads whole periods, writes their lines, and leaves with exit code 0,
+    or 1 on any error. write_trajectory_csv moves a finished file into
+    place; close() reaps the child and removes a .part file left behind,
+    so after a failure no new file is left and an earlier one is kept.
+    The child runs Python and numpy's elementwise code only, never the
+    BLAS whose idle threads the parent may own, so forking is safe here.
+    """
+
+    def __init__(self, path: Path, period: int):
+        self.path = path
+        self.part = path.with_name(path.name + ".part")
+        self.code = None  # the child's exit code, once reaped
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            self._render(read_fd, write_fd, period)
+        os.close(read_fd)
+        self.pipe = open(write_fd, "wb")
+
+    def _render(self, read_fd: int, write_fd: int, period: int):
+        """The child's whole life: render, then leave without returning."""
+        code = 1
+        try:
+            os.close(write_fd)  # so that the parent's close ends the stream
+            # one streamed block: the whole periods that first reach STREAM_ROWS rows
+            chunk = period * math.ceil(STREAM_ROWS / period) * len(COLUMNS) * 8
+            with open(read_fd, "rb") as pipe, self.part.open("w", newline="", encoding="utf-8") as fh:
+                fh.write(CSV_HEADER)
+                while data := pipe.read(chunk):
+                    fh.write(render_rows(np.frombuffer(data).reshape(-1, len(COLUMNS)), period))
+            code = 0
+        except Exception as exc:
+            print(f"trajectory writer: {exc}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(code)  # never unwind into the parent's stack
+
+    def send(self, block: np.ndarray) -> None:
+        try:
+            self.pipe.write(block)
+        except BrokenPipeError:
+            raise RuntimeError("trajectory writer exited early") from None
+
+    def wait(self) -> int:
+        """Close the pipe and reap the child (once); its exit code."""
+        try:
+            self.pipe.close()
+        except BrokenPipeError:
+            pass  # the child has left; its exit code says why
+        if self.code is None:
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def close(self) -> None:
+        self.wait()
+        self.part.unlink(missing_ok=True)
+
+
+def write_trajectory_csv(writer: TrajectoryWriter) -> None:
+    """Wait for the writer to render the rows still queued, and move its
+    file into place. What it waits for is the CSV time left on run's
+    critical path, after the render that overlapped the simulation."""
+    code = writer.wait()
+    if code != 0:
+        raise RuntimeError(f"trajectory writer failed with exit code {code}")
+    os.replace(writer.part, writer.path)
 
 
 def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:
@@ -397,7 +481,7 @@ def monitor_to_dict(report, log: TrajectoryLog) -> dict:
     """Contract verdicts, plus one record per planner period of how hard
     its QP was (no timings, so the file stays byte-reproducible)."""
     return {
-        "verdicts": {k: [int(b) for b in v] for k, v in report.verdicts.items()},
+        "verdicts": {k: v.astype(np.int64).tolist() for k, v in report.verdicts.items()},
         "first_violation": dict(report.first_violation),
         "w_tilde": report.w_tilde.tolist(),
         "k_live": report.k_live,
@@ -418,15 +502,21 @@ def cmd_run(args) -> int:
     try:
         overlay = {} if args.seed is None else {"sim": {"seed": args.seed}}
         bundle = load_bundle(_merge(resolve_config(args.scenario, args.config), overlay))
-        log, report = run_layered(bundle)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        writer = TrajectoryWriter(out_dir / "trajectory.csv", bundle.sim.steps_per_period)
+        try:
+            log, report = run_layered(bundle, on_rows=writer.send)
+            # built while the writer renders the last rows
+            monitor = monitor_to_dict(report, log)
+            summary = summarize_run(bundle, log, report)
+            write_trajectory_csv(writer)
+        finally:
+            writer.close()
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(log, out_dir / "trajectory.csv")
-    dump_json(monitor_to_dict(report, log), out_dir / "monitor.json", indent=None)
-    summary = summarize_run(bundle, log, report)
+    dump_json(monitor, out_dir / "monitor.json", indent=None)
     dump_json(summary, out_dir / "summary.json")
     print(f"wrote {out_dir}/trajectory.csv, monitor.json, summary.json")
     for key in ("K_live", "max_Phi", "max_V_e", "omega_h_entry_time",
@@ -473,7 +563,8 @@ def cmd_sweep(args) -> int:
     if args.seeds == 1:
         outcomes = [_sweep_worker(payloads[0])]
     else:
-        with ProcessPoolExecutor() as pool:
+        # read as a module attribute, so that __getattr__ imports it
+        with sys.modules[__name__].ProcessPoolExecutor() as pool:
             outcomes = list(pool.map(_sweep_worker, payloads))
     failed = [r for r in outcomes if "error" in r]  # map keeps the seed order
     results = [r for r in outcomes if "error" not in r]
@@ -502,6 +593,18 @@ def cmd_sweep(args) -> int:
         print(f"seed {r['seed']} failed: {r['error']}", file=sys.stderr)
     bad = aggregate["phi_violation_total"] + aggregate["safety_violation_total"] + len(failed)
     return 0 if bad == 0 else 1
+
+
+def __getattr__(name: str):
+    """cli.ProcessPoolExecutor, imported on first use: importing
+    concurrent.futures costs run and certify tens of milliseconds of
+    startup, and only sweep uses it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 # ---------------------------------------------------------------------------

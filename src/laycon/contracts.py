@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FieldValueError
 from .hess import DERIVED, HessParams, battery_interface_bounds
 from .iss_cert import TimingVerdict
 
@@ -41,10 +42,14 @@ class ContractSpec:
     y_goal: float  # battery energy target (A-s)
 
     def __post_init__(self):
-        if min(self.eps_e, self.eps_t, self.eps_h, self.w_max) < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("eps_e", "eps_t", "eps_h"):
+            if getattr(self, name) < 0.0:
+                raise FieldValueError(name, f"{name} must be nonnegative")
         if self.delta <= 0.0:
-            raise ValueError("settling slack delta must be positive")
+            raise FieldValueError("delta", "settling slack delta must be positive")
+        # derived from the sim section, which rejects these values first
+        if self.w_max < 0.0:
+            raise ValueError("disturbance bound w_max must be nonnegative")
         if self.t_s <= 0.0:
             raise ValueError("sampling period must be positive")
 

@@ -7,10 +7,11 @@ reference v toward the command r at a rate proportional to the spare
 margin Gamma(v) - V(e). The barrier Phi = V(e) - Gamma(v) is <= 0 exactly
 on the governed safe set.
 
-GammaEvaluator precomputes the P^-1-metric normal lengths once per
-(constraints, P) pair and evaluates every governor quantity from them on
-Python floats: v and r are read as (v[0], v[1]) and the fields come back
-as float pairs. V(e) is SpdMatrix.quad's fixed-order float form and each
+GammaEvaluator precomputes the P^-1-metric normal lengths, and folds the
+governor gains and the nonzero repulsion pairs, once per (constraints, P,
+gains) triple, and evaluates every governor quantity from them on Python
+floats: v and r are read as (v[0], v[1]) and the fields come back as
+float pairs. V(e) is SpdMatrix.quad's fixed-order float form and each
 Euclidean norm is sqrt(a*a + b*b), so no governor value depends on the
 BLAS kernel.
 """
@@ -103,20 +104,31 @@ def _norm(a: float, b: float) -> float:
 
 
 class GammaEvaluator:
-    """Threshold/field evaluation for a fixed constraint set and metric.
+    """Threshold/field evaluation for a fixed constraint set, metric and
+    governor gains.
 
     Each constraint is held as a float row (d0, c_v0, c_v1, g_gamma, denom),
     and its margin is evaluated as d0 - (c_v0 v0 + c_v1 v1) - g_gamma Gamma.
     That is exact, and so equal to numpy's dot product, for every row that
     hess_constraints builds, because their c_v is (1, 0), (-1, 0) or (0, 0);
-    for other c_v it may differ from np.dot in the last bit.
+    for other c_v it may differ from np.dot in the last bit. The i-th
+    repulsion strength of erg_cfg belongs to the i-th row; a strength
+    without a row is rejected at erg.eta_rep.
     """
 
-    def __init__(self, constraints, P: SpdMatrix):
+    def __init__(self, constraints, P: SpdMatrix, erg_cfg: ErgConfig):
         self.constraints = list(constraints)
         if not self.constraints:
             raise ValueError("constraint list must be nonempty")
+        if len(erg_cfg.eta_rep) > len(self.constraints):
+            # the strengths and the rows come from two config sections
+            raise FieldValueError(
+                "erg.eta_rep",
+                f"{len(erg_cfg.eta_rep)} repulsion strengths for {len(self.constraints)} governor rows",
+            )
         self.P = P
+        self.kappa_erg = erg_cfg.kappa_erg
+        self.eta = erg_cfg.eta
         self.pinv = invert_spd(P).mat
         self.rows = []
         for con in self.constraints:
@@ -126,6 +138,8 @@ class GammaEvaluator:
                 raise ZeroNormalError(f"constraint {con.label!r} has zero normal in the P^-1 metric")
             c_v0, c_v1 = (float(x) for x in con.c_v)
             self.rows.append((float(con.d0), c_v0, c_v1, float(con.g_gamma), denom))
+        # (strength, row) for each row that repels; zero strengths drop out
+        self.repulsion = [(s, row) for s, row in zip(erg_cfg.eta_rep, self.rows) if s != 0.0]
         self.plain = [row for row in self.rows if row[3] == 0.0]
         self.self_referential = len(self.plain) < len(self.rows)
         # with no row depending on v or on Gamma (every input_only row),
@@ -162,7 +176,7 @@ class GammaEvaluator:
             g = min([_sublevel(base - g_gamma * g, denom) for base, g_gamma, denom in terms])
         return g
 
-    def navigation_field(self, r, v, cfg: ErgConfig) -> tuple[float, float]:
+    def navigation_field(self, r, v) -> tuple[float, float]:
         """Attraction toward the command plus repulsion away from constraint
         boundaries. Attraction is the unit vector toward r beyond the
         smoothing radius and linear inside it; each repulsion term pushes
@@ -171,13 +185,11 @@ class GammaEvaluator:
         v0, v1 = v[0], v[1]
         gap0, gap1 = r[0] - v0, r[1] - v1
         dist = _norm(gap0, gap1)
-        scale = dist if dist >= cfg.eta else cfg.eta
+        scale = dist if dist >= self.eta else self.eta
         rho0, rho1 = gap0 / scale, gap1 / scale
-        if any(cfg.eta_rep):
+        if self.repulsion:
             g_total = self.gamma(v)
-            for strength, (d0, c_v0, c_v1, g_gamma, denom) in zip(cfg.eta_rep, self.rows):
-                if strength == 0.0:
-                    continue
+            for strength, (d0, c_v0, c_v1, g_gamma, denom) in self.repulsion:
                 margin = d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * g_total
                 if margin <= 0.0:
                     continue
@@ -190,7 +202,7 @@ class GammaEvaluator:
                 rho1 = rho1 - strength * grad1 / norm
         return rho0, rho1
 
-    def erg_rhs(self, e, v, r, cfg: ErgConfig) -> tuple[float, float]:
+    def erg_rhs(self, e, v, r) -> tuple[float, float]:
         """Governor velocity: kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v).
 
         Identically zero whenever V(e) >= Gamma(v); the reference freezes at
@@ -199,7 +211,7 @@ class GammaEvaluator:
         margin = self.gamma(v) - self.P.quad(e)
         if margin <= 0.0:
             return 0.0, 0.0
-        rho0, rho1 = self.navigation_field(r, v, cfg)
-        gain = cfg.kappa_erg * margin
+        rho0, rho1 = self.navigation_field(r, v)
+        gain = self.kappa_erg * margin
         return gain * rho0, gain * rho1
 

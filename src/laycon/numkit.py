@@ -79,6 +79,10 @@ class SpdMatrix:
         # e'Pe = sum_i p_ii e_i e_i + sum_{i<j} (2 p_ij) e_i e_j; 2 p_ij is exact
         self._quad_terms = [(self._rows[i][i], i, i) for i in range(n)] + [
             (2.0 * self._rows[i][j], i, j) for i in range(n) for j in range(i + 1, n)]
+        # the planar case, which the governor evaluates at every RK4 stage:
+        # (p00, p11, 2 p01), summed as one expression in the same order,
+        # about a third of the time of the loop over the terms
+        self._plane = tuple(c for c, _, _ in self._quad_terms) if n == 2 else None
 
     @property
     def n(self) -> int:
@@ -96,6 +100,9 @@ class SpdMatrix:
         e holds n floats, or n arrays of one shape (the columns of a batch of
         vectors), for which the form is taken elementwise and each element
         equals the float form of its vector bit for bit."""
+        if self._plane is not None:
+            p00, p11, p01_2 = self._plane
+            return ((0.0 + p00 * e[0] * e[0]) + p11 * e[1] * e[1]) + p01_2 * e[0] * e[1]
         acc = 0.0
         for c, i, j in self._quad_terms:
             acc = acc + c * e[i] * e[j]

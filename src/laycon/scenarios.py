@@ -70,7 +70,7 @@ class RunBundle:
     document, plus what a run and its certificate both read, each derived
     once here and never serialised: the Lyapunov metric P (from the
     plant's error matrix and R), the governor (the Gamma evaluator over the
-    rows constraint_cfg selects, and P), the reference r_start at t = 0
+    rows constraint_cfg selects, P and erg_cfg), the reference r_start at t = 0
     (sim.frozen_reference without a planner, else (v_nom, sim.r_init_ib)),
     the governor's start v_start (sim.v0, or r_start when v0 is None), the
     optimized invariant level (computed on first use) and v_bar_h (the
@@ -104,7 +104,7 @@ class RunBundle:
         else:
             r = (float(self.planner_cfg.v_nom), float(self.sim.r_init_ib))
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "governor", GammaEvaluator(rows, P))
+        object.__setattr__(self, "governor", GammaEvaluator(rows, P, self.erg_cfg))
         object.__setattr__(self, "r_start", r)
         object.__setattr__(self, "v_start", r if self.sim.v0 is None else tuple(map(float, self.sim.v0)))
 

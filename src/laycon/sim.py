@@ -16,10 +16,14 @@ adversarial disturbance's e'PB and the governor's Euclidean norms) are
 fixed-order float sums, so they do not depend on the BLAS kernel. Work
 that depends only on time, or that only the log reads, stays out of the
 loop: the mixed disturbance and the load (at every step and forecast
-time) are evaluated for the whole run before it, so is Gamma(v) when the
-governor is off, and the logged inputs, error, V(e) and Phi after it, by
-the same law and SpdMatrix.quad on the logged columns, whose every row
-equals the float form (so a row holds its step's first-stage values).
+time) are evaluated for the whole run before it, and so is Gamma(v) when
+the governor is off. The logged inputs, error, V(e) and Phi are filled in
+per block of rows, by the same law and SpdMatrix.quad on the block's
+columns, whose every row equals the float form (so a row holds its step's
+first-stage values). A block closes at the first period boundary with at
+least STREAM_ROWS rows pending, and the last one after the loop; each
+finished block is handed to the caller's on_rows, so a writer can render
+the log while the loop runs.
 
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
@@ -69,6 +73,8 @@ COLUMNS = (
     "e1", "e2", "V_e", "Gamma_v", "Phi", "w", "d", "u_S", "u_B", "fallback",
 )
 
+STREAM_ROWS = 512  # a block of logged rows closes at a period boundary once this many are pending
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -92,6 +98,13 @@ class SimConfig:
             raise FieldValueError("disturbance", f"unknown disturbance mode {self.disturbance!r}")
         if self.w_max < 0.0:
             raise FieldValueError("w_max", "w_max must be nonnegative")
+        if self.seed < 0:
+            raise FieldValueError("seed", "seed must be nonnegative")
+
+    @property
+    def steps_per_period(self) -> int:
+        """Integration steps per sampling period: t_s / h rounded, at least 1."""
+        return max(1, round(self.t_s / self.h))
 
 
 @dataclass
@@ -115,10 +128,6 @@ class TrajectoryLog:
 
     def __post_init__(self):
         self.columns = dict(zip(COLUMNS, self.data))
-
-    @property
-    def n_rows(self) -> int:
-        return self.data.shape[1]
 
     @property
     def n_periods(self) -> int:
@@ -174,7 +183,7 @@ def disturbance_adversarial(e, P: SpdMatrix, B, w_max: float) -> float:
     return w_max if P.bilinear(e, B) >= 0.0 else -w_max
 
 
-def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
+def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, MonitorReport]:
     """Simulate the full layered loop of one configuration and monitor every
     contract clause.
 
@@ -185,10 +194,14 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
     held for the whole period while plant and governor integrate
     continuously. Safety clauses are monitored at every integration step,
     the discrete clauses at period boundaries.
+
+    on_rows, if given, is called with each finished block of logged rows,
+    in order: a C-contiguous (k, len(COLUMNS)) view of the log that starts
+    at a period boundary.
     """
-    plant, planner_cfg, erg_cfg, sim = bundle.plant, bundle.planner_cfg, bundle.erg_cfg, bundle.sim
+    plant, planner_cfg, sim = bundle.plant, bundle.planner_cfg, bundle.sim
     P, load_profile = bundle.P, bundle.load_profile
-    spp = max(1, round(sim.t_s / sim.h))
+    spp = sim.steps_per_period
     t_s_eff = spp * sim.h
     if abs(t_s_eff - sim.t_s) > 1e-9 * max(1.0, sim.t_s):
         warnings.warn(
@@ -253,12 +266,27 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         dx = plant_rhs(z, (u_s, u_b), w, d, plant)
         if not erg_on:
             return dx + (0.0, 0.0)
-        return dx + gam.erg_rhs((e1, e2), (v_v, z[6]), r, erg_cfg)
+        return dx + gam.erg_rhs((e1, e2), (v_v, z[6]), r)
 
+    def finish(lo: int, hi: int) -> None:
+        # the inputs, error, V_e and Phi of rows lo..hi-1, from their columns
+        block = rows[lo:hi]
+        cols = dict(zip(COLUMNS, block.T))
+        cols["u_S"][:], cols["u_B"][:], cols["e1"][:], cols["e2"][:] = law(
+            cols["V_gr"], cols["I_S"], cols["I_B"], cols["v"], cols["r_IB"], cols["d"], d_dot_run[lo:hi])
+        cols["V_e"][:] = P.quad((cols["e1"], cols["e2"]))
+        cols["Phi"][:] = cols["V_e"] - cols["Gamma_v"]
+        if on_rows is not None:
+            on_rows(block)
+
+    done = 0  # rows before this one are finished
     for i in range(n_steps + 1):
         t = i * h
         d = d_steps[i]
         if i % spp == 0:
+            if i - done >= STREAM_ROWS:
+                finish(done, i)
+                done = i
             k = i // spp
             if k <= n_periods:
                 _, y_k = outputs(z)
@@ -281,13 +309,14 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         if adversarial:  # the loop's one use of the error: the sign of e'PB sets w
             w = disturbance_adversarial(law(v_gr, i_s, i_b, v_v, r[1], d, d_dot)[2:], P, B_w, sim.w_max)
         gamma_v = gam.gamma((v_v, v_ib)) if gamma_fixed is None else gamma_fixed
-        # the error, V_e, Phi and the inputs are filled in after the loop
+        # the error, V_e, Phi and the inputs are filled in per block
         rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r[0], r[1], 0.0, 0.0,
                    0.0, gamma_v, 0.0, w, d, 0.0, 0.0, fallback_now)
 
         if i == n_steps:
             break
         z = rk4_step(joint_rhs, z, t, h)
+    finish(done, n_steps + 1)
 
     log = TrajectoryLog(
         data=rows.T,
@@ -298,11 +327,6 @@ def run_layered(bundle: RunBundle) -> tuple[TrajectoryLog, MonitorReport]:
         fallback_steps=fallback_steps,
         plan_qps=plan_qps,
     )
-    cols = log.columns
-    cols["u_S"][:], cols["u_B"][:], cols["e1"][:], cols["e2"][:] = law(
-        cols["V_gr"], cols["I_S"], cols["I_B"], cols["v"], cols["r_IB"], cols["d"], d_dot_run)
-    cols["V_e"][:] = P.quad((cols["e1"], cols["e2"]))
-    cols["Phi"][:] = cols["V_e"] - cols["Gamma_v"]
     return log, _build_report(log, bundle.spec, spp)
 
 

@@ -9,11 +9,16 @@ from pathlib import Path
 import numpy as np
 
 from laycon import cli
+from laycon.erg import ErgConfig
 from laycon.hess import LoadProfile, OutOfSpanError
 from laycon.numkit import SpdMatrix
 from laycon.qp import QpSolution, QpSolver
 from laycon.scenarios import RunBundle
 from laycon.sim import NonFiniteStateError
+
+
+# governor gains for the tests that read only Gamma, which the gains do not change
+GAINS = ErgConfig(kappa_erg=1.0, eta=0.5)
 
 
 def bundle(doc: dict, overlay: dict | None = None) -> RunBundle:
@@ -84,6 +89,20 @@ def quad_reference(P: SpdMatrix, e) -> float:
     BLAS kernel sets."""
     e = np.asarray(e, dtype=float)
     return float(e @ P.mat @ e)
+
+
+def quad_sum_reference(P: SpdMatrix, e) -> float:
+    """e'Pe as the fixed-order sum SpdMatrix.quad documents: the diagonal
+    terms p_ii e_i e_i, then (2 p_ij) e_i e_j for i < j row by row, each
+    taken as (c e_i) e_j and summed left to right from 0.0."""
+    m = P.mat.tolist()
+    n = len(m)
+    terms = [(m[i][i], i, i) for i in range(n)] + [
+        (2.0 * m[i][j], i, j) for i in range(n) for j in range(i + 1, n)]
+    acc = 0.0
+    for c, i, j in terms:
+        acc = acc + c * e[i] * e[j]
+    return acc
 
 
 def load_reference(t: float, profile: LoadProfile) -> tuple[float, float]:

@@ -15,16 +15,20 @@ from hypothesis import strategies as st
 import laycon
 from laycon import cli as cli_module
 from laycon import scenarios as scenarios_module
+from laycon import sim as sim_module
 from laycon.cli import (
+    CSV_HEADER,
+    TrajectoryWriter,
     dump_json,
     load_bundle,
     main,
+    render_rows,
     resolve_config,
     summarize_run,
     write_trajectory_csv,
 )
 from laycon.scenarios import scenario_a, scenario_b
-from laycon.sim import COLUMNS, NonFiniteStateError, TrajectoryLog, run_layered
+from laycon.sim import COLUMNS, STREAM_ROWS, NonFiniteStateError, run_layered
 
 
 class TestConfigRoundTrip:
@@ -122,6 +126,14 @@ BAD_KEYS = [
     ("certificates.h_max", lambda cfg: cfg["certificates"].update(h_max=-1.0)),
     ("certificates.ff_residual_bound", lambda cfg: cfg["certificates"].update(ff_residual_bound=-1.0)),
     ("certificates.v_bar_h_override", lambda cfg: cfg["certificates"].update(v_bar_h_override=-0.5)),
+    ("sim.seed", lambda cfg: cfg["sim"].update(seed=-1)),
+    # each contract tolerance is named, not only its section
+    ("contract.eps_e", lambda cfg: cfg["contract"].update(eps_e=-1.0)),
+    ("contract.eps_t", lambda cfg: cfg["contract"].update(eps_t=-0.5)),
+    ("contract.eps_h", lambda cfg: cfg["contract"].update(eps_h=-1.0)),
+    ("contract.delta", lambda cfg: cfg["contract"].update(delta=0.0)),
+    # scenario b's input_only governor has two rows
+    ("erg.eta_rep", lambda cfg: cfg["erg"].update(eta_rep=[0.1, 0.1, 0.1])),
 ]
 
 
@@ -146,6 +158,10 @@ class TestConfigErrors:
         ('{"certificates": {"h_max": -1}}', "certificates.h_max"),
         ('{"certificates": {"m_overshoot": 0.5}}', "certificates.m_overshoot"),
         ('{"certificates": {"l_v": -1}}', "certificates.l_v"),
+        ('{"sim": {"seed": -1}}', "sim.seed"),
+        ('{"contract": {"eps_e": -1}}', "contract.eps_e"),
+        ('{"contract": {"delta": 0}}', "contract.delta"),
+        ('{"erg": {"eta_rep": [0.1, 0.1, 0.1]}}', "erg.eta_rep"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -238,47 +254,154 @@ class TestDerivedOnce:
         assert np.array_equal(run_layered(other)[0].data, run_layered(fresh)[0].data)
 
 
+def write_csv(rows: np.ndarray, path: Path, period: int) -> None:
+    """Write rows through the forked writer that `run` uses."""
+    writer = TrajectoryWriter(path, period)
+    try:
+        writer.send(np.ascontiguousarray(rows))
+        write_trajectory_csv(writer)
+    finally:
+        writer.close()
+
+
+def csv_writer_bytes(rows: np.ndarray, path: Path) -> bytes:
+    """The reference rendering: csv.writer over each float's repr."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COLUMNS)
+        for row in rows:
+            writer.writerow(map(repr, row.tolist()))
+    return path.read_bytes()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestTrajectoryCsv:
     def test_round_trip_exact(self, tmp_path):
         log, _ = run_layered(bundle(scenario_a(seed=2, t_end=0.5)))
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(log, path)
+        write_csv(log.data.T, path, 100)
         parsed = read_trajectory_csv(path)
         for name, col in log.columns.items():
             assert np.array_equal(parsed[name], col), name
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+        assert_no_child()
 
     def test_block_writer_matches_csv_writer(self, tmp_path):
         # special floats fill whole columns and whole steps, over more steps
-        # than one block holds
+        # than one read of the writer holds; within a period, a column may
+        # hold one value throughout (rendered once into the row template),
+        # or 0.0 next to -0.0, which the template must keep apart
         specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
                     0.1 + 0.2, 1.2345678901234567e-200, 400.00000000000006]
-        n_rows = 700
+        n_rows, period = 1203, 50
         rng = np.random.default_rng(0)
         data = rng.standard_normal((len(COLUMNS), n_rows)) * 10.0 ** rng.integers(-300, 300, (len(COLUMNS), n_rows))
         for k, value in enumerate(specials):
             data[:, k * 97 % n_rows] = value
             data[k, :] = value
-        log = TrajectoryLog(
-            data=data, y_samples=np.zeros((1, 2)), predictions=np.zeros((0, 2)),
-            v_n_star=np.zeros(0), ref_points=np.zeros((1, 2)),
-            fallback_steps=np.zeros(0, dtype=bool), plan_qps=[],
-        )
+        data[8, :] = np.repeat(rng.standard_normal(n_rows // period + 1), period)[:n_rows]
+        data[9, :] = 0.0
+        data[9, 3::period] = -0.0
+        data[10, :] = -0.0
+        data[11, :] = float("nan")
+        data[12, :] = np.where(np.arange(n_rows) // period % 2, float("inf"), -float("inf"))
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(log, path)
-        reference = tmp_path / "reference.csv"
-        with reference.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(COLUMNS)
-            for row in data.T:
-                writer.writerow(map(repr, row.tolist()))
-        assert path.read_bytes() == reference.read_bytes()
+        write_csv(data.T, path, period)
+        assert path.read_bytes() == csv_writer_bytes(data.T, tmp_path / "reference.csv")
+        for rows in (data.T[:1], data.T[:period], data.T[:period + 1]):
+            assert render_rows(rows, period).encode() == csv_writer_bytes(rows, tmp_path / "r.csv")[len(CSV_HEADER):]
+
+    def test_multi_block_run_writes_the_rendered_log(self, tmp_path, monkeypatch):
+        logs = []
+
+        def keep_log(*args, **kwargs):
+            log, report = run_layered(*args, **kwargs)
+            logs.append(log)
+            return log, report
+
+        monkeypatch.setattr(cli_module, "run_layered", keep_log)
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps({"sim": {"t_end": 2.0}}))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "b", "--config", str(path), "--seed", "4", "--out", str(out)]) == 0
+        (log,) = logs
+        assert log.data.shape[1] > 2 * STREAM_ROWS
+        written = (out / "trajectory.csv").read_bytes()
+        assert written == (CSV_HEADER + render_rows(log.data.T, 100)).encode()
+        assert written == csv_writer_bytes(log.data.T, tmp_path / "reference.csv")
+        assert sorted(p.name for p in out.iterdir()) == ["monitor.json", "summary.json", "trajectory.csv"]
+        assert_no_child()
 
     def test_header_contract(self, tmp_path):
         log, _ = run_layered(bundle(scenario_a(seed=0, t_end=0.2)))
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(log, path)
+        write_csv(log.data.T, path, 100)
         header = path.read_text().splitlines()[0]
         assert header == "t,V_gr,I_S,I_B,E_S,E_B,v,r_V,r_IB,e1,e2,V_e,Gamma_v,Phi,w,d,u_S,u_B,fallback"
+
+
+def fail_at_step(monkeypatch, step: int):
+    """Make the run's RK4 loop raise NonFiniteStateError at the given step."""
+    rk4 = sim_module.rk4_step
+    calls = [0]
+
+    def failing(rhs, x, t, h):
+        calls[0] += 1
+        if calls[0] == step:
+            raise NonFiniteStateError(f"non-finite state at step {step}")
+        return rk4(rhs, x, t, h)
+
+    monkeypatch.setattr(sim_module, "rk4_step", failing)
+
+
+class TestFailedRunLeavesNoCsv:
+    """A run that fails after its writer has started exits 1, reaps the
+    writer, and leaves no trajectory.csv or .part file; an earlier
+    trajectory.csv stays as it was."""
+
+    CASES = {
+        "planner_raises": ({"planner": {"q_weight": 0.0}}, None, "condensed cost requires q_weight > 0"),
+        "non_finite_state": ({"sim": {"w_max": 1e308}}, None, "non-finite state"),
+        "fails_after_blocks_streamed": ({"sim": {"t_end": 2.0}}, 1500, "non-finite state at step 1500"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_exit_1_and_no_file(self, tmp_path, monkeypatch, capsys, case, earlier):
+        overlay, fail_step, message = self.CASES[case]
+        if fail_step is not None:
+            fail_at_step(monkeypatch, fail_step)
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps(overlay))
+        out = tmp_path / "out"
+        out.mkdir()
+        if earlier:
+            (out / "trajectory.csv").write_bytes(b"an earlier run's bytes\r\n")
+        assert main(["run", "--scenario", "b", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert_no_child()
+        if earlier:
+            assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+            assert (out / "trajectory.csv").read_bytes() == b"an earlier run's bytes\r\n"
+        else:
+            assert list(out.iterdir()) == []
+
+    def test_writer_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def broken(rows, period):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli_module, "render_rows", broken)  # the forked writer inherits it
+        out = tmp_path / "out"
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps({"sim": {"t_end": 2.0}}))
+        assert main(["run", "--scenario", "b", "--config", str(path), "--out", str(out)]) == 1
+        assert "trajectory writer" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert_no_child()
 
 
 class TestCertify:

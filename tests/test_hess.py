@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import bundle, load_reference
+from helpers import GAINS, bundle, load_reference
 
 from laycon.erg import GammaEvaluator
 from laycon.hess import (
@@ -134,21 +134,21 @@ class TestConstraints:
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, erg_mode="input_only")
         assert len(rows) == 2
-        g = GammaEvaluator(rows, P).gamma(np.array([400.0, 0.0]))
+        g = GammaEvaluator(rows, P, GAINS).gamma(np.array([400.0, 0.0]))
         assert abs(g - 9.3) <= 0.1
 
     def test_voltage_row_closes_at_bound(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B)
         v_max_row = next(r for r in rows if r.label == "v_max")
-        assert GammaEvaluator([v_max_row], P).gamma_i(0, np.array([P_B.v_max, 0.0])) == 0.0
+        assert GammaEvaluator([v_max_row], P, GAINS).gamma_i(0, np.array([P_B.v_max, 0.0])) == 0.0
 
     def test_full_set_is_min_over_rows(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, d_bar_max=6.0)
         v = np.array([400.0, 0.0])
-        assert GammaEvaluator(rows, P).gamma(v) == pytest.approx(
-            min(GammaEvaluator([r], P).gamma_i(0, v) for r in rows)
+        assert GammaEvaluator(rows, P, GAINS).gamma(v) == pytest.approx(
+            min(GammaEvaluator([r], P, GAINS).gamma_i(0, v) for r in rows)
         )
 
 

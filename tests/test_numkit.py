@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import quad_reference
+from helpers import quad_reference, quad_sum_reference
 from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
 from laycon.numkit import (
@@ -186,8 +186,8 @@ class TestSpdMatrix:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_float_forms_equal_column_forms_bit_for_bit(self, n):
-        # the simulator takes V(e) on floats in its loop and on the logged
-        # error columns after it; both must give the same bits per row
+        # the simulator takes V(e) on floats in its loop and on each block of
+        # logged error columns; both must give the same bits per row
         rng = np.random.default_rng(n)
         mats = [solve_lyapunov(A_SCEN_A, R_SCEN_A), solve_lyapunov(A_SCEN_B, np.eye(2))] if n == 2 else []
         for P in mats + [SpdMatrix(random_spd(rng, n)) for _ in range(3)]:
@@ -198,6 +198,19 @@ class TestSpdMatrix:
             for k, e in enumerate(E.T.tolist()):
                 assert P.quad(e).hex() == float(quads[k]).hex()
                 assert P.bilinear(e, f.tolist()).hex() == float(bilinears[k]).hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_quad_is_the_documented_sum_bit_for_bit(self, n):
+        # the planar form is written out as one expression; it must keep the
+        # general loop's terms and order, signed zeros and subnormals included
+        rng = np.random.default_rng(20 + n)
+        mats = [solve_lyapunov(A_SCEN_A, R_SCEN_A), solve_lyapunov(A_SCEN_B, np.eye(2))] if n == 2 else []
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -3.0, 1.3e150]
+        for P in mats + [SpdMatrix(random_spd(rng, n)) for _ in range(3)]:
+            vectors = [rng.choice(specials, n).tolist() for _ in range(200)]
+            vectors += (rng.standard_normal((200, n)) * 10.0 ** rng.integers(-3, 4, (200, n))).tolist()
+            for e in vectors:
+                assert P.quad(e).hex() == quad_sum_reference(P, e).hex(), e
 
     def test_float_forms_match_matrix_products(self):
         # both are sums of the same products in another order, so they agree

@@ -160,12 +160,12 @@ class TestRunLayered:
         assert np.array_equal(a.y_samples, b.y_samples)
 
     def test_logged_lyapunov_value_and_barrier(self):
-        # V_e and Phi are filled in after the loop; each row must equal the
+        # V_e and Phi are filled in per block of rows; each row must equal the
         # per-step scalar evaluation V(e) = e'Pe and Phi = V(e) - Gamma(v)
         for b in (bundle(scenario_a(seed=3, t_end=1.0)), bundle(scenario_b(seed=1, t_end=1.0))):
             log, _ = run_layered(b)
             c = log.columns
-            for i in range(log.n_rows):
+            for i in range(log.data.shape[1]):
                 v_e = b.P.quad((c["e1"][i], c["e2"][i]))
                 assert c["V_e"][i] == v_e
                 assert c["Phi"][i] == v_e - c["Gamma_v"][i]
@@ -181,7 +181,7 @@ class TestRunLayered:
         log, _ = run_layered(noiseless)
         A = noiseless.plant.error_matrix()
         e0 = np.array([3.0, 0.0])
-        for i in range(0, log.n_rows, 200):
+        for i in range(0, log.data.shape[1], 200):
             t = log.columns["t"][i]
             exact = expm(A * t) @ e0
             sim_e = np.array([log.columns["e1"][i], log.columns["e2"][i]])
@@ -267,8 +267,8 @@ class TestCallGraph:
 class TestFusedStage:
     def test_stage_values_equal_the_logged_columns(self, monkeypatch):
         """The stage RHS calls the feedback law on floats, and the logged
-        u_S, u_B, e1 and e2 columns come from the same law on the columns
-        after the loop. A step's first stage sees the logged state, so its
+        u_S, u_B, e1 and e2 columns come from the same law on each block's
+        columns. A step's first stage sees the logged state, so its
         inputs and its governor error must equal the row's logged values
         bit for bit."""
         inputs, errors = [], []
@@ -278,9 +278,9 @@ class TestFusedStage:
             inputs.append(u)
             return plant_rhs(x, u, w, d, p)
 
-        def record_error(self, e, v, r, cfg):
+        def record_error(self, e, v, r):
             errors.append(e)
-            return erg_rhs(self, e, v, r, cfg)
+            return erg_rhs(self, e, v, r)
 
         monkeypatch.setattr(sim_module, "plant_rhs", record_inputs)
         monkeypatch.setattr(GammaEvaluator, "erg_rhs", record_error)
