@@ -41,7 +41,6 @@ from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_
 from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
 from .sim import (
     COLUMNS,
-    STREAM_ROWS,
     NonFiniteStateError,
     SimConfig,
     TrajectoryLog,
@@ -230,6 +229,18 @@ def load_bundle(cfg: dict) -> RunBundle:
         raise ConfigError("lyapunov_weight", str(exc)) from None
 
 
+def _output_dir(path: str) -> Path:
+    """The directory path, created with its parents if missing. A path
+    that cannot be a directory (a regular file, or a path under one) raises
+    a RuntimeError that names it in one line."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory {path}: {exc.strerror or exc}") from None
+    return out_dir
+
+
 def read_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -300,7 +311,7 @@ def build_certificate(bundle: RunBundle) -> dict:
         l_v = 0.0
     iss_data = PlannerIssData(cert.lambda_min_p, cert.lambda_max_p, l_v, cert.lambda_min_q)
 
-    gamma_star = bundle.governor.gamma(bundle.v_start)
+    gamma_star = bundle.governor.gamma(*bundle.v_start)
     mismatch = mismatch_bound_hess(mismatch_params_for(
         bundle, z_peak=settling.z_peak, tau1=settling.tau1, tau2=settling.tau2,
         eps1=eps_l[0], eps2=eps_l[1], gamma_star=gamma_star,
@@ -345,12 +356,11 @@ def cmd_certify(args) -> int:
     try:
         cfg = resolve_config(args.scenario, args.config)
         bundle = load_bundle(cfg)
+        out_dir = _output_dir(args.out)
         certificate = build_certificate(bundle)
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "certificate.json"
     dump_json(certificate, path)
     print(f"wrote {path}")
@@ -392,7 +402,7 @@ class TrajectoryWriter:
 
     send(block) pipes one finished block of rows, as raw float64 bytes; the
     blocks must start at period boundaries and come in order. The child
-    reads whole periods, writes their lines, and leaves with exit code 0,
+    reads one period at a time, writes its lines, and leaves with exit code 0,
     or 1 on any error. write_trajectory_csv moves a finished file into
     place; close() reaps the child and removes a .part file left behind,
     so after a failure no new file is left and an earlier one is kept.
@@ -416,8 +426,7 @@ class TrajectoryWriter:
         code = 1
         try:
             os.close(write_fd)  # so that the parent's close ends the stream
-            # one streamed block: the whole periods that first reach STREAM_ROWS rows
-            chunk = period * math.ceil(STREAM_ROWS / period) * len(COLUMNS) * 8
+            chunk = period * len(COLUMNS) * 8  # one sampling period per read
             with open(read_fd, "rb") as pipe, self.part.open("w", newline="", encoding="utf-8") as fh:
                 fh.write(CSV_HEADER)
                 while data := pipe.read(chunk):
@@ -502,8 +511,7 @@ def cmd_run(args) -> int:
     try:
         overlay = {} if args.seed is None else {"sim": {"seed": args.seed}}
         bundle = load_bundle(_merge(resolve_config(args.scenario, args.config), overlay))
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(args.out)
         writer = TrajectoryWriter(out_dir / "trajectory.csv", bundle.sim.steps_per_period)
         try:
             log, report = run_layered(bundle, on_rows=writer.send)
@@ -556,6 +564,7 @@ def cmd_sweep(args) -> int:
     try:
         bundle = load_bundle(resolve_config(args.scenario, args.config))
         bundle.v_bar_h  # derived once here; each worker receives it with the bundle
+        out_dir = _output_dir(args.out)
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -581,8 +590,6 @@ def cmd_sweep(args) -> int:
         "m_mean": sum(ms) / len(ms) if ms else None,
         "per_seed": results,
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "aggregate.json"
     dump_json(aggregate, path)
     print(f"wrote {path}")

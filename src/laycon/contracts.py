@@ -210,7 +210,6 @@ class MismatchParams:
 
 @dataclass(frozen=True)
 class MismatchBound:
-    eps_e: float
     delta_tr_b: float
     d_ss_b: float
     delta_tr_s: float
@@ -224,6 +223,11 @@ class MismatchBound:
     @property
     def supercap_channel(self) -> float:
         return self.delta_tr_s + self.d_ss_s * self.tau2
+
+    @property
+    def eps_e(self) -> float:
+        """The reported bound eps_E: the larger of the two channel bounds."""
+        return float(max(self.battery_channel, self.supercap_channel))
 
 
 def mismatch_bound_hess(p: MismatchParams) -> MismatchBound:
@@ -249,16 +253,13 @@ def mismatch_bound_hess(p: MismatchParams) -> MismatchBound:
         p.lambda_s * p.i_s_bar * ((1.0 + p.delta) * p.eps1 + p.eta)
         + (p.v_nom + p.eps1 + p.eta) * p.c_bus * p.eps2
     )
-    bound = MismatchBound(
-        eps_e=0.0,
+    return MismatchBound(
         delta_tr_b=float(delta_tr_b),
         d_ss_b=float(d_ss_b),
         delta_tr_s=float(delta_tr_s),
         d_ss_s=float(d_ss_s),
         tau2=p.tau2,
     )
-    eps_e = max(bound.battery_channel, bound.supercap_channel)
-    return MismatchBound(float(eps_e), bound.delta_tr_b, bound.d_ss_b, bound.delta_tr_s, bound.d_ss_s, p.tau2)
 
 
 @dataclass(frozen=True)

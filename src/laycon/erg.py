@@ -10,10 +10,10 @@ on the governed safe set.
 GammaEvaluator precomputes the P^-1-metric normal lengths, and folds the
 governor gains and the nonzero repulsion pairs, once per (constraints, P,
 gains) triple, and evaluates every governor quantity from them on Python
-floats: v and r are read as (v[0], v[1]) and the fields come back as
-float pairs. V(e) is SpdMatrix.quad's fixed-order float form and each
-Euclidean norm is sqrt(a*a + b*b), so no governor value depends on the
-BLAS kernel.
+floats: e, v and r are passed as their two entries each and the fields
+come back as float pairs. V(e) is SpdMatrix.quad's fixed-order float form
+and each Euclidean norm is sqrt(a*a + b*b), so no governor value depends
+on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -148,14 +148,15 @@ class GammaEvaluator:
         if all(c_v0 == c_v1 == g_gamma == 0.0 for _, c_v0, c_v1, g_gamma, _ in self.rows):
             self.constant = min(_sublevel(d0, denom) for d0, _, _, _, denom in self.rows)
 
-    def gamma_i(self, i: int, v, gamma_prev: float = 0.0) -> float:
-        """Largest Lyapunov sublevel value inside constraint i's half-space:
-        margin^2 / (c' P^-1 c), clamped to 0 when the margin is nonpositive."""
+    def gamma_i(self, i: int, v0: float, v1: float, gamma_prev: float = 0.0) -> float:
+        """Largest Lyapunov sublevel value inside constraint i's half-space at
+        v = (v0, v1): margin^2 / (c' P^-1 c), clamped to 0 when the margin
+        is nonpositive."""
         d0, c_v0, c_v1, g_gamma, denom = self.rows[i]
-        return _sublevel(d0 - (c_v0 * v[0] + c_v1 * v[1]) - g_gamma * gamma_prev, denom)
+        return _sublevel(d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * gamma_prev, denom)
 
-    def gamma(self, v, fixed_point_iters: int = 5) -> float:
-        """Combined safety threshold Gamma(v) = min_i Gamma_i(v).
+    def gamma(self, v0: float, v1: float, fixed_point_iters: int = 5) -> float:
+        """Combined safety threshold Gamma(v) = min_i Gamma_i(v) at v = (v0, v1).
 
         Rows with g_gamma > 0 reference Gamma itself; those are resolved by
         fixed-point iteration seeded from the minimum over the plain rows
@@ -164,7 +165,6 @@ class GammaEvaluator:
         """
         if self.constant is not None:
             return self.constant
-        v0, v1 = v[0], v[1]
         g = min([_sublevel(d0 - (c_v0 * v0 + c_v1 * v1), denom)
                  for d0, c_v0, c_v1, _, denom in self.plain or self.rows])
         if not self.self_referential:
@@ -176,19 +176,19 @@ class GammaEvaluator:
             g = min([_sublevel(base - g_gamma * g, denom) for base, g_gamma, denom in terms])
         return g
 
-    def navigation_field(self, r, v) -> tuple[float, float]:
-        """Attraction toward the command plus repulsion away from constraint
-        boundaries. Attraction is the unit vector toward r beyond the
-        smoothing radius and linear inside it; each repulsion term pushes
-        along the margin gradient with strength eta_rep[i], skipping rows
-        whose margin is closed or whose gradient is numerically zero."""
-        v0, v1 = v[0], v[1]
-        gap0, gap1 = r[0] - v0, r[1] - v1
+    def navigation_field(self, r0: float, r1: float, v0: float, v1: float) -> tuple[float, float]:
+        """Attraction toward the command r = (r0, r1) plus repulsion away from
+        constraint boundaries, at v = (v0, v1). Attraction is the unit vector
+        toward r beyond the smoothing radius and linear inside it; each
+        repulsion term pushes along the margin gradient with strength
+        eta_rep[i], skipping rows whose margin is closed or whose gradient
+        is numerically zero."""
+        gap0, gap1 = r0 - v0, r1 - v1
         dist = _norm(gap0, gap1)
         scale = dist if dist >= self.eta else self.eta
         rho0, rho1 = gap0 / scale, gap1 / scale
         if self.repulsion:
-            g_total = self.gamma(v)
+            g_total = self.gamma(v0, v1)
             for strength, (d0, c_v0, c_v1, g_gamma, denom) in self.repulsion:
                 margin = d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * g_total
                 if margin <= 0.0:
@@ -202,16 +202,17 @@ class GammaEvaluator:
                 rho1 = rho1 - strength * grad1 / norm
         return rho0, rho1
 
-    def erg_rhs(self, e, v, r) -> tuple[float, float]:
-        """Governor velocity: kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v).
+    def erg_rhs(self, e1: float, e2: float, v0: float, v1: float, r0: float, r1: float) -> tuple[float, float]:
+        """Governor velocity kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v)
+        at e = (e1, e2), v = (v0, v1) and r = (r0, r1).
 
         Identically zero whenever V(e) >= Gamma(v); the reference freezes at
         the safety boundary and resumes once the tracking error has decayed.
         """
-        margin = self.gamma(v) - self.P.quad(e)
+        margin = self.gamma(v0, v1) - self.P.quad((e1, e2))
         if margin <= 0.0:
             return 0.0, 0.0
-        rho0, rho1 = self.navigation_field(r, v)
+        rho0, rho1 = self.navigation_field(r0, r1, v0, v1)
         gain = self.kappa_erg * margin
         return gain * rho0, gain * rho1
 

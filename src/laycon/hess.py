@@ -152,12 +152,11 @@ def load(times, profile: LoadProfile) -> tuple[np.ndarray, np.ndarray]:
     return d, d_dot
 
 
-def plant_rhs(x, u, w: float, d: float, p: HessParams) -> tuple[float, ...]:
+def plant_rhs(v_gr: float, i_s: float, i_b: float, u_s: float, u_b: float,
+              w: float, d: float, p: HessParams) -> tuple[float, ...]:
     """Continuous-time plant derivative for state (V_gr, I_S, I_B, E_S, E_B),
-    as five floats. Only x[0], x[1] and x[2] are read, so x may carry
-    further entries (the simulator passes its joint plant/governor state)."""
-    v_gr, i_s, i_b = x[0], x[1], x[2]
-    u_s, u_b = u
+    as five floats. The derivative reads only V_gr, I_S and I_B of the
+    state, with the inputs (u_S, u_B), the disturbance w and the load d."""
     return (
         (i_s + i_b + d) / p.c_bus,
         u_s + w,

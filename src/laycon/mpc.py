@@ -11,6 +11,7 @@ closed loop off its goal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,25 @@ class PlannerConfig:
     @property
     def gain_s(self) -> float:
         return self.t_s * self.lambda_s * self.v_nom
+
+    @functools.cached_property
+    def _rhs_terms(self) -> tuple[np.ndarray, ...]:
+        """The arrays of build_qp that depend only on this config, built on
+        first use: the prediction matrix S, its column sums, the SOC
+        tightening, the constant current and slew blocks, and the upper SOC
+        bounds less the tightening. Every call shares them, so they are
+        read-only."""
+        N = self.horizon
+        S = np.tril(np.ones((N, N)))
+        tighten = np.arange(1, N + 1, dtype=float) * self.tighten_eps_e
+        terms = (
+            S, S.T @ np.ones(N), tighten,
+            np.full(N, self.i_b_bar), np.full(N, self.slew_bound), np.full(N, self.i_s_bar),
+            self.e_b_range[1] - tighten, self.e_s_range[1] - tighten,
+        )
+        for a in terms:
+            a.flags.writeable = False
+        return terms
 
 
 @dataclass(frozen=True)
@@ -146,25 +166,24 @@ def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> tuple[np.nda
         raise ValueError(f"disturbance forecast shorter than horizon ({d.shape[0]} < {N})")
     d = d[:N]
     e_b0, e_s0 = float(y_k[0]), float(y_k[1])
-    S = np.tril(np.ones((N, N)))
+    S, col_sums, tighten, i_b_rhs, slew, i_s_rhs, e_b_hi, e_s_hi = cfg._rhs_terms
     c_s = cfg.gain_s
     delta = e_b0 - cfg.e_b_goal
 
-    g = 2.0 * cfg.q_weight * cfg.gain_b * delta * (S.T @ np.ones(N))
+    g = 2.0 * cfg.q_weight * cfg.gain_b * delta * col_sums
 
-    slew_rhs = np.full(N, cfg.slew_bound)
+    slew_rhs = slew.copy()
     slew_rhs[0] += r_prev
-    slew_rhs_neg = np.full(N, cfg.slew_bound)
+    slew_rhs_neg = slew.copy()
     slew_rhs_neg[0] -= r_prev
-    tighten = np.arange(1, N + 1, dtype=float) * cfg.tighten_eps_e
     sd = S @ d
     b_ineq = np.concatenate([
-        np.full(N, cfg.i_b_bar), np.full(N, cfg.i_b_bar),
+        i_b_rhs, i_b_rhs,
         slew_rhs, slew_rhs_neg,
-        np.full(N, cfg.i_s_bar) + d, np.full(N, cfg.i_s_bar) - d,
-        cfg.e_b_range[1] - tighten - e_b0,
+        i_s_rhs + d, i_s_rhs - d,
+        e_b_hi - e_b0,
         e_b0 - cfg.e_b_range[0] - tighten,
-        cfg.e_s_range[1] - tighten - e_s0 + c_s * sd,
+        e_s_hi - e_s0 + c_s * sd,
         e_s0 - cfg.e_s_range[0] - tighten - c_s * sd,
     ])
     return g, b_ineq

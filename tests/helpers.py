@@ -70,12 +70,14 @@ def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
 
 def rk4_step_reference(rhs, x, t: float, h: float) -> list[float]:
     """Classical 4-stage step on a float sequence of any length, with the
-    stage sums taken per entry in the order x + (h/6) (k1 + 2 k2 + 2 k3 + k4)."""
+    stage sums taken per entry in the order x + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    rhs takes the stage's entries as its arguments; t only dates a
+    non-finite state."""
     half = 0.5 * h
-    k1 = rhs(x, t)
-    k2 = rhs([a + half * k for a, k in zip(x, k1)], t + half)
-    k3 = rhs([a + half * k for a, k in zip(x, k2)], t + half)
-    k4 = rhs([a + h * k for a, k in zip(x, k3)], t + h)
+    k1 = rhs(*x)
+    k2 = rhs(*[a + half * k for a, k in zip(x, k1)])
+    k3 = rhs(*[a + half * k for a, k in zip(x, k2)])
+    k4 = rhs(*[a + h * k for a, k in zip(x, k3)])
     sixth = h / 6.0
     x_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
               for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -402,6 +403,33 @@ class TestFailedRunLeavesNoCsv:
         assert "trajectory writer" in capsys.readouterr().err
         assert list(out.iterdir()) == []
         assert_no_child()
+
+
+class TestOutputDirectory:
+    """An --out that cannot be a directory stops each command before its
+    work, with one line on stderr and exit code 1, and leaves the file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "a"],
+        ["certify", "--scenario", "a"],
+        ["sweep", "--scenario", "a", "--seeds", "1"],
+    ], ids=["run", "certify", "sweep"])
+    @pytest.mark.parametrize("where, code", [
+        ("file", errno.EEXIST),
+        ("under_file", errno.ENOTDIR),
+    ], ids=["regular_file", "path_under_file"])
+    def test_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, argv, where, code):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command worked before it created its output directory")
+
+        monkeypatch.setattr(cli_module, "run_layered", no_work)
+        monkeypatch.setattr(cli_module, "build_certificate", no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker if where == "file" else blocker / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot create output directory {out}: {os.strerror(code)}\n"
+        assert blocker.read_text() == "kept\n"
 
 
 class TestCertify:

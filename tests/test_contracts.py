@@ -166,7 +166,7 @@ class TestCertificateReport:
             HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=420.0, c_v=(1.0, 0.0), label="v_max"),
             HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-380.0, c_v=(-1.0, 0.0), label="v_min"),
         ]
-        gamma_inf = GammaEvaluator(rows, P, GAINS).gamma(np.array([400.0, 0.0]))
+        gamma_inf = GammaEvaluator(rows, P, GAINS).gamma(400.0, 0.0)
         b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
             make_spec(eps_h=1e4), 0.51, self.TIMING, eps_t=0.1,

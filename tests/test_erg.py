@@ -16,43 +16,43 @@ def plain_row(d0=2.0, c_a=(1.0,), c_b=(0.0,), c_v=(0.0, 0.0), g=0.0, label="row"
 
 class TestGammaI:
     def test_identity_metric(self):
-        assert GammaEvaluator([plain_row()], P_EYE, GAINS).gamma_i(0, np.zeros(2)) == pytest.approx(4.0)
+        assert GammaEvaluator([plain_row()], P_EYE, GAINS).gamma_i(0, 0.0, 0.0) == pytest.approx(4.0)
 
     def test_published_input_threshold(self):
         # actuator row with normal (35, 12) against the published gain set
         P = solve_lyapunov(np.array([[0.0, 1.0], [-35.0, -12.0]]), np.diag([100.0, 10.0]))
         row = HalfspaceConstraint(c_a=(35.0,), c_b=(12.0,), d0=50.0, c_v=(0.0, 0.0), label="u_s")
-        assert abs(GammaEvaluator([row], P, GAINS).gamma_i(0, np.zeros(2)) - 9.3) <= 0.1
+        assert abs(GammaEvaluator([row], P, GAINS).gamma_i(0, 0.0, 0.0) - 9.3) <= 0.1
 
     def test_closed_margin_clamps(self):
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
-        assert GammaEvaluator([row], P_EYE, GAINS).gamma_i(0, np.array([3.0, 0.0])) == 0.0
+        assert GammaEvaluator([row], P_EYE, GAINS).gamma_i(0, 3.0, 0.0) == 0.0
 
     def test_nonincreasing_toward_bound(self):
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
         vs = np.linspace(-1.0, 3.0, 41)
-        vals = [GammaEvaluator([row], P_EYE, GAINS).gamma_i(0, np.array([v, 0.0])) for v in vs]
+        vals = [GammaEvaluator([row], P_EYE, GAINS).gamma_i(0, v, 0.0) for v in vs]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestGamma:
     def test_single_row(self):
         row = plain_row()
-        v = np.zeros(2)
-        assert GammaEvaluator([row], P_EYE, GAINS).gamma(v) == GammaEvaluator([row], P_EYE, GAINS).gamma_i(0, v)
+        v = (0.0, 0.0)
+        assert GammaEvaluator([row], P_EYE, GAINS).gamma(*v) == GammaEvaluator([row], P_EYE, GAINS).gamma_i(0, *v)
 
     def test_min_over_rows(self):
         rows = [plain_row(d0=2.0), plain_row(d0=1.0, c_a=(0.0,), c_b=(1.0,))]
-        assert GammaEvaluator(rows, P_EYE, GAINS).gamma(np.zeros(2)) == pytest.approx(1.0)
+        assert GammaEvaluator(rows, P_EYE, GAINS).gamma(0.0, 0.0) == pytest.approx(1.0)
 
     def test_self_referential_fixed_point(self):
         rows = [
             plain_row(d0=np.sqrt(200.0)),
             HalfspaceConstraint(c_a=(0.0,), c_b=(1.0,), d0=10.0, c_v=(0.0, 0.0), g_gamma=0.01),
         ]
-        v = np.zeros(2)
-        g_fast = GammaEvaluator(rows, P_EYE, GAINS).gamma(v, fixed_point_iters=100)
-        g_ref = GammaEvaluator(rows, P_EYE, GAINS).gamma(v, fixed_point_iters=1000)
+        v = (0.0, 0.0)
+        g_fast = GammaEvaluator(rows, P_EYE, GAINS).gamma(*v, fixed_point_iters=100)
+        g_ref = GammaEvaluator(rows, P_EYE, GAINS).gamma(*v, fixed_point_iters=1000)
         assert abs(g_fast - g_ref) <= 1e-8
         # fixed point reproduces itself through the margin map
         margin = 10.0 - 0.01 * g_ref
@@ -60,7 +60,7 @@ class TestGamma:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            GammaEvaluator([], P_EYE, GAINS).gamma(np.zeros(2))
+            GammaEvaluator([], P_EYE, GAINS).gamma(0.0, 0.0)
 
 
 class TestNavigationField:
@@ -68,30 +68,30 @@ class TestNavigationField:
 
     def test_zero_at_target(self):
         v = np.array([1.0, 2.0])
-        rho = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(v, v))
+        rho = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*v, *v))
         assert np.all(rho == 0.0)
 
     def test_unit_beyond_radius(self):
-        rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(np.array([1.0, 0.0]), np.zeros(2))
+        rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(1.0, 0.0, 0.0, 0.0)
         assert np.linalg.norm(rho) == pytest.approx(1.0)
 
     def test_continuity_at_radius(self):
         r = np.array([self.CFG.eta, 0.0])
-        inside = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(r * 0.999, np.zeros(2)))
-        outside = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(r * 1.001, np.zeros(2)))
+        inside = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*(r * 0.999), 0.0, 0.0))
+        outside = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*(r * 1.001), 0.0, 0.0))
         assert np.linalg.norm(inside - outside) <= 2e-3
 
     def test_attraction_bounded(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             r, v = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
-            rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(r, v)
+            rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*r, *v)
             assert np.linalg.norm(rho) <= 1.0 + 1e-12
 
     def test_repulsion_points_away_from_bound(self):
         cfg = ErgConfig(kappa_erg=1.0, eta=0.5, eta_rep=(0.1,))
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
-        rho = GammaEvaluator([row], P_EYE, cfg).navigation_field(np.zeros(2), np.zeros(2))
+        rho = GammaEvaluator([row], P_EYE, cfg).navigation_field(0.0, 0.0, 0.0, 0.0)
         assert np.allclose(rho, np.array([0.1, 0.0]))
 
 
@@ -101,17 +101,17 @@ class TestErgRhs:
     def test_frozen_at_boundary(self):
         row = plain_row(d0=2.0)  # Gamma = 4 at v = 0
         e = np.array([2.0, 0.0])  # V(e) = 4
-        assert np.all(np.array(GammaEvaluator([row], P_EYE, self.CFG).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]))) == 0.0)
+        assert np.all(np.array(GammaEvaluator([row], P_EYE, self.CFG).erg_rhs(*e, 0.0, 0.0, 5.0, 0.0)) == 0.0)
 
     def test_frozen_beyond_boundary(self):
         row = plain_row(d0=2.0)
         e = np.array([3.0, 0.0])  # V(e) = 9 > 4
-        assert np.all(np.array(GammaEvaluator([row], P_EYE, self.CFG).erg_rhs(e, np.zeros(2), np.array([5.0, 0.0]))) == 0.0)
+        assert np.all(np.array(GammaEvaluator([row], P_EYE, self.CFG).erg_rhs(*e, 0.0, 0.0, 5.0, 0.0)) == 0.0)
 
     def test_speed_scales_with_margin(self):
         row = plain_row(d0=2.0)  # Gamma = 4
         e = np.array([np.sqrt(2.0), 0.0])  # V(e) = 2 -> margin 2
-        vdot = GammaEvaluator([row], P_EYE, self.CFG).erg_rhs(e, np.zeros(2), np.array([10.0, 0.0]))
+        vdot = GammaEvaluator([row], P_EYE, self.CFG).erg_rhs(*e, 0.0, 0.0, 10.0, 0.0)
         assert np.linalg.norm(vdot) == pytest.approx(6.0)
 
 
@@ -132,20 +132,20 @@ class TestConstantGamma:
             gam = GammaEvaluator(subset, self.P, GAINS)
             assert gam.constant is not None
             for v in [(0.0, 0.0), (-0.0, -0.0)] + [tuple(x) for x in rng.uniform(-1e3, 1e3, (200, 2))]:
-                general = min(gam.gamma_i(i, v) for i in range(len(subset)))
-                assert gam.gamma(v) == general
+                general = min(gam.gamma_i(i, *v) for i in range(len(subset)))
+                assert gam.gamma(*v) == general
 
     def test_not_taken_when_a_row_depends_on_v(self):
         rows = [plain_row(d0=2.0), plain_row(d0=3.0, c_v=(0.0, 1.0))]
         gam = GammaEvaluator(rows, P_EYE, GAINS)
         assert gam.constant is None
-        assert gam.gamma((0.0, 2.5)) == pytest.approx(0.25)
+        assert gam.gamma(0.0, 2.5) == pytest.approx(0.25)
 
     def test_not_taken_when_a_row_depends_on_gamma(self):
         rows = [plain_row(d0=3.0), plain_row(d0=3.0, g=0.1)]
         gam = GammaEvaluator(rows, P_EYE, GAINS)
         assert gam.constant is None
-        assert gam.gamma((0.0, 0.0)) < 9.0  # the fixed point shrinks the second margin
+        assert gam.gamma(0.0, 0.0) < 9.0  # the fixed point shrinks the second margin
 
 
 class TestNorm:

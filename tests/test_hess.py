@@ -27,18 +27,18 @@ LAW_B = feedback_law(P_B)
 
 class TestPlantRhs:
     def test_zero_everything(self):
-        dx = np.array(plant_rhs(np.zeros(5), (0.0, 0.0), 0.0, 0.0, P_B))
+        dx = np.array(plant_rhs(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, P_B))
         assert np.all(dx == 0.0)
 
     def test_balanced_bus(self):
-        x = np.array([400.0, 3.0, 2.0, 0.0, 0.0])
-        dx = plant_rhs(x, (0.0, 0.0), 0.0, -5.0, P_B)
+        v_gr, i_s, i_b = 400.0, 3.0, 2.0
+        dx = plant_rhs(v_gr, i_s, i_b, 0.0, 0.0, 0.0, -5.0, P_B)
         assert dx[0] == 0.0
 
     def test_energy_rate_normalization(self):
         # lambda_b_energy = 1/V_nom makes dE_B/dt read in amperes at V_nom
-        x = np.array([400.0, 0.0, 0.125, 0.0, 0.0])
-        dx = plant_rhs(x, (0.0, 0.0), 0.0, 0.0, P_B)
+        v_gr, i_s, i_b = 400.0, 0.0, 0.125
+        dx = plant_rhs(v_gr, i_s, i_b, 0.0, 0.0, 0.0, 0.0, P_B)
         assert dx[4] == pytest.approx(0.125)
 
 
@@ -134,21 +134,21 @@ class TestConstraints:
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, erg_mode="input_only")
         assert len(rows) == 2
-        g = GammaEvaluator(rows, P, GAINS).gamma(np.array([400.0, 0.0]))
+        g = GammaEvaluator(rows, P, GAINS).gamma(400.0, 0.0)
         assert abs(g - 9.3) <= 0.1
 
     def test_voltage_row_closes_at_bound(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B)
         v_max_row = next(r for r in rows if r.label == "v_max")
-        assert GammaEvaluator([v_max_row], P, GAINS).gamma_i(0, np.array([P_B.v_max, 0.0])) == 0.0
+        assert GammaEvaluator([v_max_row], P, GAINS).gamma_i(0, P_B.v_max, 0.0) == 0.0
 
     def test_full_set_is_min_over_rows(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, d_bar_max=6.0)
-        v = np.array([400.0, 0.0])
-        assert GammaEvaluator(rows, P, GAINS).gamma(v) == pytest.approx(
-            min(GammaEvaluator([r], P, GAINS).gamma_i(0, v) for r in rows)
+        v = (400.0, 0.0)
+        assert GammaEvaluator(rows, P, GAINS).gamma(*v) == pytest.approx(
+            min(GammaEvaluator([r], P, GAINS).gamma_i(0, *v) for r in rows)
         )
 
 

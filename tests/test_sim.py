@@ -24,20 +24,20 @@ from laycon.sim import (
 class TestRk4:
     def test_zero_field(self):
         x0 = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0]
-        x = rk4_step(lambda x, t: np.zeros_like(x), x0, 0.0, 0.1)
+        x = rk4_step(lambda *x: np.zeros_like(x), x0, 0.0, 0.1)
         assert np.allclose(x, x0)
 
     def test_exponential_decay(self):
         x = [1.0] * 7
         for i in range(10):
-            x = rk4_step(lambda x, t: [-a for a in x], x, i * 0.1, 0.1)
+            x = rk4_step(lambda *x: [-a for a in x], x, i * 0.1, 0.1)
         assert abs(x[0] - math.exp(-1.0)) <= 1e-6
 
     def test_fourth_order_scaling(self):
         def final_error(h):
             x = [1.0] * 7
             for i in range(round(1.0 / h)):
-                x = rk4_step(lambda x, t: [-a for a in x], x, i * h, h)
+                x = rk4_step(lambda *x: [-a for a in x], x, i * h, h)
             return abs(x[0] - math.exp(-1.0))
 
         e1, e2 = final_error(0.1), final_error(0.05)
@@ -45,7 +45,7 @@ class TestRk4:
 
     def test_non_finite_aborts(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
-            rk4_step(lambda x, t: [a * 1e308 for a in x], [1.0] * 7, 0.0, 1.0)
+            rk4_step(lambda *x: [a * 1e308 for a in x], [1.0] * 7, 0.0, 1.0)
 
     def test_unrolled_step_equals_reference_bit_for_bit(self):
         # random states and stage derivatives, mixed with signed zeros,
@@ -66,8 +66,8 @@ class TestRk4:
         def run(step, x, ks, h):
             seen = []
 
-            def rhs(z, tau):
-                seen.append((bits(z), tau))
+            def rhs(*z):
+                seen.append(bits(z))
                 return ks[len(seen) - 1]
 
             try:
@@ -207,7 +207,8 @@ class TestRunLayered:
 class TestCallGraph:
     def test_per_step_calls(self, monkeypatch):
         """rk4_step once per step, plant_rhs once per stage, Gamma once per
-        logged row and once per stage with the governor on; the benchmark's
+        logged row and once per stage with the governor on, also when the
+        governed-full rows make Gamma self-referential; the benchmark's
         tracer counts these calls and its closed forms assume them."""
         counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
 
@@ -220,9 +221,15 @@ class TestCallGraph:
         monkeypatch.setattr(sim_module, "rk4_step", counted("rk4_step", sim_module.rk4_step))
         monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
-        run_layered(bundle(scenario_b(seed=0, t_end=0.5)))
+        governed_full = {"constraints": {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5,
+                                         "d_bar_dot_max": 10.0}}
         steps = 500
-        assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
+        for overlay in (None, governed_full):
+            counts.update(rk4_step=0, plant_rhs=0, gamma=0)
+            run = bundle(scenario_b(seed=0, t_end=0.5), overlay)
+            assert run.governor.self_referential is (overlay is not None)
+            run_layered(run)
+            assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
 
     def test_per_step_calls_governor_off(self, monkeypatch):
         """With the governor off, v is constant up to the sign of a zero, so
@@ -260,7 +267,7 @@ class TestCallGraph:
             log, _ = run_layered(run)
             assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": 1}
             assert math.copysign(1.0, states[0][6]) == math.copysign(1.0, run.sim.v0[1])
-            per_row = [gam.gamma((z[5], z[6])) for z in states]
+            per_row = [gam.gamma(z[5], z[6]) for z in states]
             assert log.columns["Gamma_v"].tolist() == per_row
 
 
@@ -274,13 +281,13 @@ class TestFusedStage:
         inputs, errors = [], []
         plant_rhs, erg_rhs = sim_module.plant_rhs, GammaEvaluator.erg_rhs
 
-        def record_inputs(x, u, w, d, p):
-            inputs.append(u)
-            return plant_rhs(x, u, w, d, p)
+        def record_inputs(v_gr, i_s, i_b, u_s, u_b, w, d, p):
+            inputs.append((u_s, u_b))
+            return plant_rhs(v_gr, i_s, i_b, u_s, u_b, w, d, p)
 
-        def record_error(self, e, v, r):
-            errors.append(e)
-            return erg_rhs(self, e, v, r)
+        def record_error(self, e1, e2, v0, v1, r0, r1):
+            errors.append((e1, e2))
+            return erg_rhs(self, e1, e2, v0, v1, r0, r1)
 
         monkeypatch.setattr(sim_module, "plant_rhs", record_inputs)
         monkeypatch.setattr(GammaEvaluator, "erg_rhs", record_error)
