@@ -427,7 +427,9 @@ class TrajectoryWriter:
         try:
             os.close(write_fd)  # so that the parent's close ends the stream
             chunk = period * len(COLUMNS) * 8  # one sampling period per read
-            with open(read_fd, "rb") as pipe, self.part.open("w", newline="", encoding="utf-8") as fh:
+            # a read buffer larger than the pipe drains it in one raw read, so
+            # the parent's send does not wait for each period's render
+            with open(read_fd, "rb", buffering=1 << 20) as pipe, self.part.open("w", newline="", encoding="utf-8") as fh:
                 fh.write(CSV_HEADER)
                 while data := pipe.read(chunk):
                     fh.write(render_rows(np.frombuffer(data).reshape(-1, len(COLUMNS)), period))
