@@ -37,8 +37,8 @@ from .iss_cert import (
     settling_time,
     timing_check,
 )
-from .mpc import PlannerConfig, PlannerIssData, estimate_lipschitz, planner_iss_bound
-from .scenarios import CertificateInputs, RunBundle, mismatch_params_for, scenario_a, scenario_b
+from .mpc import PlannerConfig, estimate_lipschitz, planner_iss_bound
+from .scenarios import CertificateInputs, RunBundle, scenario_a, scenario_b
 from .sim import (
     COLUMNS,
     NonFiniteStateError,
@@ -65,11 +65,14 @@ def _json_default(obj):
 
 def dump_json(obj, path: Path, indent: int | None = 2) -> None:
     """Write obj as sorted-key JSON. indent=None writes it on one line,
-    which json encodes in C (an indent forces its pure-Python encoder)."""
-    path.write_text(
-        json.dumps(obj, indent=indent, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
+    which json encodes in C (an indent forces its pure-Python encoder).
+    A path that cannot be written raises a RuntimeError that names it in
+    one line."""
+    text = json.dumps(obj, indent=indent, sort_keys=True, default=_json_default) + "\n"
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 class ConfigError(ValueError):
@@ -290,7 +293,7 @@ def build_certificate(bundle: RunBundle) -> dict:
 
     v_bar_opt, theta_star, z_star = bundle.level
     v_bar_h = bundle.v_bar_h
-    eps_l = [coordinate_bound(P, v_bar_h, i) for i in range(2)]
+    eps_l = [coordinate_bound(bundle.governor.pinv, v_bar_h, i) for i in range(2)]
 
     gamma_iss = iss_gain(cert.m_overshoot, B_norm, lam_e)
     eps = noise_floor(gamma_iss, cert.h_max)
@@ -309,16 +312,14 @@ def build_certificate(bundle: RunBundle) -> dict:
         l_v = estimate_lipschitz(bundle.planner_cfg, sample_count=200, sample_radius=0.5, seed=0)
     else:
         l_v = 0.0
-    iss_data = PlannerIssData(cert.lambda_min_p, cert.lambda_max_p, l_v, cert.lambda_min_q)
 
+    # the governor threshold where the governor starts; the peak reference
+    # rate is the governor gain's upper range times that margin
     gamma_star = bundle.governor.gamma(*bundle.v_start)
-    mismatch = mismatch_bound_hess(mismatch_params_for(
-        bundle, z_peak=settling.z_peak, tau1=settling.tau1, tau2=settling.tau2,
-        eps1=eps_l[0], eps2=eps_l[1], gamma_star=gamma_star,
-    ))
-    eps_t = planner_iss_bound(iss_data, mismatch.eps_e)
+    kappa_max = bundle.erg_cfg.kappa_hi * gamma_star
+    mismatch = mismatch_bound_hess(plant, settling, eps_l, kappa_max, cert.eta, cert.settle_delta)
+    eps_t = planner_iss_bound(cert.lambda_min_p, cert.lambda_max_p, l_v, cert.lambda_min_q, mismatch.eps_e)
 
-    verdicts = certificate_report(bundle.spec, v_bar_h, timing, eps_t, mismatch, gamma_star)
     return {
         "P": P.mat.tolist(),
         "eigenvalues": [float(x) for x in eigenvalues],
@@ -343,12 +344,8 @@ def build_certificate(bundle: RunBundle) -> dict:
         "d_ss_B": mismatch.d_ss_b,
         "delta_tr_S": mismatch.delta_tr_s,
         "d_ss_S": mismatch.d_ss_s,
-        "timing_period_covers_settling": verdicts.timing_period_covers_settling,
-        "timing_decay_window_ok": verdicts.timing_decay_window_ok,
-        "vertical_compat": verdicts.vertical_compat,
-        "admissibility": verdicts.admissible_disturbance,
-        "gamma_inf": verdicts.gamma_inf,
-        "all_ok": verdicts.all_ok,
+        "gamma_inf": gamma_star,
+        **certificate_report(bundle.spec, v_bar_h, timing, eps_t, mismatch.eps_e, gamma_star),
     }
 
 
@@ -358,11 +355,11 @@ def cmd_certify(args) -> int:
         bundle = load_bundle(cfg)
         out_dir = _output_dir(args.out)
         certificate = build_certificate(bundle)
+        path = out_dir / "certificate.json"
+        dump_json(certificate, path)
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    path = out_dir / "certificate.json"
-    dump_json(certificate, path)
     print(f"wrote {path}")
     for key in ("admissibility", "vertical_compat",
                 "timing_period_covers_settling", "timing_decay_window_ok"):
@@ -400,7 +397,8 @@ def render_rows(rows: np.ndarray, period: int) -> str:
 class TrajectoryWriter:
     """A forked child that renders the rows piped to it into path.part.
 
-    send(block) pipes one finished block of rows, as raw float64 bytes; the
+    The parent creates path.part before it forks, so a path that cannot be
+    written raises a RuntimeError that names it in one line. send(block) pipes one finished block of rows, as raw float64 bytes; the
     blocks must start at period boundaries and come in order. The child
     reads one period at a time, writes its lines, and leaves with exit code 0,
     or 1 on any error. write_trajectory_csv moves a finished file into
@@ -414,14 +412,19 @@ class TrajectoryWriter:
         self.path = path
         self.part = path.with_name(path.name + ".part")
         self.code = None  # the child's exit code, once reaped
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            self._render(read_fd, write_fd, period)
+        try:
+            out = self.part.open("w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise RuntimeError(f"cannot write {self.part}: {exc.strerror or exc}") from None
+        with out:  # closes the parent's copy; the child writes through its own
+            read_fd, write_fd = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._render(read_fd, write_fd, out, period)
         os.close(read_fd)
         self.pipe = open(write_fd, "wb")
 
-    def _render(self, read_fd: int, write_fd: int, period: int):
+    def _render(self, read_fd: int, write_fd: int, out, period: int):
         """The child's whole life: render, then leave without returning."""
         code = 1
         try:
@@ -429,7 +432,7 @@ class TrajectoryWriter:
             chunk = period * len(COLUMNS) * 8  # one sampling period per read
             # a read buffer larger than the pipe drains it in one raw read, so
             # the parent's send does not wait for each period's render
-            with open(read_fd, "rb", buffering=1 << 20) as pipe, self.part.open("w", newline="", encoding="utf-8") as fh:
+            with open(read_fd, "rb", buffering=1 << 20) as pipe, out as fh:
                 fh.write(CSV_HEADER)
                 while data := pipe.read(chunk):
                     fh.write(render_rows(np.frombuffer(data).reshape(-1, len(COLUMNS)), period))
@@ -467,7 +470,10 @@ def write_trajectory_csv(writer: TrajectoryWriter) -> None:
     code = writer.wait()
     if code != 0:
         raise RuntimeError(f"trajectory writer failed with exit code {code}")
-    os.replace(writer.part, writer.path)
+    try:
+        os.replace(writer.part, writer.path)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {writer.path}: {exc.strerror or exc}") from None
 
 
 def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:
@@ -523,11 +529,11 @@ def cmd_run(args) -> int:
             write_trajectory_csv(writer)
         finally:
             writer.close()
+        dump_json(monitor, out_dir / "monitor.json", indent=None)
+        dump_json(summary, out_dir / "summary.json")
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    dump_json(monitor, out_dir / "monitor.json", indent=None)
-    dump_json(summary, out_dir / "summary.json")
     print(f"wrote {out_dir}/trajectory.csv, monitor.json, summary.json")
     for key in ("K_live", "max_Phi", "max_V_e", "omega_h_entry_time",
                 "safety_violations", "fallback_count"):
@@ -593,7 +599,11 @@ def cmd_sweep(args) -> int:
         "per_seed": results,
     }
     path = out_dir / "aggregate.json"
-    dump_json(aggregate, path)
+    try:
+        dump_json(aggregate, path)
+    except RuntimeError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     print(f"wrote {path}")
     print(f"  phi_violation_total: {aggregate['phi_violation_total']}")
     if ms:

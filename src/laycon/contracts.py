@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FieldValueError
 from .hess import DERIVED, HessParams, battery_interface_bounds
-from .iss_cert import TimingVerdict
+from .iss_cert import SettlingTimes, TimingVerdict
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class ContractSpec:
                 raise FieldValueError(name, f"{name} must be nonnegative")
         if self.delta <= 0.0:
             raise FieldValueError("delta", "settling slack delta must be positive")
+        for i, bound in enumerate(self.u_bounds):
+            if bound < 0.0:
+                raise FieldValueError(f"u_bounds.{i}", "input bounds must be nonnegative")
         # derived from the sim section, which rejects these values first
         if self.w_max < 0.0:
             raise ValueError("disturbance bound w_max must be nonnegative")
@@ -182,33 +185,6 @@ def vertical_compat(eps_e: float, eps_t: float, delta: float, eps_h: float) -> b
 
 
 @dataclass(frozen=True)
-class MismatchParams:
-    """Certificate inputs for the energy prediction-error bound.
-
-    lambda_b_energy converts bus power to battery energy rate; the
-    current-loop gain lambda_b_gain sets how fast the battery current
-    reference error burns off within the period.
-    """
-
-    z_peak: float
-    eta: float
-    eps1: float  # settled voltage error bound
-    eps2: float  # settled bus-rate error bound
-    delta: float
-    tau1: float
-    tau2: float
-    kappa_max: float  # peak governor reference rate
-    v_nom: float
-    lambda_b_energy: float
-    lambda_b_gain: float
-    lambda_s: float
-    i_b_bar: float
-    i_s_bar: float
-    c_bus: float
-    u_b_bar: float
-
-
-@dataclass(frozen=True)
 class MismatchBound:
     delta_tr_b: float
     d_ss_b: float
@@ -230,61 +206,50 @@ class MismatchBound:
         return float(max(self.battery_channel, self.supercap_channel))
 
 
-def mismatch_bound_hess(p: MismatchParams) -> MismatchBound:
+def mismatch_bound_hess(
+    plant: HessParams,
+    settling: SettlingTimes,
+    eps_l,
+    kappa_max: float,
+    eta: float,
+    delta: float,
+) -> MismatchBound:
     """Per-period energy prediction-error bound, per channel.
 
     Each channel pays a fixed transit cost (worst-case maneuver: voltage
     excursion times current bound, plus the settling current integrated
     against the full bus voltage) and a settling-phase drift rate
-    multiplied by the decay time. The reported eps_E is the max of the
-    two channel bounds, matching the max-norm used by the mismatch clause.
+    multiplied by the decay time. eps_l = (eps1, eps2) bounds the settled
+    voltage and bus-rate errors, kappa_max is the peak governor reference
+    rate, and delta the settling slack. lambda_b_energy converts bus power
+    to battery energy rate; the current-loop gain lambda_b_gain sets how
+    fast the battery current reference error burns off within the period.
+    The reported eps_E is the max of the two channel bounds, matching the
+    max-norm used by the mismatch clause.
     """
-    excursion = p.v_nom + p.z_peak + p.eta
+    p, z_peak, tau1 = plant, settling.z_peak, settling.tau1
+    eps1, eps2 = eps_l
+    excursion = p.v_nom + z_peak + eta
     delta_tr_b = (
-        p.lambda_b_energy * p.i_b_bar * p.z_peak * p.tau1
-        + excursion * (p.u_b_bar / p.lambda_b_gain) * (1.0 - np.exp(-p.lambda_b_gain * p.tau1))
+        p.lambda_b_energy * p.i_b_bar * z_peak * tau1
+        + excursion * (p.u_b_bar / p.lambda_b_gain) * (1.0 - np.exp(-p.lambda_b_gain * tau1))
     )
-    d_ss_b = p.lambda_b_energy * p.i_b_bar * ((1.0 + p.delta) * p.eps1 + p.eta)
+    d_ss_b = p.lambda_b_energy * p.i_b_bar * ((1.0 + delta) * eps1 + eta)
     delta_tr_s = (
-        p.lambda_s * p.i_s_bar * (p.z_peak + p.eta) * p.tau1
-        + excursion * p.c_bus * (p.kappa_max + p.z_peak) * p.tau1
+        p.lambda_s * p.i_s_bar * (z_peak + eta) * tau1
+        + excursion * p.c_bus * (kappa_max + z_peak) * tau1
     )
     d_ss_s = (
-        p.lambda_s * p.i_s_bar * ((1.0 + p.delta) * p.eps1 + p.eta)
-        + (p.v_nom + p.eps1 + p.eta) * p.c_bus * p.eps2
+        p.lambda_s * p.i_s_bar * ((1.0 + delta) * eps1 + eta)
+        + (p.v_nom + eps1 + eta) * p.c_bus * eps2
     )
     return MismatchBound(
         delta_tr_b=float(delta_tr_b),
         d_ss_b=float(d_ss_b),
         delta_tr_s=float(delta_tr_s),
         d_ss_s=float(d_ss_s),
-        tau2=p.tau2,
+        tau2=settling.tau2,
     )
-
-
-@dataclass(frozen=True)
-class CertificateVerdicts:
-    """Named well-posedness checks plus the numbers behind them."""
-
-    admissible_disturbance: bool  # V_bar_h strictly below the tightest threshold
-    vertical_compat: bool
-    timing_period_covers_settling: bool
-    timing_decay_window_ok: bool
-    gamma_inf: float
-    v_bar_h: float
-    eps_e: float
-    eps_t: float
-    delta: float
-    eps_h: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.admissible_disturbance
-            and self.vertical_compat
-            and self.timing_period_covers_settling
-            and self.timing_decay_window_ok
-        )
 
 
 def certificate_report(
@@ -292,24 +257,21 @@ def certificate_report(
     v_bar_h: float,
     timing: TimingVerdict,
     eps_t: float,
-    mismatch: MismatchBound,
+    eps_e: float,
     gamma_inf: float,
-) -> CertificateVerdicts:
-    """Assemble the offline compatibility verdicts for one configuration.
+) -> dict[str, bool]:
+    """The offline compatibility verdicts of one configuration, keyed as in
+    certificate.json; all_ok holds iff the other four do.
 
     The admissibility check compares the disturbance-induced invariant
     level against gamma_inf, the governor threshold at the reference the
     governor starts from.
     """
-    return CertificateVerdicts(
-        admissible_disturbance=bool(v_bar_h < gamma_inf),
-        vertical_compat=vertical_compat(mismatch.eps_e, eps_t, spec.delta, spec.eps_h),
-        timing_period_covers_settling=timing.period_covers_settling,
-        timing_decay_window_ok=timing.window_within_transit,
-        gamma_inf=gamma_inf,
-        v_bar_h=float(v_bar_h),
-        eps_e=mismatch.eps_e,
-        eps_t=eps_t,
-        delta=spec.delta,
-        eps_h=spec.eps_h,
-    )
+    verdicts = {
+        "admissibility": bool(v_bar_h < gamma_inf),
+        "vertical_compat": vertical_compat(eps_e, eps_t, spec.delta, spec.eps_h),
+        "timing_period_covers_settling": timing.period_covers_settling,
+        "timing_decay_window_ok": timing.window_within_transit,
+    }
+    verdicts["all_ok"] = all(verdicts.values())
+    return verdicts

@@ -63,6 +63,8 @@ class HessParams:
                      "lambda_s", "i_s_bar", "i_b_bar", "u_s_bar", "u_b_bar"):
             if getattr(self, name) <= 0.0:
                 raise FieldValueError(name, f"{name} must be positive")
+        if self.v_min >= self.v_max:
+            raise FieldValueError("v_min", f"v_min {self.v_min} must be below v_max {self.v_max}")
         lam_e = decay_rate(self.error_matrix())  # raises NotHurwitzError for bad gains
         if self.lambda_b_gain <= lam_e:
             raise FieldValueError(

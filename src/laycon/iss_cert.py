@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import SpdMatrix, invert_spd
+from .numkit import SpdMatrix
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,15 @@ def ultimate_level_optimized(P: SpdMatrix, R: SpdMatrix, B, H_max: float):
     return float(V_bar), float(theta_star), z_star
 
 
-def coordinate_bound(P: SpdMatrix, V_bar_h: float, i: int) -> float:
-    """Per-coordinate tracking bound |e_i| <= sqrt(V_bar_h * [P^-1]_ii)."""
+def coordinate_bound(P_inv: np.ndarray, V_bar_h: float, i: int) -> float:
+    """Per-coordinate tracking bound |e_i| <= sqrt(V_bar_h * [P^-1]_ii),
+    given the inverse P_inv of the Lyapunov matrix."""
     if V_bar_h < 0.0:
         raise ValueError("V_bar_h must be nonnegative")
-    if not 0 <= i < P.n:
-        raise IndexError(f"coordinate {i} out of range for {P.n}-dimensional error")
-    return math.sqrt(V_bar_h * invert_spd(P).mat[i, i])
+    n = P_inv.shape[0]
+    if not 0 <= i < n:
+        raise IndexError(f"coordinate {i} out of range for {n}-dimensional error")
+    return math.sqrt(V_bar_h * P_inv[i, i])
 
 
 def iss_gain(m: float, norm_B: float, lambda_e: float) -> float:

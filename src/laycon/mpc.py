@@ -104,22 +104,6 @@ class PlanResult:
     qp: QpSolution  # the period's QP: status, iterations, active set, KKT residual
 
 
-@dataclass(frozen=True)
-class PlannerIssData:
-    """Value-function sandwich and descent coefficients for the planner ISS bound."""
-
-    lambda_min_P: float
-    lambda_max_P: float
-    L_V: float
-    lambda_min_Q: float
-
-    def __post_init__(self):
-        if min(self.lambda_min_P, self.lambda_max_P, self.lambda_min_Q) <= 0.0 or self.L_V < 0.0:
-            raise ValueError("sandwich coefficients must be positive, L_V nonnegative")
-        if self.lambda_min_P > self.lambda_max_P:
-            raise ValueError("lambda_min_P must not exceed lambda_max_P")
-
-
 def abstract_step(y_hat, i_b_ref: float, d_hat: float, cfg: PlannerConfig) -> np.ndarray:
     """One step of the planner's abstract energy model: the bus is taken as
     regulated at V_nom, so the supercapacitor absorbs -I_B - d."""
@@ -222,12 +206,16 @@ class Planner:
         return result
 
 
-def planner_iss_bound(data: PlannerIssData, eps_e: float) -> float:
+def planner_iss_bound(lambda_min_P: float, lambda_max_P: float, L_V: float, lambda_min_Q: float,
+                      eps_e: float) -> float:
     """Ultimate goal-tracking radius induced by per-step mismatch eps_e:
-    sqrt((lambda_max_P / lambda_min_P) * (L_V / lambda_min_Q) * eps_e)."""
+    sqrt((lambda_max_P / lambda_min_P) * (L_V / lambda_min_Q) * eps_e), for
+    the value-function sandwich lambda_min_P |E_B - goal|^2 <= V* <=
+    lambda_max_P |E_B - goal|^2 and the descent coefficients L_V and
+    lambda_min_Q (checked where the config is read)."""
     if eps_e < 0.0:
         raise ValueError("eps_e must be nonnegative")
-    return float(np.sqrt((data.lambda_max_P / data.lambda_min_P) * (data.L_V / data.lambda_min_Q) * eps_e))
+    return float(np.sqrt((lambda_max_P / lambda_min_P) * (L_V / lambda_min_Q) * eps_e))
 
 
 def estimate_lipschitz(
@@ -277,7 +265,8 @@ def estimate_lipschitz(
     return float(best)
 
 
-def descent_check(traj, data: PlannerIssData, eps_e: float, e_b_goal: float, tol: float = 1e-9):
+def descent_check(traj, lambda_min_Q: float, L_V: float, eps_e: float, e_b_goal: float,
+                  tol: float = 1e-9):
     """Per-step monitor of the planner's dissipation inequality:
     V*(y+) - V*(y) <= -lambda_min_Q |E_B - goal|^2 + L_V eps_e.
     Failures are reported, not raised; callers log them."""
@@ -287,5 +276,5 @@ def descent_check(traj, data: PlannerIssData, eps_e: float, e_b_goal: float, tol
         if v_k is None or v_next is None:
             raise ValueError("descent check requires consecutive optimal values (no fallback steps)")
         dist2 = (float(y_k[0]) - e_b_goal) ** 2
-        verdicts.append(bool(v_next - v_k <= -data.lambda_min_Q * dist2 + data.L_V * eps_e + tol))
+        verdicts.append(bool(v_next - v_k <= -lambda_min_Q * dist2 + L_V * eps_e + tol))
     return verdicts

@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .contracts import ContractSpec, MismatchParams
+from .contracts import ContractSpec
 from .erg import ErgConfig, GammaEvaluator
 from .errors import FieldValueError
 from .hess import (
@@ -53,9 +53,11 @@ class CertificateInputs:
     l_v: float | None  # None: estimate empirically
 
     def __post_init__(self):
-        for name in ("settle_delta", "kappa_lo", "r_lo"):
+        for name in ("settle_delta", "kappa_lo", "r_lo", "lambda_min_p", "lambda_max_p", "lambda_min_q"):
             if getattr(self, name) <= 0.0:
                 raise FieldValueError(name, f"{name} must be positive")
+        if self.lambda_min_p > self.lambda_max_p:
+            raise FieldValueError("lambda_min_p", "lambda_min_p must not exceed lambda_max_p")
         if self.m_overshoot < 1.0:
             raise FieldValueError("m_overshoot", "m_overshoot must be at least 1")
         for name in ("h_max", "ff_residual_bound", "l_v", "v_bar_h_override"):
@@ -70,7 +72,8 @@ class RunBundle:
     document, plus what a run and its certificate both read, each derived
     once here and never serialised: the Lyapunov metric P (from the
     plant's error matrix and R), the governor (the Gamma evaluator over the
-    rows constraint_cfg selects, P and erg_cfg), the reference r_start at t = 0
+    rows constraint_cfg selects, P and erg_cfg; its pinv is the one P^-1
+    that the governor and the certificate read), the reference r_start at t = 0
     (sim.frozen_reference without a planner, else (v_nom, sim.r_init_ib)),
     the governor's start v_start (sim.v0, or r_start when v0 is None), the
     optimized invariant level (computed on first use) and v_bar_h (the
@@ -213,32 +216,3 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
             "lambda_min_q": 1.0, "l_v": None,
         },
     }
-
-
-def mismatch_params_for(bundle: RunBundle, z_peak: float, tau1: float, tau2: float,
-                        eps1: float, eps2: float, gamma_star: float) -> MismatchParams:
-    """Assemble the mismatch-bound inputs from a bundle plus settling data.
-
-    gamma_star is the governor threshold where the governor starts; the
-    peak reference rate is the governor gain's upper range times that
-    margin.
-    """
-    plant = bundle.plant
-    return MismatchParams(
-        z_peak=z_peak,
-        eta=bundle.cert.eta,
-        eps1=eps1,
-        eps2=eps2,
-        delta=bundle.cert.settle_delta,
-        tau1=tau1,
-        tau2=tau2,
-        kappa_max=bundle.erg_cfg.kappa_hi * gamma_star,
-        v_nom=plant.v_nom,
-        lambda_b_energy=plant.lambda_b_energy,
-        lambda_b_gain=plant.lambda_b_gain,
-        lambda_s=plant.lambda_s,
-        i_b_bar=plant.i_b_bar,
-        i_s_bar=plant.i_s_bar,
-        c_bus=plant.c_bus,
-        u_b_bar=plant.u_b_bar,
-    )

@@ -16,7 +16,7 @@ from laycon.iss_cert import (
     noise_floor,
     ultimate_level_optimized,
 )
-from laycon.numkit import SpdMatrix, decay_rate, solve_lyapunov
+from laycon.numkit import SpdMatrix, decay_rate, invert_spd, solve_lyapunov
 from laycon.qp import QpStatus
 from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import (
@@ -72,8 +72,8 @@ def test_criterion_04_coordinate_bounds():
     v_bar_a, _, _ = ultimate_level_optimized(P_a, SpdMatrix(R_A), np.array([0.0, 1.0]), 3.0)
     P_b = solve_lyapunov(A_GAINS_B, R_B)
     ok = (
-        abs(coordinate_bound(P_a, v_bar_a, 0) - 0.27) <= 0.01
-        and abs(coordinate_bound(P_b, 0.50, 0) - 0.13) <= 0.01
+        abs(coordinate_bound(invert_spd(P_a).mat, v_bar_a, 0) - 0.27) <= 0.01
+        and abs(coordinate_bound(invert_spd(P_b).mat, 0.50, 0) - 0.13) <= 0.01
     )
     assert report(4, "voltage tracking bounds 0.27 V and 0.13 V", ok)
 

@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import laycon
 from laycon import cli as cli_module
+from laycon import numkit as numkit_module
 from laycon import scenarios as scenarios_module
 from laycon import sim as sim_module
 from laycon.cli import (
@@ -163,6 +165,14 @@ class TestConfigErrors:
         ('{"contract": {"eps_e": -1}}', "contract.eps_e"),
         ('{"contract": {"delta": 0}}', "contract.delta"),
         ('{"erg": {"eta_rep": [0.1, 0.1, 0.1]}}', "erg.eta_rep"),
+        # the planner bound's value-function sandwich and descent coefficients
+        ('{"certificates": {"lambda_min_p": 0}}', "certificates.lambda_min_p"),
+        ('{"certificates": {"lambda_max_p": 0}}', "certificates.lambda_max_p"),
+        ('{"certificates": {"lambda_min_q": -1}}', "certificates.lambda_min_q"),
+        ('{"certificates": {"lambda_min_p": 2.0}}', "certificates.lambda_min_p"),
+        # rules across the fields of one section
+        ('{"plant": {"v_min": 420.0}}', "plant.v_min"),
+        ('{"contract": {"u_bounds": [200.0, -1.0]}}', "contract.u_bounds.1"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -244,6 +254,25 @@ class TestDerivedOnce:
         overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
         assert main([*argv, "--config", str(overlay), "--out", str(tmp_path)]) in (0, 2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scenario", ["a", "b"])
+    def test_one_inversion_per_certificate(self, tmp_path, monkeypatch, scenario):
+        # the governor inverts P, and the tracking bounds read its inverse
+        calls = []
+        original = numkit_module.invert_spd
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("laycon") and getattr(module, "invert_spd", None) is original:
+                monkeypatch.setattr(module, "invert_spd", counted)
+        assert main(["certify", "--scenario", scenario, "--out", str(tmp_path)]) in (0, 2)
+        assert len(calls) == 1
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        inverse = original(np.array(cert["P"])).mat
+        assert cert["eps_L"] == [math.sqrt(cert["V_bar_h"] * inverse[i, i]) for i in range(2)]
 
     def test_with_seed_shares_the_derived_values(self):
         base = bundle(scenario_a(t_end=0.2))
@@ -430,6 +459,29 @@ class TestOutputDirectory:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"cannot create output directory {out}: {os.strerror(code)}\n"
         assert blocker.read_text() == "kept\n"
+
+
+class TestOutputFile:
+    """An output file that cannot be written (a directory stands in its
+    place) stops each command with one line on stderr and exit code 1."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["run", "--scenario", "a"], "trajectory.csv"),
+        (["run", "--scenario", "a"], "trajectory.csv.part"),
+        (["run", "--scenario", "a"], "monitor.json"),
+        (["run", "--scenario", "a"], "summary.json"),
+        (["certify", "--scenario", "a"], "certificate.json"),
+        (["sweep", "--scenario", "a", "--seeds", "1"], "aggregate.json"),
+    ], ids=["run_csv", "run_csv_part", "run_monitor", "run_summary", "certify", "sweep"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, argv, name):
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.2}}))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([*argv, "--config", str(overlay), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot write {out / name}: {os.strerror(errno.EISDIR)}\n"
+        assert (out / name).is_dir()
+        assert_no_child()
 
 
 class TestCertify:

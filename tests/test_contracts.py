@@ -4,7 +4,6 @@ from helpers import GAINS
 
 from laycon.contracts import (
     ContractSpec,
-    MismatchParams,
     MonitorReport,
     certificate_report,
     check_A_env,
@@ -17,7 +16,8 @@ from laycon.contracts import (
     vertical_compat,
 )
 from laycon.erg import GammaEvaluator, HalfspaceConstraint
-from laycon.iss_cert import TimingVerdict
+from laycon.hess import HessParams
+from laycon.iss_cert import SettlingTimes, TimingVerdict
 from laycon.numkit import solve_lyapunov
 
 
@@ -120,40 +120,44 @@ class TestVerticalCompat:
         assert vertical_compat(0.05, 0.1, 0.01, 0.2)
 
 
-def make_mismatch_params(**overrides):
-    base = dict(
-        z_peak=1.0, eta=0.0, eps1=0.0, eps2=0.0, delta=0.1,
-        tau1=1.0, tau2=0.5, kappa_max=0.0, v_nom=400.0,
-        lambda_b_energy=1.0, lambda_b_gain=100.0, lambda_s=1.0,
-        i_b_bar=1.0, i_s_bar=1.0, c_bus=1.0, u_b_bar=1.0,
-    )
-    base.update(overrides)
-    return MismatchParams(**base)
+MISMATCH_INPUTS = dict(
+    z_peak=1.0, eta=0.0, eps1=0.0, eps2=0.0, delta=0.1,
+    tau1=1.0, tau2=0.5, kappa_max=0.0,
+)
+# unit energy rates and current bounds
+UNIT_PLANT = HessParams(
+    v_nom=400.0, lambda_b_energy=1.0, lambda_b_gain=100.0, lambda_s=1.0,
+    i_b_bar=1.0, i_s_bar=1.0, c_bus=1.0, u_b_bar=1.0,
+)
+
+
+def mismatch(**overrides):
+    """mismatch_bound_hess on UNIT_PLANT, with MISMATCH_INPUTS overridden by name."""
+    v = {**MISMATCH_INPUTS, **overrides}
+    settling = SettlingTimes(tau1=v["tau1"], tau2=v["tau2"], tau_LL=v["tau1"] + v["tau2"], z_peak=v["z_peak"])
+    return mismatch_bound_hess(UNIT_PLANT, settling, (v["eps1"], v["eps2"]), v["kappa_max"], v["eta"], v["delta"])
 
 
 class TestMismatchBound:
     def test_all_terms_vanish(self):
-        p = make_mismatch_params(z_peak=0.0, tau1=0.0, tau2=0.0, eps1=0.0, eps2=0.0, eta=0.0)
-        assert mismatch_bound_hess(p).eps_e == 0.0
+        assert mismatch(z_peak=0.0, tau1=0.0, tau2=0.0, eps1=0.0, eps2=0.0, eta=0.0).eps_e == 0.0
 
     def test_battery_hand_value(self):
         # unit energy-rate and current bound, settled current loop:
         # transit = 1*1*1*1 + 401 * 0.01 * (1 - e^-100) = 5.01
-        p = make_mismatch_params()
-        b = mismatch_bound_hess(p)
+        b = mismatch()
         assert b.delta_tr_b == pytest.approx(5.01, abs=1e-6)
 
     def test_monotone_in_each_driver(self):
-        base = make_mismatch_params(eps1=0.1, eps2=0.05, eta=0.01, kappa_max=0.2)
-        e0 = mismatch_bound_hess(base).eps_e
+        base = dict(eps1=0.1, eps2=0.05, eta=0.01, kappa_max=0.2)
+        e0 = mismatch(**base).eps_e
         for name in ("z_peak", "tau1", "tau2", "eps1", "eps2", "eta"):
-            overrides = dict(eps1=0.1, eps2=0.05, eta=0.01, kappa_max=0.2)
-            overrides[name] = getattr(base, name) + 0.05
-            bumped = make_mismatch_params(**overrides)
-            assert mismatch_bound_hess(bumped).eps_e >= e0 - 1e-12
+            overrides = dict(base)
+            overrides[name] = {**MISMATCH_INPUTS, **base}[name] + 0.05
+            assert mismatch(**overrides).eps_e >= e0 - 1e-12
 
     def test_channel_decomposition(self):
-        b = mismatch_bound_hess(make_mismatch_params(eps1=0.2, eps2=0.1))
+        b = mismatch(eps1=0.2, eps2=0.1)
         assert b.eps_e == pytest.approx(max(b.battery_channel, b.supercap_channel))
 
 
@@ -167,31 +171,29 @@ class TestCertificateReport:
             HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-380.0, c_v=(-1.0, 0.0), label="v_min"),
         ]
         gamma_inf = GammaEvaluator(rows, P, GAINS).gamma(400.0, 0.0)
-        b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
             make_spec(eps_h=1e4), 0.51, self.TIMING, eps_t=0.1,
-            mismatch=b, gamma_inf=gamma_inf,
+            eps_e=mismatch().eps_e, gamma_inf=gamma_inf,
         )
-        assert rep.admissible_disturbance
-        assert rep.gamma_inf == gamma_inf > 0.51
+        assert rep["admissibility"]
+        assert gamma_inf > 0.51
 
     def test_admissibility_is_strict(self):
-        b = mismatch_bound_hess(make_mismatch_params())
+        eps_e = mismatch().eps_e
         verdicts = [
             certificate_report(
                 make_spec(eps_h=1e4), 0.51, self.TIMING, eps_t=0.1,
-                mismatch=b, gamma_inf=gamma_inf,
-            ).admissible_disturbance
+                eps_e=eps_e, gamma_inf=gamma_inf,
+            )["admissibility"]
             for gamma_inf in (0.52, 0.51, 0.5)
         ]
         assert verdicts == [True, False, False]
 
     def test_tight_budget_fails_overall(self):
-        b = mismatch_bound_hess(make_mismatch_params())
         rep = certificate_report(
             make_spec(eps_h=0.0001), 0.51, self.TIMING, eps_t=0.1,
-            mismatch=b, gamma_inf=1e4,
+            eps_e=mismatch().eps_e, gamma_inf=1e4,
         )
-        assert rep.admissible_disturbance
-        assert not rep.vertical_compat
-        assert not rep.all_ok
+        assert rep["admissibility"]
+        assert not rep["vertical_compat"]
+        assert not rep["all_ok"]

@@ -66,22 +66,22 @@ class TestUltimateLevelOptimized:
 
 class TestCoordinateBound:
     def test_identity(self):
-        assert coordinate_bound(SpdMatrix(np.eye(2)), 1.0, 0) == pytest.approx(1.0)
+        assert coordinate_bound(np.eye(2), 1.0, 0) == pytest.approx(1.0)
 
     def test_published_bounds(self, p_scen_a, p_scen_b):
         V_a, _, _ = ultimate_level_optimized(p_scen_a, SpdMatrix(R_SCEN_A), np.array([0.0, 1.0]), 3.0)
-        assert abs(coordinate_bound(p_scen_a, V_a, 0) - 0.27) <= 0.01
-        assert abs(coordinate_bound(p_scen_b, 0.50, 0) - 0.13) <= 0.01
+        assert abs(coordinate_bound(invert_spd(p_scen_a).mat, V_a, 0) - 0.27) <= 0.01
+        assert abs(coordinate_bound(invert_spd(p_scen_b).mat, 0.50, 0) - 0.13) <= 0.01
 
     def test_consistency_with_inverse(self, p_scen_a):
         inv = invert_spd(p_scen_a)
         for i in range(2):
-            bound = coordinate_bound(p_scen_a, 0.7, i)
+            bound = coordinate_bound(inv.mat, 0.7, i)
             assert abs(bound**2 / inv.mat[i, i] - 0.7) <= 1e-10
 
     def test_index_out_of_range(self, p_scen_a):
         with pytest.raises(IndexError):
-            coordinate_bound(p_scen_a, 1.0, 2)
+            coordinate_bound(invert_spd(p_scen_a).mat, 1.0, 2)
 
 
 class TestIssGain:

@@ -7,7 +7,6 @@ from laycon.mpc import (
     AllInfeasibleError,
     Planner,
     PlannerConfig,
-    PlannerIssData,
     abstract_step,
     build_qp,
     descent_check,
@@ -196,15 +195,14 @@ class TestPlan:
 
 class TestPlannerIssBound:
     def test_zero_mismatch(self):
-        data = PlannerIssData(1.0, 4.0, 1.0, 1.0)
-        assert planner_iss_bound(data, 0.0) == 0.0
+        assert planner_iss_bound(1.0, 4.0, 1.0, 1.0, 0.0) == 0.0
 
     def test_hand_value(self):
-        assert planner_iss_bound(PlannerIssData(1.0, 4.0, 1.0, 1.0), 1.0) == pytest.approx(2.0)
+        assert planner_iss_bound(1.0, 4.0, 1.0, 1.0, 1.0) == pytest.approx(2.0)
 
     def test_sqrt_homogeneity(self):
-        data = PlannerIssData(0.5, 3.0, 2.0, 1.5)
-        assert planner_iss_bound(data, 4.0) == pytest.approx(2.0 * planner_iss_bound(data, 1.0))
+        data = (0.5, 3.0, 2.0, 1.5)
+        assert planner_iss_bound(*data, 4.0) == pytest.approx(2.0 * planner_iss_bound(*data, 1.0))
 
 
 class TestEstimateLipschitz:
@@ -239,11 +237,11 @@ class TestEstimateLipschitz:
 
 
 class TestDescentCheck:
-    DATA = PlannerIssData(1.0, 1.0, 10.0, 1.0)
+    DATA = (1.0, 10.0)  # (lambda_min_Q, L_V)
 
     def test_at_goal_zero_mismatch(self):
         traj = [((5.0, 0.0), 0.0), ((5.0, 0.0), 0.0)]
-        assert descent_check(traj, self.DATA, 0.0, 5.0) == [True]
+        assert descent_check(traj, *self.DATA, 0.0, 5.0) == [True]
 
     def test_nominal_descent_passes_on_approach(self):
         # the value function is exactly zero once the goal is slew-reachable,
@@ -257,15 +255,14 @@ class TestDescentCheck:
             if abs(y[0] - cfg.e_b_goal) >= 0.8:
                 traj.append((y.copy(), res.V_N_star))
             y = abstract_step(y, res.r_k[1], 0.0, cfg)
-        data = PlannerIssData(1.0, 1.0, L_V=1.0, lambda_min_Q=0.05)
         assert len(traj) > 5
-        assert all(descent_check(traj, data, 0.0, cfg.e_b_goal))
+        assert all(descent_check(traj, 0.05, 1.0, 0.0, cfg.e_b_goal))
 
     def test_injected_violation_is_reported(self):
         traj = [((0.0, 0.0), 1.0), ((0.0, 0.0), 50.0)]
-        verdicts = descent_check(traj, self.DATA, 0.0, 5.0)
+        verdicts = descent_check(traj, *self.DATA, 0.0, 5.0)
         assert verdicts == [False]
 
     def test_requires_optimal_values(self):
         with pytest.raises(ValueError):
-            descent_check([((0.0, 0.0), 1.0), ((0.0, 0.0), None)], self.DATA, 0.0, 5.0)
+            descent_check([((0.0, 0.0), 1.0), ((0.0, 0.0), None)], *self.DATA, 0.0, 5.0)
