@@ -14,6 +14,7 @@ render overlaps the simulation.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -398,19 +399,19 @@ class TrajectoryWriter:
     """A forked child that renders the rows piped to it into path.part.
 
     The parent creates path.part before it forks, so a path that cannot be
-    written raises a RuntimeError that names it in one line. send(block) pipes one finished block of rows, as raw float64 bytes; the
-    blocks must start at period boundaries and come in order. The child
-    reads one period at a time, writes its lines, and leaves with exit code 0,
-    or 1 on any error. write_trajectory_csv moves a finished file into
-    place; close() reaps the child and removes a .part file left behind,
-    so after a failure no new file is left and an earlier one is kept.
+    written raises a RuntimeError that names it in one line. send(block)
+    pipes one finished block of rows, as raw float64 bytes; the blocks must
+    start at period boundaries and come in order. The child reads one
+    period at a time, writes its lines, and leaves with exit code 0, or 1
+    on any error. write_trajectory_csv waits for it; close() reaps the
+    child and removes a .part file left behind, so after a failure no new
+    file is left and an earlier one is kept.
     The child runs Python and numpy's elementwise code only, never the
     BLAS whose idle threads the parent may own, so forking is safe here.
     """
 
     def __init__(self, path: Path, period: int):
-        self.path = path
-        self.part = path.with_name(path.name + ".part")
+        self.part = _part(path)
         self.code = None  # the child's exit code, once reaped
         try:
             out = self.part.open("w", newline="", encoding="utf-8")
@@ -464,16 +465,31 @@ class TrajectoryWriter:
 
 
 def write_trajectory_csv(writer: TrajectoryWriter) -> None:
-    """Wait for the writer to render the rows still queued, and move its
-    file into place. What it waits for is the CSV time left on run's
-    critical path, after the render that overlapped the simulation."""
+    """Wait for the writer to render the rows still queued into its .part
+    file. What it waits for is the CSV time left on run's critical path,
+    after the render that overlapped the simulation."""
     code = writer.wait()
     if code != 0:
         raise RuntimeError(f"trajectory writer failed with exit code {code}")
-    try:
-        os.replace(writer.part, writer.path)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {writer.path}: {exc.strerror or exc}") from None
+
+
+def _part(path: Path) -> Path:
+    """Where an output file is staged until its run's whole set is written."""
+    return path.with_name(path.name + ".part")
+
+
+def _move_into_place(paths: list[Path]) -> None:
+    """Rename each path's staged .part file onto it. A path that is a
+    directory would stop the renames halfway, so every path is checked
+    before the first rename: a failure leaves no new file in place."""
+    for path in paths:
+        if path.is_dir():
+            raise RuntimeError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    for path in paths:
+        try:
+            os.replace(_part(path), path)
+        except OSError as exc:
+            raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def summarize_run(bundle: RunBundle, log: TrajectoryLog, report) -> dict:
@@ -520,17 +536,22 @@ def cmd_run(args) -> int:
         overlay = {} if args.seed is None else {"sim": {"seed": args.seed}}
         bundle = load_bundle(_merge(resolve_config(args.scenario, args.config), overlay))
         out_dir = _output_dir(args.out)
-        writer = TrajectoryWriter(out_dir / "trajectory.csv", bundle.sim.steps_per_period)
+        paths = [out_dir / name for name in ("trajectory.csv", "monitor.json", "summary.json")]
+        writer = TrajectoryWriter(paths[0], bundle.sim.steps_per_period)
+        staged = []  # the JSON .part files written so far
         try:
             log, report = run_layered(bundle, on_rows=writer.send)
-            # built while the writer renders the last rows
-            monitor = monitor_to_dict(report, log)
+            # staged while the writer renders the last rows
             summary = summarize_run(bundle, log, report)
+            for path, obj, indent in ((paths[1], monitor_to_dict(report, log), None), (paths[2], summary, 2)):
+                dump_json(obj, _part(path), indent)
+                staged.append(_part(path))
             write_trajectory_csv(writer)
+            _move_into_place(paths)
         finally:
             writer.close()
-        dump_json(monitor, out_dir / "monitor.json", indent=None)
-        dump_json(summary, out_dir / "summary.json")
+            for part in staged:
+                part.unlink(missing_ok=True)
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -15,11 +15,12 @@ online active-set strategy of qpOASES: the equality-constrained problem on
 that set is solved and negative multipliers are dropped until the start is
 dual feasible. An empty start set is the classical cold start.
 
-Infeasibility is a first-class status, detected when a violated row is a
-nonnegative combination of active rows with no compatible bound (a Farkas
-certificate), so the planner's fallback can trigger without exceptions.
-So is a working set that turns numerically dependent (its Gram matrix
-fails Cholesky): the solve stops with RANK_DEFICIENT.
+One dependence test, Goldfarb and Idnani's, serves the whole solver: a row
+whose squared sine to the working set (H^-1 metric) is at most `_SIN2_MIN`
+gets a pure dual step. That step drops a blocking row, or else proves the
+problem INFEASIBLE (a Farkas certificate: the row is a nonnegative
+combination of active rows with no compatible bound). So no dependent
+working set forms, and the fallback reads the same status on every kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ class QpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
-    RANK_DEFICIENT = "rank_deficient"
+    RANK_DEFICIENT = "rank_deficient"  # guard: a working-set solve raised LinAlgError
+
+
+_SIN2_MIN = 1e-12  # a row at or below this squared sine to a set depends on it
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,9 @@ class QpSolver:
 
     The constructor checks the shapes, symmetrizes H, keeps its own copies
     and caches Y = L^-1 A' (the rows of A in the H^-1 metric, H = LL'),
-    H^-1 and H^-1 A'. `last_active_set` is the active set of the last
-    optimal solve; the next solve starts from it, ignoring indices that are
-    not rows of A_ineq.
+    their squared norms, H^-1 and H^-1 A'. `last_active_set` is the active
+    set of the last optimal solve; the next solve starts from it, ignoring
+    indices that are not rows of A_ineq.
     """
 
     def __init__(self, H, A_ineq):
@@ -76,6 +80,7 @@ class QpSolver:
             raise ValueError("cost Hessian must be symmetric positive definite") from exc
         L_inv = np.linalg.inv(L)
         self._Y = L_inv @ A.T
+        self._Y_sq = np.einsum("ij,ij->j", self._Y, self._Y)
         self._H_inv = L_inv.T @ L_inv
         self._H_inv_At = L_inv.T @ self._Y
         self.last_active_set: tuple[int, ...] = ()
@@ -99,12 +104,13 @@ def _hot_start(ws: QpSolver, g, b, work: list[int]):
     negative. A start set whose rows are numerically dependent is replaced
     by the empty set. Returns (x, work, u, drops)."""
     x = -ws._H_inv @ g
-    if work and not _independent(ws._Y[:, work]):
-        work = []
     drops = 0
     while work:
         Y_w = ws._Y[:, work]
-        u = np.linalg.solve(Y_w.T @ Y_w, ws._A[work] @ x - b[work])
+        B = Y_w.T @ Y_w
+        if not drops and not _independent(B):
+            break  # start cold; a subset of an independent set needs no test
+        u = np.linalg.solve(B, ws._A[work] @ x - b[work])
         k = int(np.argmin(u))
         if u[k] >= 0.0:
             return x - ws._H_inv_At[:, work] @ u, work, u.tolist(), drops
@@ -115,25 +121,22 @@ def _hot_start(ws: QpSolver, g, b, work: list[int]):
 
 def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> QpSolution:
     A, m = ws._A, ws._A.shape[0]
-    Y, H_inv_At = ws._Y, ws._H_inv_At
+    Y, Y_sq, H_inv_At = ws._Y, ws._Y_sq, ws._H_inv_At
     x, work, u, iters = _hot_start(ws, g, b, start)
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
     tol_violation = 1e-10 * scale
 
     def directions(idx):
-        """Primal/dual step directions for bringing row idx into the set.
-        Returns None when the working-set Gram matrix has gone numerically
-        rank-deficient (it fails Cholesky, or passes it with a pivot so
-        small that the solve finds it singular); the caller stops with
-        RANK_DEFICIENT rather than an exception."""
+        """Primal/dual step directions for bringing row idx into the set:
+        one solve with the working-set Gram matrix, which the dependence
+        test keeps independent. Returns None if the solve still finds it
+        singular; the caller then stops with RANK_DEFICIENT."""
         h_inv_a = H_inv_At[:, idx]
         if not work:
             return h_inv_a, np.zeros(0)
         Y_w = Y[:, work]
-        B = Y_w.T @ Y_w  # working-set Gram matrix in the H^-1 metric
-        try:
-            np.linalg.cholesky(B)
-            r = np.linalg.solve(B, Y_w.T @ Y[:, idx])
+        try:  # Gram matrix of the working set in the H^-1 metric
+            r = np.linalg.solve(Y_w.T @ Y_w, Y_w.T @ Y[:, idx])
         except np.linalg.LinAlgError:
             return None
         return h_inv_a - H_inv_At[:, work] @ r, r
@@ -141,9 +144,7 @@ def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> Qp
     while iters < max_iters:
         iters += 1
         violations = A @ x - b if m else np.zeros(0)
-        if work:
-            violations = violations.copy()
-            violations[work] = -np.inf  # active rows hold with equality
+        violations[work] = -np.inf  # active rows hold with equality
         if m == 0 or np.max(violations) <= tol_violation:
             return _finish(ws, g, x, work, u, QpStatus.OPTIMAL, iters)
         idx = int(np.argmax(violations))
@@ -160,11 +161,9 @@ def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> Qp
             for j, rj in enumerate(r):
                 if rj > 1e-12 and u[j] / rj < t1:
                     t1, k_drop = u[j] / rj, j
+            # z'a = sin^2 * |L^-1 a|^2: a dependent row takes a pure dual step
             zta = float(z @ a_new)
-            if zta > 1e-12 * max(1.0, float(a_new @ a_new)):
-                t2 = (float(a_new @ x) - b[idx]) / zta
-            else:
-                t2 = np.inf
+            t2 = (float(a_new @ x) - b[idx]) / zta if zta > _SIN2_MIN * Y_sq[idx] else np.inf
             t = min(t1, t2)
             if not np.isfinite(t):
                 # violated row is a nonnegative combination of active rows:
@@ -184,23 +183,21 @@ def _dual_active_set(ws: QpSolver, g, b, start: list[int], max_iters: int) -> Qp
     return _finish(ws, g, x, work, u, QpStatus.ITER_LIMIT, iters)
 
 
-def _independent(Y_w: np.ndarray) -> bool:
-    """Whether the columns of Y_w are numerically independent: each Cholesky
-    pivot of their Gram matrix keeps more than 1e-12 of its column's squared
-    norm (the squared sine of its angle to the span of the columns before)."""
-    B = Y_w.T @ Y_w
+def _independent(B: np.ndarray) -> bool:
+    """Whether the columns with Gram matrix B are numerically independent:
+    each Cholesky pivot keeps more than _SIN2_MIN of its column's squared
+    norm (the squared sine of its angle to the columns before)."""
     try:
         Lb = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.diag(Lb) ** 2 > 1e-12 * np.diag(B)))
+    return bool(np.all(np.diag(Lb) ** 2 > _SIN2_MIN * np.diag(B)))
 
 
 def _finish(ws, g, x, work, u, status, iters):
     H, A = ws._H, ws._A
     lam = np.zeros(A.shape[0])
-    for j, idx in enumerate(work):
-        lam[idx] = u[j]
+    lam[work] = u
     stationarity = H @ x + g + A.T @ lam if A.shape[0] else H @ x + g
     kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0
     obj = float(0.5 * x @ H @ x + g @ x)

@@ -10,7 +10,8 @@ import numpy as np
 
 from laycon import cli
 from laycon.erg import ErgConfig
-from laycon.hess import LoadProfile, OutOfSpanError
+from laycon.hess import HessParams, LoadProfile, OutOfSpanError
+from laycon.mpc import Planner, PlannerConfig, PlanResult
 from laycon.numkit import SpdMatrix
 from laycon.qp import QpSolution, QpSolver
 from laycon.scenarios import RunBundle
@@ -155,3 +156,20 @@ class QpProblem:
 def solve_qp(p: QpProblem, max_iters: int = 200) -> QpSolution:
     """Solve one QP with a fresh (cold-started) solver."""
     return QpSolver(p.H, p.A_ineq).solve(p.g, p.b_ineq, max_iters)
+
+
+# planner QPs that have no solution: one planner step per (q_weight,
+# tighten_eps_e) of NO_PLAN_STEPS, and a scenario-B run overlaid with
+# NO_PLAN_RUN, whose tightened SOC corridors close inside the horizon
+NO_PLAN_STEPS = [(1e-4, 0.0), (1e-2, 0.02)]
+NO_PLAN_RUN = {"sim": {"t_end": 1.0}, "planner": {"q_weight": 1e-4, "tighten_eps_e": 0.25}}
+
+
+def no_plan_step(q_weight: float, tighten: float) -> PlanResult:
+    """One planner step from E_S = -45, outside E_S's range (-40, 40), so
+    that no plan exists, with 0.5 as the reference to hold."""
+    cfg = PlannerConfig.from_hess(
+        HessParams(), horizon=20, t_s=0.1, q_weight=q_weight, e_b_goal=5.0,
+        e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=tighten,
+    )
+    return Planner(cfg, r_init=0.5).step(np.array([0.0, -45.0]), np.zeros(cfg.horizon))

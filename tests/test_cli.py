@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import bundle, bundle_to_config, read_trajectory_csv
+from helpers import NO_PLAN_RUN, bundle, bundle_to_config, read_trajectory_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,6 +290,7 @@ def write_csv(rows: np.ndarray, path: Path, period: int) -> None:
     try:
         writer.send(np.ascontiguousarray(rows))
         write_trajectory_csv(writer)
+        cli_module._move_into_place([path])
     finally:
         writer.close()
 
@@ -463,16 +464,20 @@ class TestOutputDirectory:
 
 class TestOutputFile:
     """An output file that cannot be written (a directory stands in its
-    place) stops each command with one line on stderr and exit code 1."""
+    place) stops each command with one line on stderr and exit code 1, and
+    no new file is moved into place."""
 
     @pytest.mark.parametrize("argv, name", [
         (["run", "--scenario", "a"], "trajectory.csv"),
         (["run", "--scenario", "a"], "trajectory.csv.part"),
         (["run", "--scenario", "a"], "monitor.json"),
         (["run", "--scenario", "a"], "summary.json"),
+        (["run", "--scenario", "a"], "monitor.json.part"),
+        (["run", "--scenario", "a"], "summary.json.part"),
         (["certify", "--scenario", "a"], "certificate.json"),
         (["sweep", "--scenario", "a", "--seeds", "1"], "aggregate.json"),
-    ], ids=["run_csv", "run_csv_part", "run_monitor", "run_summary", "certify", "sweep"])
+    ], ids=["run_csv", "run_csv_part", "run_monitor", "run_summary", "run_monitor_part",
+            "run_summary_part", "certify", "sweep"])
     def test_exits_1_with_one_line(self, tmp_path, capsys, argv, name):
         overlay = tmp_path / "short.json"
         overlay.write_text(json.dumps({"sim": {"t_end": 0.2}}))
@@ -480,7 +485,22 @@ class TestOutputFile:
         (out / name).mkdir(parents=True)
         assert main([*argv, "--config", str(overlay), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"cannot write {out / name}: {os.strerror(errno.EISDIR)}\n"
-        assert (out / name).is_dir()
+        assert [p.name for p in out.iterdir()] == [name]
+        assert_no_child()
+
+    @pytest.mark.parametrize("name", ["monitor.json.part", "summary.json.part"])
+    def test_failed_run_keeps_the_earlier_outputs(self, tmp_path, name):
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.2}}))
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "a", "--config", str(overlay), "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        names = ("trajectory.csv", "monitor.json", "summary.json")
+        earlier = {n: (out / n).read_bytes() for n in names}
+        (out / name).mkdir()
+        assert main([*argv, "--seed", "2"]) == 1
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, *names])
+        assert {n: (out / n).read_bytes() for n in names} == earlier
         assert_no_child()
 
 
@@ -547,18 +567,17 @@ class TestRunCommand:
         # each period starts from the last one's active set; cold starts take ~3850
         assert sum(rec["iterations"] for rec in planner) < 400
 
-    def test_rank_deficient_planner_falls_back(self, tmp_path):
-        # the tightened SOC corridors close inside the horizon and the small
-        # cost weight lets the dual method pile 21 active rows onto 20
-        # variables: every period's QP ends rank-deficient and falls back
+    def test_infeasible_planner_falls_back(self, tmp_path):
+        # the tightened SOC corridors close inside the horizon: in every
+        # period a violated row turns dependent on the working set, and its
+        # pure dual step ends the QP with a Farkas certificate
         path = tmp_path / "overlay.json"
-        path.write_text(json.dumps({"sim": {"t_end": 1.0},
-                                    "planner": {"q_weight": 1e-4, "tighten_eps_e": 0.25}}))
+        path.write_text(json.dumps(NO_PLAN_RUN))
         out = tmp_path / "out"
         assert main(["run", "--scenario", "b", "--config", str(path), "--seed", "0", "--out", str(out)]) == 0
         planner = json.loads((out / "monitor.json").read_text())["planner"]
         assert len(planner) == 10
-        assert "rank_deficient" in {rec["status"] for rec in planner}
+        assert {rec["status"] for rec in planner} == {"infeasible"}
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fallback_count"] == sum(rec["status"] != "optimal" for rec in planner)
         assert np.all(read_trajectory_csv(out / "trajectory.csv")["r_IB"] == 0.0)  # held from the start
@@ -652,46 +671,74 @@ def _numpy_blas_is_openblas() -> bool:
     return "openblas" in blas.get("name", "").lower()
 
 
+# run in a child: the planner QPs of helpers.NO_PLAN_STEPS and NO_PLAN_RUN
+# (argv: the NO_PLAN_RUN overlay, the output directory) all end infeasible
+_NO_PLAN_CHILD = """
+import json, sys
+from pathlib import Path
+from helpers import NO_PLAN_STEPS, no_plan_step
+from laycon.cli import main
+overlay, out = sys.argv[1:]
+statuses = [no_plan_step(*case).qp.status.value for case in NO_PLAN_STEPS]
+assert main(["run", "--scenario", "b", "--config", overlay, "--seed", "0", "--out", out]) == 0
+statuses += [rec["status"] for rec in json.loads(Path(out, "monitor.json").read_text())["planner"]]
+assert set(statuses) == {"infeasible"}, statuses
+"""
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 class TestBlasKernels:
-    """`run --scenario a` writes the same bytes under every OpenBLAS kernel:
-    P, its inverse and the Gamma denominators come out bit-equal, and every
-    value the loop and the logs take from them is a fixed-order float form.
-    Scenario B stays kernel-specific: its P comes from a LAPACK solve whose
-    rounding the kernel sets, and its planner QP runs on BLAS."""
+    """What does not depend on the OpenBLAS kernel. `run --scenario a`
+    writes the same bytes under every kernel: P, its inverse and the Gamma
+    denominators come out bit-equal, and every value the loop and the logs
+    take from them is a fixed-order float form. Scenario B's bytes stay
+    kernel-specific (its P comes from a LAPACK solve whose rounding the
+    kernel sets, and its planner QP runs on BLAS), but a planner QP with no
+    solution ends `infeasible` under every kernel."""
 
     KERNELS = (None, "Haswell", "Prescott")  # None: the one OpenBLAS picks
 
-    @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
-    @pytest.mark.parametrize("disturbance", ["mixed", "adversarial"])
-    def test_scenario_a_bytes_do_not_depend_on_the_kernel(self, tmp_path, disturbance):
-        overlay = tmp_path / "overlay.json"
-        overlay.write_text(json.dumps({"sim": {"t_end": 0.5, "disturbance": disturbance}}))
+    def run_children(self, tmp_path, args) -> list[Path]:
+        """Run `python *args out` once per kernel, all at once, each with its
+        own output directory out; assert that each exits 0."""
         src = str(Path(laycon.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
         procs = []
         try:
             for kernel in self.KERNELS:
                 # OPENBLAS_CORETYPE is read when the child loads OpenBLAS
                 env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, tests, env.get("PYTHONPATH"))))
                 if kernel is not None:
                     env["OPENBLAS_CORETYPE"] = kernel
                 out = tmp_path / (kernel or "default")
-                cmd = [sys.executable, "-m", "laycon.cli", "run", "--scenario", "a",
-                       "--config", str(overlay), "--seed", "0", "--out", str(out)]
-                procs.append((out, subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                                                    stderr=subprocess.PIPE)))
-            hashes = []
-            for out, proc in procs:
+                procs.append((out, subprocess.Popen([sys.executable, *args, str(out)], env=env,
+                                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
+            for _, proc in procs:
                 _, err = proc.communicate(timeout=120)
                 assert proc.returncode == 0, err.decode()
-                names = ("trajectory.csv", "monitor.json", "summary.json")
-                hashes.append(tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names))
         finally:
             for _, proc in procs:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
+        return [out for out, _ in procs]
+
+    @pytest.mark.parametrize("disturbance", ["mixed", "adversarial"])
+    def test_scenario_a_bytes_do_not_depend_on_the_kernel(self, tmp_path, disturbance):
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5, "disturbance": disturbance}}))
+        outs = self.run_children(tmp_path, ["-m", "laycon.cli", "run", "--scenario", "a",
+                                            "--config", str(overlay), "--seed", "0", "--out"])
+        names = ("trajectory.csv", "monitor.json", "summary.json")
+        hashes = [tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
+                  for out in outs]
         assert hashes[1:] == [hashes[0]] * (len(self.KERNELS) - 1)
+
+    def test_no_plan_is_infeasible_on_every_kernel(self, tmp_path):
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps(NO_PLAN_RUN))
+        self.run_children(tmp_path, ["-c", _NO_PLAN_CHILD, str(overlay)])
 
 
 class InProcessPool:

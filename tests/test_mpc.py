@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import NO_PLAN_STEPS, no_plan_step
 
 from laycon import mpc
 from laycon.hess import HessParams
@@ -164,16 +165,13 @@ class TestPlan:
             assert abs(res.r_k[1] - prev) <= cfg.slew_bound + 1e-9
             prev = res.r_k[1]
 
-    @pytest.mark.parametrize("q_weight, tighten", [(1e-4, 0.0), (1e-2, 0.02)])
-    def test_dependent_working_set_falls_back(self, q_weight, tighten):
+    @pytest.mark.parametrize("q_weight, tighten", NO_PLAN_STEPS)
+    def test_infeasible_start_falls_back(self, q_weight, tighten):
         # E_S starts outside its range, so no plan exists; on the way there
-        # the dual method's working set turns numerically dependent
-        cfg = PlannerConfig.from_hess(
-            HessParams(), horizon=20, t_s=0.1, q_weight=q_weight, e_b_goal=5.0,
-            e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=tighten,
-        )
-        res = Planner(cfg, r_init=0.5).step(np.array([0.0, -45.0]), np.zeros(cfg.horizon))
-        assert res.qp.status is QpStatus.RANK_DEFICIENT
+        # a violated row turns dependent on the working set, and its pure
+        # dual step ends the solve with a Farkas certificate
+        res = no_plan_step(q_weight, tighten)
+        assert res.qp.status is QpStatus.INFEASIBLE
         assert res.fallback_used
         assert res.r_k[1] == 0.5
 

@@ -98,11 +98,14 @@ class TestSolveQp:
             assert np.all(sol.lam[slack > 1e-6] <= 1e-9)
 
     def test_scaling_invariance_of_minimizer(self):
+        # the dependence test is relative to each row's norm in the H^-1
+        # metric, so a row as short as 1e-7 still enters the working set
         rng = np.random.default_rng(3)
         p = random_problem(rng)
-        for c in (0.1, 2.0, 50.0):
-            scaled = QpProblem(c * p.H, c * p.g, p.A_ineq, p.b_ineq)
-            assert np.allclose(solve_qp(scaled).x, solve_qp(p).x, atol=1e-8)
+        for c in (1e-7, 0.1, 2.0, 50.0):
+            for scaled in (QpProblem(c * p.H, c * p.g, p.A_ineq, p.b_ineq),
+                           QpProblem(p.H, p.g, c * p.A_ineq, c * p.b_ineq)):
+                assert np.allclose(solve_qp(scaled).x, solve_qp(p).x, atol=1e-8)
 
     def test_non_binding_row_is_inert(self):
         rng = np.random.default_rng(4)
