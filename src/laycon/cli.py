@@ -39,6 +39,7 @@ from .iss_cert import (
     timing_check,
 )
 from .mpc import PlannerConfig, estimate_lipschitz, planner_iss_bound
+from .numkit import eigenvalues
 from .scenarios import CertificateInputs, RunBundle, scenario_a, scenario_b
 from .sim import (
     COLUMNS,
@@ -289,12 +290,11 @@ def build_certificate(bundle: RunBundle) -> dict:
     """Run the full offline certificate chain for one configuration."""
     plant, cert, P = bundle.plant, bundle.cert, bundle.P
     lam_e = plant.lambda_e
-    eigenvalues = sorted(np.linalg.eigvals(plant.error_matrix()).real, reverse=True)
     B_norm = 1.0 / plant.c_bus
 
     v_bar_opt, theta_star, z_star = bundle.level
     v_bar_h = bundle.v_bar_h
-    eps_l = [coordinate_bound(bundle.governor.pinv, v_bar_h, i) for i in range(2)]
+    eps_l = [coordinate_bound(bundle.governor.pinv.mat, v_bar_h, i) for i in range(2)]
 
     gamma_iss = iss_gain(cert.m_overshoot, B_norm, lam_e)
     eps = noise_floor(gamma_iss, cert.h_max)
@@ -323,7 +323,7 @@ def build_certificate(bundle: RunBundle) -> dict:
 
     return {
         "P": P.mat.tolist(),
-        "eigenvalues": [float(x) for x in eigenvalues],
+        "eigenvalues": [z.real for z in eigenvalues(plant.error_matrix())],
         "kappa_P": P.cond(),
         "lambda_e": lam_e,
         "V_bar_h": float(v_bar_h),

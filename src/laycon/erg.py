@@ -11,17 +11,15 @@ GammaEvaluator precomputes the P^-1-metric normal lengths, and folds the
 governor gains and the nonzero repulsion pairs, once per (constraints, P,
 gains) triple, and evaluates every governor quantity from them on Python
 floats: e, v and r are passed as their two entries each and the fields
-come back as float pairs. V(e) is SpdMatrix.quad's fixed-order float form
-and each Euclidean norm is sqrt(a*a + b*b), so no governor value depends
-on the BLAS kernel.
+come back as float pairs. The lengths c'P^-1 c and V(e) are SpdMatrix.quad's
+float form and each Euclidean norm is sqrt(a*a + b*b), so no governor value
+depends on the BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import FieldValueError
 from .numkit import SpdMatrix, invert_spd
@@ -54,10 +52,6 @@ class HalfspaceConstraint:
             raise ValueError(f"constraint {self.label!r}: (c_a, c_b) must not both be zero")
         if self.g_gamma < 0.0:
             raise ValueError(f"constraint {self.label!r}: g_gamma must be nonnegative")
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array(self.c_a + self.c_b, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,8 @@ class GammaEvaluator:
     governor gains.
 
     Each constraint is held as a float row (d0, c_v0, c_v1, g_gamma, denom),
-    and its margin is evaluated as d0 - (c_v0 v0 + c_v1 v1) - g_gamma Gamma.
+    denom = pinv.quad(c_a + c_b), and its margin is evaluated as
+    d0 - (c_v0 v0 + c_v1 v1) - g_gamma Gamma.
     That is exact, and so equal to numpy's dot product, for every row that
     hess_constraints builds, because their c_v is (1, 0), (-1, 0) or (0, 0);
     for other c_v it may differ from np.dot in the last bit. The i-th
@@ -129,11 +124,10 @@ class GammaEvaluator:
         self.P = P
         self.kappa_erg = erg_cfg.kappa_erg
         self.eta = erg_cfg.eta
-        self.pinv = invert_spd(P).mat
+        self.pinv = invert_spd(P)
         self.rows = []
         for con in self.constraints:
-            c = con.normal
-            denom = float(c @ self.pinv @ c)
+            denom = self.pinv.quad(con.c_a + con.c_b)
             if denom <= 0.0:
                 raise ZeroNormalError(f"constraint {con.label!r} has zero normal in the P^-1 metric")
             c_v0, c_v1 = (float(x) for x in con.c_v)

@@ -57,7 +57,7 @@ def ultimate_level_optimized(P: SpdMatrix, R: SpdMatrix, B, H_max: float):
     golden-section search to 1e-6 rad.
     """
     B = np.asarray(B, dtype=float).reshape(-1)
-    if P.n != 2 or B.shape[0] != 2:
+    if B.shape[0] != 2:
         raise ValueError("optimized level requires a planar (2-D) error space")
     Pm = P.mat
     Rm = R.mat if isinstance(R, SpdMatrix) else SpdMatrix(R).mat
@@ -98,9 +98,8 @@ def coordinate_bound(P_inv: np.ndarray, V_bar_h: float, i: int) -> float:
     given the inverse P_inv of the Lyapunov matrix."""
     if V_bar_h < 0.0:
         raise ValueError("V_bar_h must be nonnegative")
-    n = P_inv.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"coordinate {i} out of range for {n}-dimensional error")
+    if i not in (0, 1):
+        raise IndexError(f"coordinate {i} out of range for the planar error")
     return math.sqrt(V_bar_h * P_inv[i, i])
 
 

@@ -55,6 +55,8 @@ class PlannerConfig:
             lo, hi = getattr(self, name)
             if hi <= lo:
                 raise FieldValueError(name, "SOC ranges must be nonempty intervals")
+        if not self.e_b_range[0] <= self.e_b_goal <= self.e_b_range[1]:
+            raise FieldValueError("e_b_goal", f"e_b_goal {self.e_b_goal} must lie within e_b_range {self.e_b_range}")
 
     @classmethod
     def from_hess(cls, p: HessParams, t_s: float, **settings) -> "PlannerConfig":

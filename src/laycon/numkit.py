@@ -1,22 +1,18 @@
-"""Small dense linear algebra for control certificates.
+"""Planar linear algebra for control certificates, in closed form.
 
-Everything here operates on matrices no larger than 8x8 (the plant and
-error models are 2-5 dimensional), so all solvers are direct: the Lyapunov
-equation is solved through its Kronecker-product linear system, and the
-extreme eigenvalues of an SPD matrix come from np.linalg.eigvalsh.
-
-The forms an SPD matrix evaluates on a vector, e'Pe and e'Pf, are
-fixed-order sums of products in Python floats, not BLAS dot products, so
-their rounding does not depend on the BLAS kernel. The same expression
-applied to arrays evaluates the form elementwise; each numpy elementwise
-operation is correctly rounded, so every element equals the float form.
+Every matrix here is 2x2 (the error matrix, R, P and P^-1). Each value is a
+fixed-order expression in Python floats, so none depends on the BLAS or
+LAPACK kernel (Gajic & Qureshi 1995, "Lyapunov Matrix Equation in System
+Stability and Control"). The forms e'Pe and e'Pf applied to arrays evaluate
+elementwise; each numpy elementwise operation is correctly rounded, so every
+element equals the float form.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-MAX_DIM = 8
+import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 
@@ -37,136 +33,125 @@ class NotPositiveDefiniteError(ValueError):
     """Symmetric matrix has a nonpositive eigenvalue."""
 
 
-def _as_square(M, name="matrix"):
+def _entries(M, name="matrix") -> tuple[float, float, float, float]:
+    """The entries (a, b, c, d) of a finite 2x2 matrix [[a, b], [c, d]]."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if M.shape[0] < 1 or M.shape[0] > MAX_DIM:
-        raise ValueError(f"{name} dimension {M.shape[0]} outside 1..{MAX_DIM}")
+    if M.shape != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
-    return M
+    return tuple(M.ravel().tolist())
 
 
-def _check_symmetric(M, name="matrix"):
-    scale = np.max(np.abs(M))
-    if scale == 0.0:
-        return
-    if np.max(np.abs(M - M.T)) > SYMMETRY_RTOL * scale:
-        raise NotSymmetricError(f"{name} is not symmetric within {SYMMETRY_RTOL} relative tolerance")
+def eigenvalues(M):
+    """The two eigenvalues of a 2x2 matrix [[a, b], [c, d]], the larger real
+    part first: floats for a real pair, complex for a conjugate pair. With
+    t = a + d and q = ((a - d)/2)^2 + bc (a sum of squares when b = c), a
+    real pair's root of larger magnitude is t/2 + sign(t) sqrt(q) and the
+    other det over it, so neither is a difference of near-equal numbers."""
+    a, b, c, d = _entries(M)
+    half_t, half_gap = 0.5 * (a + d), 0.5 * (a - d)
+    q = half_gap * half_gap + b * c
+    if q < 0.0:
+        s = math.sqrt(-q)
+        return complex(half_t, s), complex(half_t, -s)
+    big = half_t + math.copysign(math.sqrt(q), half_t)
+    small = (a * d - b * c) / big if big != 0.0 else 0.0
+    return (big, small) if big >= small else (small, big)
+
+
+def _hurwitz(A) -> tuple[float, float, float, float]:
+    """The entries of A; NotHurwitzError unless tr(A) < 0 and det(A) > 0."""
+    a, b, c, d = _entries(A, "A")
+    if not (a + d < 0.0 and a * d - b * c > 0.0):
+        raise NotHurwitzError(f"A has eigenvalue with real part {eigenvalues(A)[0].real:.3e} >= 0")
+    return a, b, c, d
 
 
 class SpdMatrix:
-    """Symmetric positive-definite matrix with cached extreme eigenvalues.
-
-    Houses the quadratic form V(e) = e' P e used throughout the certificate
-    computations. Construction validates symmetry (1e-12 relative) and
-    positive definiteness, and folds the coefficients of the float forms.
-    """
+    """Symmetric positive-definite 2x2 matrix with cached extreme
+    eigenvalues, housing the quadratic form V(e) = e' P e of the
+    certificates. Construction validates symmetry (1e-12 relative) and
+    positive definiteness, and folds the coefficients of the float forms."""
 
     def __init__(self, mat):
-        mat = _as_square(mat, "SpdMatrix")
-        _check_symmetric(mat, "SpdMatrix")
-        mat = 0.5 * (mat + mat.T)
-        w = np.linalg.eigvalsh(mat)
-        if w[0] <= 0.0:
-            raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e} is not positive")
-        self.mat = mat
-        self.lam_min = float(w[0])
-        self.lam_max = float(w[-1])
-        n = mat.shape[0]
-        self._rows = mat.tolist()
-        # e'Pe = sum_i p_ii e_i e_i + sum_{i<j} (2 p_ij) e_i e_j; 2 p_ij is exact
-        self._quad_terms = [(self._rows[i][i], i, i) for i in range(n)] + [
-            (2.0 * self._rows[i][j], i, j) for i in range(n) for j in range(i + 1, n)]
-        # the planar case, which the governor evaluates at every RK4 stage:
-        # (p00, p11, 2 p01), summed as one expression in the same order,
-        # about a third of the time of the loop over the terms
-        self._plane = tuple(c for c, _, _ in self._quad_terms) if n == 2 else None
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
+        a, b, c, d = _entries(mat, "SpdMatrix")
+        if abs(b - c) > SYMMETRY_RTOL * max(abs(a), abs(b), abs(c), abs(d)):
+            raise NotSymmetricError(f"SpdMatrix is not symmetric within {SYMMETRY_RTOL} relative tolerance")
+        b = 0.5 * (b + c)
+        self.lam_max, self.lam_min = eigenvalues([[a, b], [b, d]])
+        if self.lam_min <= 0.0:
+            raise NotPositiveDefiniteError(f"smallest eigenvalue {self.lam_min:.3e} is not positive")
+        self.mat = np.array([[a, b], [b, d]])
+        # e'Pe = p00 e0 e0 + p11 e1 e1 + (2 p01) e0 e1; 2 p01 is exact
+        self._quad, self._bilinear = (a, d, 2.0 * b), (a, b, d)
 
     def cond(self) -> float:
         """Spectral condition number lambda_max / lambda_min."""
         return self.lam_max / self.lam_min
 
     def quad(self, e):
-        """Quadratic form e' P e as a fixed-order float sum: the diagonal
-        terms p_ii e_i e_i, then the upper-triangle terms (2 p_ij) e_i e_j row
-        by row, each taken as (c e_i) e_j and summed left to right from 0.0.
-
-        e holds n floats, or n arrays of one shape (the columns of a batch of
-        vectors), for which the form is taken elementwise and each element
-        equals the float form of its vector bit for bit."""
-        if self._plane is not None:
-            p00, p11, p01_2 = self._plane
-            return ((0.0 + p00 * e[0] * e[0]) + p11 * e[1] * e[1]) + p01_2 * e[0] * e[1]
-        acc = 0.0
-        for c, i, j in self._quad_terms:
-            acc = acc + c * e[i] * e[j]
-        return acc
+        """Quadratic form e' P e as the fixed-order float sum from 0.0 of
+        p00 e0 e0, p11 e1 e1 and (2 p01) e0 e1, each taken as (c e_i) e_j.
+        e holds two floats, or two arrays of one shape (the columns of a
+        batch of vectors), for which the form is taken elementwise and each
+        element equals the float form of its vector bit for bit."""
+        p00, p11, p01_2 = self._quad
+        return ((0.0 + p00 * e[0] * e[0]) + p11 * e[1] * e[1]) + p01_2 * e[0] * e[1]
 
     def bilinear(self, e, f):
         """Bilinear form e' P f as the fixed-order float sum over rows i and
         then columns j of (p_ij e_i) f_j, summed left to right from 0.0.
         Like quad, it takes floats or arrays of one shape."""
-        acc = 0.0
-        for e_i, row in zip(e, self._rows):
-            for p_ij, f_j in zip(row, f):
-                acc = acc + p_ij * e_i * f_j
-        return acc
+        p00, p01, p11 = self._bilinear
+        return (((0.0 + p00 * e[0] * f[0]) + p01 * e[0] * f[1]) + p01 * e[1] * f[0]) + p11 * e[1] * f[1]
 
-    def __repr__(self):
-        return f"SpdMatrix({self.mat!r})"
+
+def _det3(m) -> float:
+    """Determinant of a 3x3 matrix by cofactor expansion along its first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def solve_lyapunov(A, R):
     """Solve A' P + P A = -R for P, with A Hurwitz and R SPD.
 
-    Uses the vectorized Kronecker linear system; the returned P satisfies
-    the residual bound ||A'P + PA + R||_inf <= 1e-9 ||R||_inf and is
-    returned as an SpdMatrix.
-    """
-    A = _as_square(A, "A")
-    R_mat = R.mat if isinstance(R, SpdMatrix) else SpdMatrix(R).mat
-    n = A.shape[0]
-    if R_mat.shape[0] != n:
-        raise ValueError(f"dimension mismatch: A is {n}x{n}, R is {R_mat.shape[0]}x{R_mat.shape[0]}")
-    eigs = np.linalg.eigvals(A)
-    if np.max(eigs.real) >= 0.0:
-        raise NotHurwitzError(f"A has eigenvalue with real part {np.max(eigs.real):.3e} >= 0")
-    eye = np.eye(n)
-    K = np.kron(eye, A.T) + np.kron(A.T, eye)
-    try:
-        vec_p = np.linalg.solve(K, -R_mat.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("Kronecker Lyapunov system is singular") from exc
-    P = vec_p.reshape(n, n)
-    P = 0.5 * (P + P.T)
-    residual = np.linalg.norm(A.T @ P + P @ A + R_mat, np.inf)
-    if residual > 1e-9 * np.linalg.norm(R_mat, np.inf):
+    With A = [[a, b], [c, d]] the equation reads, in x = (p11, p12, p22),
+        2a p11 + 2c p12 = -r11,  b p11 + (a + d) p12 + c p22 = -r12,
+        2b p12 + 2d p22 = -r22,
+    whose determinant 4 tr(A) det(A) is nonzero for Hurwitz A; each unknown
+    is its Cramer quotient. The returned SpdMatrix P satisfies the residual
+    bound ||A'P + PA + R||_inf <= 1e-9 ||R||_inf."""
+    a, b, c, d = _hurwitz(A)
+    (r11, r12), (_, r22) = (R if isinstance(R, SpdMatrix) else SpdMatrix(R)).mat.tolist()
+    M = ((2.0 * a, 2.0 * c, 0.0), (b, a + d, c), (0.0, 2.0 * b, 2.0 * d))
+    y = (-r11, -r12, -r22)
+    det = _det3(M)
+    if det == 0.0:
+        raise SingularSystemError("Lyapunov system is singular")
+    x = [_det3([row[:k] + (y_i,) + row[k + 1:] for row, y_i in zip(M, y)]) / det for k in range(3)]
+    # the residual's entries (0,0), (0,1) and (1,1) are the rows of M x - y
+    res = [sum(m * x_j for m, x_j in zip(row, x)) - y_i for row, y_i in zip(M, y)]
+    residual = max(abs(res[0]) + abs(res[1]), abs(res[1]) + abs(res[2]))
+    if not residual <= 1e-9 * max(abs(r11) + abs(r12), abs(r12) + abs(r22)):
         raise SingularSystemError(f"Lyapunov residual {residual:.3e} exceeds tolerance")
-    return SpdMatrix(P)
+    return SpdMatrix([[x[0], x[1]], [x[1], x[2]]])
 
 
 def decay_rate(A) -> float:
     """Slowest decay rate of a Hurwitz matrix: min over eigenvalues of |Re|."""
-    A = _as_square(A, "A")
-    eigs = np.linalg.eigvals(A)
-    if np.max(eigs.real) >= 0.0:
-        raise NotHurwitzError(f"A has eigenvalue with real part {np.max(eigs.real):.3e} >= 0")
-    return float(np.min(-eigs.real))
+    _hurwitz(A)
+    return -eigenvalues(A)[0].real
 
 
 def invert_spd(P):
-    """Inverse of an SPD matrix, validated to ||P P^-1 - I|| <= 1e-10."""
-    if not isinstance(P, SpdMatrix):
-        P = SpdMatrix(P)
-    n = P.n
-    inv = np.linalg.solve(P.mat, np.eye(n))
-    inv = 0.5 * (inv + inv.T)
-    if np.linalg.norm(P.mat @ inv - np.eye(n), np.inf) > 1e-10:
+    """Inverse of an SPD matrix, its adjugate over its determinant,
+    validated to ||P P^-1 - I||_inf <= 1e-10."""
+    (p11, p12), (_, p22) = (P if isinstance(P, SpdMatrix) else SpdMatrix(P)).mat.tolist()
+    det = p11 * p22 - p12 * p12
+    q11, q12, q22 = p22 / det, -p12 / det, p11 / det
+    round_trip = max(abs(p11 * q11 + p12 * q12 - 1.0) + abs(p11 * q12 + p12 * q22),
+                     abs(p12 * q11 + p22 * q12) + abs(p12 * q12 + p22 * q22 - 1.0))
+    if not round_trip <= 1e-10:
         raise SingularSystemError("SPD inversion failed round-trip check")
-    return SpdMatrix(inv)
+    return SpdMatrix([[q11, q12], [q12, q22]])

@@ -30,8 +30,8 @@ from .hess import (
 )
 from .iss_cert import ultimate_level_optimized
 from .mpc import PlannerConfig
-from .numkit import SpdMatrix, solve_lyapunov
-from .sim import SimConfig
+from .numkit import SpdMatrix, eigenvalues, solve_lyapunov
+from .sim import RK4_REAL_LIMIT, SimConfig
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class RunBundle:
     the governor's start v_start (sim.v0, or r_start when v0 is None), the
     optimized invariant level (computed on first use) and v_bar_h (the
     override, else that level). A run uses the planner iff planner_cfg is
-    not None; without one, sim.frozen_reference is required."""
+    not None. The bundle checks the rules that span config sections."""
 
     name: str
     plant: HessParams
@@ -96,9 +96,19 @@ class RunBundle:
     v_start: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
+        # each rule spans sections, so its field is its full key path
         if self.planner_cfg is None and self.sim.frozen_reference is None:
-            # spans two sections, so the field is its full key path
             raise FieldValueError("sim.frozen_reference", "no planner: a frozen reference is required")
+        rate = max(self.plant.lambda_b_gain, *map(abs, eigenvalues(self.plant.error_matrix())))
+        if self.sim.h * rate >= RK4_REAL_LIMIT:
+            raise FieldValueError("sim.h", f"h times the fastest loop rate {rate:.6g} is {self.sim.h * rate:.6g}, "
+                                           f"not below RK4's real stability limit {RK4_REAL_LIMIT}")
+        if self.load_profile is not None:
+            t0, t1 = self.load_profile.t_span
+            t_last = self.sim.last_load_time(None if self.planner_cfg is None else self.planner_cfg.horizon)
+            if t0 > 1e-12 or t_last > t1 + 1e-12:
+                raise FieldValueError("load.segments", f"load span [{t0}, {t1}] does not cover the times "
+                                                       f"[0, {t_last}] the run reads the load at")
         P = solve_lyapunov(self.plant.error_matrix(), self.R)
         con = self.constraint_cfg
         rows = hess_constraints(self.plant, con.mode, con.kappa_bar, con.d_bar_max, con.d_bar_dot_max)

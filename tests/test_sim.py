@@ -170,6 +170,26 @@ class TestRunLayered:
                 assert c["V_e"][i] == v_e
                 assert c["Phi"][i] == v_e - c["Gamma_v"][i]
 
+    @pytest.mark.parametrize("overlay", [
+        None,
+        {"sim": {"t_end": 1.05}},  # the run ends mid-period
+        {"planner": None, "sim": {"frozen_reference": [400.0, 0.0]}},
+    ], ids=["planner", "mid_period", "no_planner"])
+    def test_last_load_time_is_the_last_time_read(self, monkeypatch, overlay):
+        # the bundle checks the load's span against SimConfig.last_load_time,
+        # so it must be the latest time the run evaluates the load at
+        latest = []
+        original = sim_module.load_eval
+
+        def recorded(times, profile):
+            latest.append(float(np.max(times)))
+            return original(times, profile)
+
+        monkeypatch.setattr(sim_module, "load_eval", recorded)
+        b = bundle(scenario_b(t_end=1.0), overlay)
+        run_layered(b)
+        assert max(latest) == b.sim.last_load_time(b.planner_cfg and b.planner_cfg.horizon)
+
     def test_period_rounding_warns(self):
         off_grid = bundle(scenario_a(t_end=0.5), {"sim": {
             "t_s": 0.0995, "disturbance": "none", "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": None}})
