@@ -1,10 +1,11 @@
 """Discrete-time battery-energy planner.
 
-Condenses the receding-horizon energy tracking problem (quadratic cost on
-the battery state of charge, affine abstract dynamics, current/slew/
-supercapacitor-coupling/SOC constraints) into a dense QP over the battery
-current sequence, applies the hold-previous-reference fallback when the
-tightened problem is infeasible, and evaluates the planner-side ISS
+Poses the receding-horizon energy tracking problem (quadratic cost on the
+battery state of charge, affine abstract dynamics, current/slew/
+supercapacitor-coupling/SOC constraints) as a QP over the predicted SOC
+path: the Euclidean projection of the goal onto a polytope whose rows have
+at most 3 nonzeros. It applies the hold-previous-reference fallback when
+the tightened problem is infeasible, and evaluates the planner-side ISS
 certificate bounding how far persistent model mismatch can push the
 closed loop off its goal.
 """
@@ -44,10 +45,6 @@ class PlannerConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise FieldValueError("horizon", "horizon must be at least one step")
-        # t_s and slew_bound are derived from other sections, so their check
-        # names only this one
-        if self.t_s <= 0.0 or self.slew_bound <= 0.0:
-            raise ValueError("t_s and slew_bound must be positive")
         for name in ("q_weight", "tighten_eps_e"):
             if getattr(self, name) < 0.0:
                 raise FieldValueError(name, f"{name} must be nonnegative")
@@ -79,19 +76,25 @@ class PlannerConfig:
         return self.t_s * self.lambda_s * self.v_nom
 
     @functools.cached_property
-    def _rhs_terms(self) -> tuple[np.ndarray, ...]:
-        """The arrays of build_qp that depend only on this config, built on
-        first use: the prediction matrix S, its column sums, the SOC
-        tightening, the constant current and slew blocks, and the upper SOC
-        bounds less the tightening. Every call shares them, so they are
-        read-only."""
+    def _bounds(self) -> tuple[np.ndarray, ...]:
+        """The arrays of plan and build_qp that depend only on this config,
+        built on first use: the zero cost gradient, the tightened battery
+        corridor as bounds on x, the tightened supercapacitor corridor scaled
+        by gain_b / gain_s, the slew band, and the coefficients of x_0 and
+        u_0 in b. Every call shares them, so they are read-only."""
         N = self.horizon
-        S = np.tril(np.ones((N, N)))
         tighten = np.arange(1, N + 1, dtype=float) * self.tighten_eps_e
+        (e_b_lo, e_b_hi), (e_s_lo, e_s_hi) = self.e_b_range, self.e_s_range
+        ratio = self.gain_b / self.gain_s
+        first, second = np.eye(1, N).ravel(), np.eye(1, N, 1).ravel()
+        zero = np.zeros(N)
         terms = (
-            S, S.T @ np.ones(N), tighten,
-            np.full(N, self.i_b_bar), np.full(N, self.slew_bound), np.full(N, self.i_s_bar),
-            self.e_b_range[1] - tighten, self.e_s_range[1] - tighten,
+            zero,
+            e_b_hi - tighten - self.e_b_goal, self.e_b_goal - e_b_lo - tighten,
+            ratio * (e_s_lo + tighten), ratio * (e_s_hi - tighten),
+            np.full(N, self.gain_b * self.slew_bound),
+            np.concatenate([first, -first, first - second, second - first, zero, zero]),
+            np.concatenate([zero, zero, first, -first, zero, zero]),
         )
         for a in terms:
             a.flags.writeable = False
@@ -117,84 +120,77 @@ def abstract_step(y_hat, i_b_ref: float, d_hat: float, cfg: PlannerConfig) -> np
 
 
 def qp_matrices(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The period-invariant part of the condensed QP: the cost Hessian H and
-    the constraint rows A_ineq over the battery current sequence. They
-    depend only on the horizon, the cost weight and the two energy gains."""
+    """The period-invariant part of the planner QP over the predicted SOC
+    path x_j = E_B,j - e_b_goal (j = 1..N): H = 2qI and rows of at most 3
+    nonzeros, which depend only on the horizon and the cost weight. Step
+    j's current is u_j = (x_j - x_j-1) / gain_b, so the rows are a band on
+    Delta x_j (current box and supercapacitor coverage), the slew band on
+    Delta^2 x_j, and a box on x_j (battery and supercapacitor corridors)."""
     if cfg.q_weight <= 0.0:
         raise ValueError("condensed cost requires q_weight > 0")
     N = cfg.horizon
-    S = np.tril(np.ones((N, N)))
-    c_b, c_s = cfg.gain_b, cfg.gain_s
-    H = 2.0 * cfg.q_weight * c_b * c_b * (S.T @ S)
     eye = np.eye(N)
-    # slew: first step against the held reference, then consecutive steps
-    D = eye - np.diag(np.ones(N - 1), -1) if N > 1 else eye
-    A_ineq = np.vstack([
-        eye, -eye,  # battery current box
-        D, -D,  # slew
-        -eye, eye,  # supercapacitor coverage of the bus balance: |-u - d| <= i_s_bar
-        c_b * S, -c_b * S, -c_s * S, c_s * S,  # tightened SOC corridors
-    ])
-    return H, A_ineq
+    step = eye - np.eye(N, k=-1)
+    slew = step - np.eye(N, k=-1) + np.eye(N, k=-2)
+    A_ineq = np.vstack([step, -step, slew, -slew, eye, -eye])
+    return 2.0 * cfg.q_weight * eye, A_ineq
 
 
-def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The per-period part of the condensed QP: the cost gradient g and the
-    right-hand sides b_ineq of the rows of `qp_matrices`, in their order.
+def build_qp(y_k, d_forecast, r_prev: float, cfg: PlannerConfig) -> np.ndarray:
+    """The per-period part of the planner QP: the right-hand sides b_ineq of
+    the rows of `qp_matrices`, in their order. The cost gradient is zero.
 
-    SOC rows for prediction step j are tightened by j * tighten_eps_e on
-    both sides, so per-step mismatch cannot strand a nominally feasible
-    plan inside the horizon.
+    The forecast load d enters through the supercapacitor, whose SOC is
+    E_S,j = E_S - (gain_s / gain_b)(x_j - x_0) - gain_s (d_1 + ... + d_j),
+    and its coverage |-u_j - d_j| <= i_s_bar. SOC rows for prediction step j
+    are tightened by j * tighten_eps_e on both sides, so per-step mismatch
+    cannot strand a nominally feasible plan inside the horizon. Where two
+    rows bound the same x_j or Delta x_j, the tighter one is kept.
     """
     N = cfg.horizon
     d = np.asarray(d_forecast, dtype=float).reshape(-1)
     if d.shape[0] < N:
         raise ValueError(f"disturbance forecast shorter than horizon ({d.shape[0]} < {N})")
     d = d[:N]
-    e_b0, e_s0 = float(y_k[0]), float(y_k[1])
-    S, col_sums, tighten, i_b_rhs, slew, i_s_rhs, e_b_hi, e_s_hi = cfg._rhs_terms
-    c_s = cfg.gain_s
-    delta = e_b0 - cfg.e_b_goal
-
-    g = 2.0 * cfg.q_weight * cfg.gain_b * delta * col_sums
-
-    slew_rhs = slew.copy()
-    slew_rhs[0] += r_prev
-    slew_rhs_neg = slew.copy()
-    slew_rhs_neg[0] -= r_prev
-    sd = S @ d
+    _, x_hi, x_lo_neg, e_s_lo, e_s_hi, slew, x_0, u_0 = cfg._bounds
+    c_b = cfg.gain_b
+    delta = float(y_k[0]) - cfg.e_b_goal
+    cd = c_b * d
+    # the x_j at which E_S,j would be zero
+    empty = (delta + c_b / cfg.gain_s * float(y_k[1])) - np.cumsum(cd)
+    i_b, i_s = c_b * cfg.i_b_bar, c_b * cfg.i_s_bar
     b_ineq = np.concatenate([
-        i_b_rhs, i_b_rhs,
-        slew_rhs, slew_rhs_neg,
-        i_s_rhs + d, i_s_rhs - d,
-        e_b_hi - e_b0,
-        e_b0 - cfg.e_b_range[0] - tighten,
-        e_s_hi - e_s0 + c_s * sd,
-        e_s0 - cfg.e_s_range[0] - tighten - c_s * sd,
+        np.minimum(i_b, i_s - cd), np.minimum(i_b, i_s + cd),
+        slew, slew,
+        np.minimum(x_hi, empty - e_s_lo), np.minimum(x_lo_neg, e_s_hi - empty),
     ])
-    return g, b_ineq
+    # x_0 = delta and u_0 = r_prev, moved from the first rows into b
+    return b_ineq + (delta * x_0 + (c_b * r_prev) * u_0)
 
 
 def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver) -> PlanResult:
-    """Receding-horizon step: solve the condensed QP and extract the first
+    """Receding-horizon step: solve the planner QP and extract the first
     reference; on infeasibility hold the previous reference (a zero step,
-    so the slew guarantee survives the fallback). `solver` must be bound to
+    so the slew guarantee survives the fallback). The optimal value is
+    V* = q |x*|^2, summed in step order. `solver` must be bound to
     `qp_matrices(cfg)`."""
-    g, b_ineq = build_qp(y_k, d_forecast, r_prev, cfg)
-    sol = solver.solve(g, b_ineq, max_iters=50 * max(cfg.horizon, 4))
+    b_ineq = build_qp(y_k, d_forecast, r_prev, cfg)
+    sol = solver.solve(cfg._bounds[0], b_ineq, max_iters=50 * max(cfg.horizon, 4))
     if sol.status is QpStatus.OPTIMAL:
-        offset = cfg.q_weight * cfg.horizon * (float(y_k[0]) - cfg.e_b_goal) ** 2
-        value = max(0.0, sol.objective + offset)
-        return PlanResult(r_k=(cfg.v_nom, float(sol.x[0])), V_N_star=value, fallback_used=False, qp=sol)
+        x = sol.x.tolist()
+        r = (x[0] - (float(y_k[0]) - cfg.e_b_goal)) / cfg.gain_b
+        value = cfg.q_weight * sum(x_j * x_j for x_j in x)
+        return PlanResult(r_k=(cfg.v_nom, r), V_N_star=value, fallback_used=False, qp=sol)
     return PlanResult(r_k=(cfg.v_nom, r_prev), V_N_star=None, fallback_used=True, qp=sol)
 
 
 class Planner:
     """Receding-horizon wrapper owning the held reference and QP workspace.
 
-    The workspace is bound to `qp_matrices(cfg)` at construction, so a
-    config swapped in later must keep the horizon, cost weight and gains.
-    One planner per simulation; not shared across concurrent runs.
+    The workspace is bound to `qp_matrices(cfg)` at construction, which
+    depends only on the horizon and the cost weight, so a config swapped in
+    later must keep those two. One planner per simulation; not shared
+    across concurrent runs.
     """
 
     def __init__(self, cfg: PlannerConfig, r_init: float = 0.0):
@@ -240,11 +236,6 @@ def estimate_lipschitz(
     rng = np.random.default_rng(seed)
     solver = QpSolver(*qp_matrices(cfg))
     d_zero = np.zeros(cfg.horizon)
-
-    def value(y):
-        res = plan(y, d_zero, 0.0, cfg, solver)
-        return res.V_N_star
-
     best = None
     for _ in range(sample_count):
         y = np.array([
@@ -256,7 +247,7 @@ def estimate_lipschitz(
         gap = float(np.linalg.norm(y2 - y))
         if gap < 1e-9:
             continue
-        v1, v2 = value(y), value(y2)
+        v1, v2 = (plan(z, d_zero, 0.0, cfg, solver).V_N_star for z in (y, y2))
         if v1 is None or v2 is None:
             continue
         ratio = abs(v2 - v1) / gap

@@ -99,6 +99,9 @@ class RunBundle:
         # each rule spans sections, so its field is its full key path
         if self.planner_cfg is None and self.sim.frozen_reference is None:
             raise FieldValueError("sim.frozen_reference", "no planner: a frozen reference is required")
+        if self.planner_cfg is not None and not self.planner_cfg.slew_bound > 0.0:
+            # u_b_bar / lambda_b_gain (1 - exp(-lambda_b_gain t_s)) underflows to zero for a tiny t_s
+            raise FieldValueError("sim.t_s", f"t_s {self.sim.t_s:g} gives the planner no slew bound")
         rate = max(self.plant.lambda_b_gain, *map(abs, eigenvalues(self.plant.error_matrix())))
         if self.sim.h * rate >= RK4_REAL_LIMIT:
             raise FieldValueError("sim.h", f"h times the fastest loop rate {rate:.6g} is {self.sim.h * rate:.6g}, "

@@ -79,6 +79,8 @@ STREAM_ROWS = 512  # a block of logged rows closes at a period boundary once thi
 
 RK4_REAL_LIMIT = 2.78  # RK4 is stable for a real eigenvalue lambda < 0 iff h |lambda| < 2.785
 
+MAX_STEPS = 1_000_000  # integration steps a run may take; its log of 19 floats per step is then 152 MB
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -98,6 +100,9 @@ class SimConfig:
         for name in ("h", "t_end", "t_s"):
             if getattr(self, name) <= 0.0:
                 raise FieldValueError(name, f"{name} must be positive")
+        if self.t_end / self.h > MAX_STEPS + 0.5:  # round(t_end / h) > MAX_STEPS; the quotient may be inf
+            raise FieldValueError("t_end", f"t_end / h = {self.t_end / self.h:.6g} steps, "
+                                           f"above MAX_STEPS {MAX_STEPS}")
         if self.disturbance not in get_args(DisturbanceMode):
             raise FieldValueError("disturbance", f"unknown disturbance mode {self.disturbance!r}")
         if self.w_max < 0.0:

@@ -13,7 +13,7 @@ from laycon.erg import ErgConfig
 from laycon.hess import HessParams, LoadProfile, OutOfSpanError
 from laycon.mpc import Planner, PlannerConfig, PlanResult
 from laycon.numkit import SpdMatrix
-from laycon.qp import QpSolution, QpSolver
+from laycon.qp import QpSolution, QpSolver, QpStatus
 from laycon.scenarios import RunBundle
 from laycon.sim import NonFiniteStateError
 
@@ -214,3 +214,45 @@ def no_plan_step(q_weight: float, tighten: float) -> PlanResult:
         e_b_range=(0.0, 5.0), e_s_range=(-40.0, 40.0), tighten_eps_e=tighten,
     )
     return Planner(cfg, r_init=0.5).step(np.array([0.0, -45.0]), np.zeros(cfg.horizon))
+
+
+def planner_qp_reference(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The planner QP over the battery current sequence u, condensed through
+    the prediction matrix S (lower triangle of ones): the dense Hessian
+    2 q c_b^2 S'S and 10 blocks of N rows each, current box, slew,
+    supercapacitor coverage and the four tightened SOC corridors."""
+    N = cfg.horizon
+    S = np.tril(np.ones((N, N)))
+    c_b, c_s = cfg.gain_b, cfg.gain_s
+    H = 2.0 * cfg.q_weight * c_b * c_b * (S.T @ S)
+    eye = np.eye(N)
+    D = eye - np.eye(N, k=-1)
+    A_ineq = np.vstack([eye, -eye, D, -D, -eye, eye, c_b * S, -c_b * S, -c_s * S, c_s * S])
+    return H, A_ineq
+
+
+def plan_reference(y_k, d_forecast, r_prev: float, cfg: PlannerConfig,
+                   solver: QpSolver) -> tuple[QpStatus, float | None, float | None]:
+    """One planner step over u with `solver` bound to planner_qp_reference:
+    (status, first current, V*), V* being the QP's objective plus the
+    constant q N (E_B - goal)^2 that the condensation drops."""
+    N = cfg.horizon
+    d = np.asarray(d_forecast, dtype=float)[:N]
+    S = np.tril(np.ones((N, N)))
+    e_b0, e_s0 = float(y_k[0]), float(y_k[1])
+    delta = e_b0 - cfg.e_b_goal
+    tighten = np.arange(1, N + 1) * cfg.tighten_eps_e
+    slew = np.full(N, cfg.slew_bound)
+    sd = cfg.gain_s * (S @ d)
+    g = 2.0 * cfg.q_weight * cfg.gain_b * delta * (S.T @ np.ones(N))
+    b_ineq = np.concatenate([
+        np.full(2 * N, cfg.i_b_bar),
+        slew + np.eye(1, N).ravel() * r_prev, slew - np.eye(1, N).ravel() * r_prev,
+        cfg.i_s_bar + d, cfg.i_s_bar - d,
+        cfg.e_b_range[1] - tighten - e_b0, e_b0 - cfg.e_b_range[0] - tighten,
+        cfg.e_s_range[1] - tighten - e_s0 + sd, e_s0 - cfg.e_s_range[0] - tighten - sd,
+    ])
+    sol = solver.solve(g, b_ineq, max_iters=50 * max(N, 4))
+    if sol.status is not QpStatus.OPTIMAL:
+        return sol.status, None, None
+    return sol.status, float(sol.x[0]), max(0.0, sol.objective + cfg.q_weight * N * delta**2)

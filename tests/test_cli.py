@@ -188,6 +188,31 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error at {key_path}: ")
         assert [p.name for p in tmp_path.iterdir()] == ["overlay.json"]  # nothing written
 
+    @pytest.mark.parametrize("text, key_path", [
+        # B's planner derives its slew bound 1 - exp(-lambda_b_gain t_s),
+        # which underflows to zero for a tiny t_s
+        ('{"sim": {"t_s": 1e-300}}', "sim.t_s"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_bad_planner_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
+        path = tmp_path / "overlay.json"
+        path.write_text(text)
+        assert main([command, "--scenario", "b", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error at {key_path}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["overlay.json"]  # nothing written
+
+    @pytest.mark.parametrize("maker", [scenario_a, scenario_b])
+    def test_step_count_is_capped_at_load(self, maker):
+        # 10^12 steps: load_bundle rejects them, so no run allocates their log
+        with pytest.raises(cli_module.ConfigError, match=r"^config error at sim\.t_end: "):
+            bundle(maker(), {"sim": {"t_end": 1e9}})
+
+    def test_step_count_cap_boundary(self):
+        cap, h = sim_module.MAX_STEPS, 1e-3
+        assert round(sim_module.SimConfig(t_end=cap * h, t_s=0.1, h=h).t_end / h) == cap
+        with pytest.raises(ValueError, match="above MAX_STEPS"):
+            sim_module.SimConfig(t_end=(cap + 1) * h, t_s=0.1, h=h)
+
     def test_load_segment_gap_names_segments(self, tmp_path, capsys):
         cfg = resolve_config("b", None)
         cfg["load"]["segments"][1][0] = 0.6
@@ -650,27 +675,27 @@ PINNED_RUNS = [
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
         "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
     ("b_mixed", "b", {"sim": {"t_end": 0.5}}, 3, (
-        "8354ef019e7303f93aa72803821cce91d11926da5d3d90fd3b6cbd0dd4a81529",
-        "34c7339ee1904260b732fcd8ff951f3d7f591abc75fdac9091a7f235af0a9910",
-        "d25f31c6c94d2c3874e0618e2e901e7d960f054f21d7b4953ea4f93c54ec04a3")),
+        "869ab689317c0635de0fdee76773a38debac5e871775208769187c2714f00902",
+        "b810ddeca5ec18ba4d45227dd77aa991a2c9e8d999febfad6e3bfca95177aef8",
+        "73c1b8807581014bd5619525e24553629bed6d64e2f931480192a860d47c568a")),
     # full mode: self-referential rows, so Gamma runs its fixed point
     ("b_full", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL}, 7, (
-        "b3319779bd478163d9fe66bc3578843bd4d324d036136828df18a2ec6f9e17a8",
-        "7fb9c4939f0a8d657d3457bdd7bf0c5fc4fbcf3274ecb67af0d37731ffb78b1b",
-        "68de9c873abd533397f14b478b3d6f6ba80d3919e3250427aaef5ba9104a07e3")),
+        "c7d5778a2a2fe127c6fcd37bf4b14bda02cdb233daf72b7a5aee8aa9c480b680",
+        "0d01577fab13d31194724370e26edc410f82bbfd76d5a719816d2de9683414b7",
+        "000a59e5664d1d952aa1de2af7bbb6d37735dfb15aec5ec0b74d9602ce98553f")),
     # repulsion on: equal strengths on v_max/v_min cancel exactly while
     # v_V stays at 400, so this run writes the same bytes as b_full
     ("b_full_repulsion", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                "erg": {"eta_rep": [0.1, 0.1, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "b3319779bd478163d9fe66bc3578843bd4d324d036136828df18a2ec6f9e17a8",
-        "7fb9c4939f0a8d657d3457bdd7bf0c5fc4fbcf3274ecb67af0d37731ffb78b1b",
-        "68de9c873abd533397f14b478b3d6f6ba80d3919e3250427aaef5ba9104a07e3")),
+        "c7d5778a2a2fe127c6fcd37bf4b14bda02cdb233daf72b7a5aee8aa9c480b680",
+        "0d01577fab13d31194724370e26edc410f82bbfd76d5a719816d2de9683414b7",
+        "000a59e5664d1d952aa1de2af7bbb6d37735dfb15aec5ec0b74d9602ce98553f")),
     # unequal strengths: the net repulsion moves v_V
     ("b_full_repulsion_asym", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                     "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "de57202ae5fd4e0f2d213f3e6965c0b0ef6e789f5ec153c651c8f16df2650940",
-        "30f715dfa9b09be82c8d0acba915ccffecb588493bf5367173d68acf2acfbb31",
-        "1308a4e8e727614b262e9f32339e9420c3769257e3313da1d4e62373f8e858f9")),
+        "88f585c85d961ee2e0585cdc54deea4b4af593a42c037e289a5a15a31bba62d1",
+        "db1b7681861cc73c40f35d745a2d02b5a3eb4052d0a653536d7687fef8d8ffd4",
+        "f47e522561cd1559cfd40a6ed71274c6481d8e3f9307f1b23ebad1a0d5385069")),
 ]
 
 

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import NO_PLAN_STEPS, no_plan_step
+from helpers import NO_PLAN_STEPS, bundle, no_plan_step, plan_reference, planner_qp_reference
 
 from laycon import mpc
 from laycon.hess import HessParams
@@ -17,6 +19,8 @@ from laycon.mpc import (
     qp_matrices,
 )
 from laycon.qp import QpSolver, QpStatus
+from laycon.scenarios import scenario_b
+from laycon.sim import run_layered
 
 
 def make_cfg(**overrides):
@@ -47,8 +51,10 @@ def scenario_b_cfg():
     )
 
 
-def solve_condensed(y, d_forecast, r_prev, cfg):
-    return QpSolver(*qp_matrices(cfg)).solve(*build_qp(y, d_forecast, r_prev, cfg))
+def first_current(y, d_forecast, r_prev, cfg):
+    """The battery current of the QP's first step, read from x_1 = E_B,1 - goal."""
+    sol = QpSolver(*qp_matrices(cfg)).solve(np.zeros(cfg.horizon), build_qp(y, d_forecast, r_prev, cfg))
+    return (sol.x[0] - (y[0] - cfg.e_b_goal)) / cfg.gain_b
 
 
 def count_qp_matrices(monkeypatch):
@@ -84,13 +90,11 @@ class TestBuildQp:
     def test_one_step_reaches_goal(self):
         cfg = make_cfg(horizon=1, e_b_goal=5.0, slew_bound=100.0, i_b_bar=100.0, i_s_bar=200.0)
         y = np.array([4.99, 0.0])
-        sol = solve_condensed(y, np.zeros(1), 0.0, cfg)
-        assert sol.x[0] == pytest.approx((5.0 - 4.99) / cfg.gain_b)
+        assert first_current(y, np.zeros(1), 0.0, cfg) == pytest.approx((5.0 - 4.99) / cfg.gain_b)
 
     def test_binding_slew_only(self):
         cfg = make_cfg(horizon=1, i_b_bar=100.0, i_s_bar=200.0)
-        sol = solve_condensed(np.array([0.0, 0.0]), np.zeros(1), 0.2, cfg)
-        assert sol.x[0] == pytest.approx(0.2 + cfg.slew_bound)
+        assert first_current(np.array([0.0, 0.0]), np.zeros(1), 0.2, cfg) == pytest.approx(0.2 + cfg.slew_bound)
 
     def test_scenario_b_first_step_feasible(self):
         cfg = scenario_b_cfg()
@@ -189,6 +193,75 @@ class TestPlan:
                 res = planner.step(y, np.zeros(cfg.horizon))
                 assert not res.fallback_used
                 y = abstract_step(y, res.r_k[1], 0.0, cfg)
+
+
+class TestOracleGrid:
+    """The planner over the predicted SOC path against the dense QP over the
+    battery current sequence (helpers.plan_reference), each hot-started
+    through the same sequence of states and held references."""
+
+    @pytest.mark.parametrize("q_weight", [1e-6, 1e-3, 1.0])
+    def test_matches_the_current_space_oracle(self, q_weight):
+        statuses = set()
+        for tighten in (0.0, 0.02, 0.1, 0.2):
+            cfg = dataclasses.replace(scenario_b_cfg(), q_weight=q_weight, tighten_eps_e=tighten)
+            for e_s in (35.0, -45.0):  # inside E_S's range (-40, 40), near its top, and outside
+                for load in (-5.0, 0.0, 5.0):
+                    planner, oracle = Planner(cfg), QpSolver(*planner_qp_reference(cfg))
+                    d = np.full(cfg.horizon, load)
+                    for e_b in np.linspace(-0.5, 5.2, 8):
+                        y = np.array([e_b, e_s])
+                        status, r, value = plan_reference(y, d, planner.r_prev, cfg, oracle)
+                        res = planner.step(y, d)
+                        assert res.qp.status is status
+                        statuses.add(status)
+                        if status is QpStatus.OPTIMAL:
+                            assert abs(res.r_k[1] - r) <= 1e-9 * max(1.0, abs(r))
+                            floor = q_weight * cfg.horizon * (e_b - cfg.e_b_goal) ** 2
+                            assert abs(res.V_N_star - value) <= 1e-9 * max(1.0, floor)
+        assert statuses == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
+
+    def test_value_floor_at_the_goal(self):
+        # the goal sits on the upper SOC bound, tightened by 0.02 per step, so
+        # the closest plan holds x_j = -0.02 j: V* = q sum (0.02 j)^2 = 1.148
+        cfg = bundle(scenario_b()).planner_cfg
+        res = Planner(cfg).step(np.array([cfg.e_b_goal, 0.0]), np.zeros(cfg.horizon))
+        floor = cfg.q_weight * sum((0.02 * j) ** 2 for j in range(1, cfg.horizon + 1))
+        assert floor == pytest.approx(1.148, rel=1e-12)
+        assert res.V_N_star == pytest.approx(floor, rel=1e-12)
+
+
+def count_qp_iterations(monkeypatch) -> list[int]:
+    iterations = []
+    original = QpSolver.solve
+
+    def counted(self, *args, **kwargs):
+        sol = original(self, *args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(QpSolver, "solve", counted)
+    return iterations
+
+
+class TestPlannerWork:
+    """The planner's deterministic work, so a change to the QP shows its
+    cost here and not only in a traced benchmark pass."""
+
+    def test_scenario_b_run(self, monkeypatch):
+        iterations = count_qp_iterations(monkeypatch)
+        run_layered(bundle(scenario_b(seed=0)))
+        assert (len(iterations), sum(iterations)) == (60, 174)
+
+    def test_lipschitz_estimate(self, monkeypatch):
+        # the call and arguments of `certify`. The solver's BLAS rounding
+        # moves a few iterations with the kernel: 3896 under OpenBLAS's
+        # SkylakeX and Prescott kernels, 3894 under Haswell and Zen, 3888
+        # under Nehalem
+        iterations = count_qp_iterations(monkeypatch)
+        estimate_lipschitz(bundle(scenario_b()).planner_cfg, sample_count=200, sample_radius=0.5, seed=0)
+        assert len(iterations) == 400
+        assert sum(iterations) == pytest.approx(3896, rel=0.01)
 
 
 class TestPlannerIssBound:

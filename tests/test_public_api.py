@@ -20,6 +20,9 @@ UNUSED_MEMBERS_ALLOWED = {
     "TrajectoryLog.v_n_star",
     # the QP multipliers; the planner certificate's exact gradient will read them
     "QpSolution.lam",
+    # the QP's value 1/2 x'Hx + g'x, by which criterion 11 checks the solver;
+    # the planner sums its own V* = q |x*|^2 in step order
+    "QpSolution.objective",
     # the benchmark tracer counts its calls (erg.gamma_i_calls)
     "GammaEvaluator.gamma_i",
 }
