@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import FieldValueError
 from .hess import DERIVED, HessParams, battery_interface_bounds
+from .numkit import UniformStream
 from .qp import QpSolution, QpSolver, QpStatus
 
 
@@ -233,7 +234,7 @@ def estimate_lipschitz(
         raise ValueError("need at least two samples")
     if cfg.q_weight == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = UniformStream(seed)
     solver = QpSolver(*qp_matrices(cfg))
     d_zero = np.zeros(cfg.horizon)
     best = None

@@ -1,4 +1,5 @@
-"""Planar linear algebra for control certificates, in closed form.
+"""Planar linear algebra for control certificates, in closed form, and the
+seeded uniform stream of the runs.
 
 Every matrix here is 2x2 (the error matrix, R, P and P^-1). Each value is a
 fixed-order expression in Python floats, so none depends on the BLAS or
@@ -6,6 +7,14 @@ LAPACK kernel (Gajic & Qureshi 1995, "Lyapunov Matrix Equation in System
 Stability and Control"). The forms e'Pe and e'Pf applied to arrays evaluate
 elementwise; each numpy elementwise operation is correctly rounded, so every
 element equals the float form.
+
+UniformStream draws the values numpy's default_rng(seed).uniform draws, bit
+for bit, without importing numpy's random package: numpy's SeedSequence
+hash of the seed seeds PCG64 (O'Neill 2014, "PCG: A family of simple fast
+space-efficient statistically good algorithms for random number
+generation"), whose XSL-RR outputs become 53-bit doubles. NumPy guarantees
+the stream of a bit generator, not that of a Generator method (NEP 19), so
+the published seeded runs pin the whole chain here.
 """
 
 from __future__ import annotations
@@ -155,3 +164,88 @@ def invert_spd(P):
     if not round_trip <= 1e-10:
         raise SingularSystemError("SPD inversion failed round-trip check")
     return SpdMatrix([[q11, q12], [q12, q22]])
+
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence constants (numpy's bit_generator.pyx), pool of 4 words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _seed_words(seed: int) -> tuple[int, int, int, int]:
+    """The four 64-bit words SeedSequence(seed).generate_state(4, uint64)
+    returns: the seed's 32-bit words (least significant first) are hashed
+    into a pool of four, every pool word is mixed into every other, and the
+    pool is hashed out into eight 32-bit words, paired low word first."""
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    mult = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = (mult * _MULT_A) & _MASK32
+        value = (value * mult) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = (mult * _MULT_B) & _MASK32
+        value = (value * mult) & _MASK32
+        out.append(value ^ (value >> 16))
+    return tuple(out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+
+
+class UniformStream:
+    """A seeded stream of uniform doubles, equal bit for bit to numpy's
+    default_rng(seed).uniform.
+
+    PCG64's 128-bit LCG state s steps to s * M + inc before each draw; the
+    draw's XSL-RR output x rotates (s >> 64) ^ s (low 64 bits) right by
+    s >> 122, and the draw is low + (high - low) * ((x >> 11) * 2^-53). The
+    seed's SeedSequence words (s0, s1, i0, i1), read as the 128-bit words
+    s0:s1 = s0 2^64 + s1 and i0:i1, set inc = (i0:i1 << 1) | 1 and the state
+    to inc + s0:s1 stepped once, as numpy's pcg64_set_seed does."""
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        s0, s1, i0, i1 = _seed_words(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """One draw as a Python float (size None), or size draws as a float64
+        array, in stream order. The states step on Python ints; a sized
+        draw's outputs are taken as uint64 array operations over the states'
+        joined little-endian bytes."""
+        low, high = float(low), float(high)
+        span = high - low
+        state, inc = self._state, self._inc
+        if size is None:
+            self._state = state = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+            x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+            return low + span * ((x >> 11) * 2.0 ** -53)
+        states = [state := (state * _PCG_MULT + inc) & _MASK128 for _ in range(size)]
+        self._state = state
+        words = np.frombuffer(b"".join([s.to_bytes(16, "little") for s in states]), dtype="<u8")
+        lo, hi = words[0::2], words[1::2]
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        return low + span * ((x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)

@@ -57,7 +57,7 @@ from .hess import feedback_law, outputs, plant_rhs
 from .hess import load as load_eval
 from .iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
 from .mpc import Planner, abstract_step
-from .numkit import SpdMatrix
+from .numkit import SpdMatrix, UniformStream
 from .qp import QpSolution
 
 if TYPE_CHECKING:  # scenarios imports this module
@@ -103,6 +103,8 @@ class SimConfig:
         if self.t_end / self.h > MAX_STEPS + 0.5:  # round(t_end / h) > MAX_STEPS; the quotient may be inf
             raise FieldValueError("t_end", f"t_end / h = {self.t_end / self.h:.6g} steps, "
                                            f"above MAX_STEPS {MAX_STEPS}")
+        if not math.isfinite(self.t_s / self.h):  # steps_per_period rounds it
+            raise FieldValueError("t_s", f"t_s / h = {self.t_s / self.h} is not finite")
         if self.disturbance not in get_args(DisturbanceMode):
             raise FieldValueError("disturbance", f"unknown disturbance mode {self.disturbance!r}")
         if self.w_max < 0.0:
@@ -186,7 +188,7 @@ def rk4_step(rhs, x, t: float, h: float) -> tuple[float, ...]:
     return x_next
 
 
-def disturbance_mixed(times: np.ndarray, w_max: float, stream: np.random.Generator) -> np.ndarray:
+def disturbance_mixed(times: np.ndarray, w_max: float, stream: UniformStream) -> np.ndarray:
     """Sinusoid plus uniform noise at each step time, held constant over its
     integration step; the coefficient split keeps |w| <= w_max pointwise.
 
@@ -241,7 +243,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     adversarial = sim.disturbance == "adversarial"
     step_times = np.arange(n_steps + 1) * h
     if sim.disturbance == "mixed":
-        stream = np.random.default_rng(sim.seed)
+        stream = UniformStream(sim.seed)
         w_steps = disturbance_mixed(step_times, sim.w_max, stream).tolist()
     else:
         w_steps = [0.0] * (n_steps + 1)

@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import dataclasses
 import errno
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from laycon.cli import (
     summarize_run,
     write_trajectory_csv,
 )
+from laycon.hess import LoadSegment
 from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import COLUMNS, STREAM_ROWS, NonFiniteStateError, run_layered
 
@@ -139,7 +144,61 @@ BAD_KEYS = [
     ("erg.eta_rep", lambda cfg: cfg["erg"].update(eta_rep=[0.1, 0.1, 0.1])),
     # rules across fields
     ("planner.e_b_goal", lambda cfg: cfg["planner"].update(e_b_goal=7.0)),
+    # t_s / h overflows to inf, which steps_per_period cannot round
+    ("sim.t_s", lambda cfg: cfg["sim"].update(t_s=1e308)),
 ]
+
+
+# list nodes of the default documents that take any length; every other
+# list is a tuple of fixed length, or a load segment row of 4 or 5 values
+VARIABLE_LISTS = {("erg", "eta_rep"), ("load", "segments")}
+SEGMENT_FIELDS = [f.name for f in dataclasses.fields(LoadSegment)]
+SEGMENT_LENGTHS = range(sum(f.default is dataclasses.MISSING for f in dataclasses.fields(LoadSegment)),
+                        len(SEGMENT_FIELDS) + 1)
+
+
+def config_nodes(node, path=()):
+    """(key path, value) of every entry of a config document, depth first:
+    sections, lists and scalar leaves alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield (*path, key), value
+        yield from config_nodes(value, (*path, key))
+
+
+def key_path(path) -> str:
+    """The key path load_bundle names for a node: a load segment's entries
+    by field name, every other list element by index."""
+    if path[:2] == ("load", "segments") and len(path) == 4:
+        path = (*path[:3], SEGMENT_FIELDS[path[3]])
+    return ".".join(map(str, path))
+
+
+def bad_values(path, value):
+    """Values that node's annotation rejects: a wrong type, a non-finite
+    float, or a list of a length the node does not take. None is never
+    drawn (a float leaf may be optional), only text or a bool for a None
+    node (an optional float or pair), and no text for a text leaf (the
+    scenario name is free)."""
+    text, flag = st.text(max_size=3), st.booleans()
+    if isinstance(value, list):
+        wrong = st.floats() | text | flag
+        if path in VARIABLE_LISTS:
+            return wrong
+        lengths = SEGMENT_LENGTHS if path[:2] == ("load", "segments") else (len(value),)
+        return wrong | st.integers(0, 7).filter(lambda n: n not in lengths).map(lambda n: [0.0] * n)
+    if isinstance(value, dict):
+        return st.floats() | text | flag | st.just([])
+    scalar_list = st.lists(st.floats(0.0, 1.0), max_size=2)
+    if value is None:
+        return text | flag
+    if isinstance(value, bool):
+        return st.floats() | st.integers(-3, 3) | text | scalar_list
+    if isinstance(value, int):
+        return st.floats() | text | flag | scalar_list
+    if isinstance(value, float):
+        return st.sampled_from([math.nan, math.inf, -math.inf]) | text | flag | scalar_list
+    return st.floats() | st.integers(-3, 3) | flag | scalar_list
 
 
 class TestConfigErrors:
@@ -153,6 +212,28 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count(key_path) == 1
         assert err.count("config error") == 1
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_bad_value_names_its_path(self, data):
+        # one entry of a default document replaced by a value its
+        # annotation rejects: certify stops at that entry's key path
+        cfg = resolve_config(data.draw(st.sampled_from(["a", "b"])), None)
+        path, value = data.draw(st.sampled_from(list(config_nodes(cfg))))
+        bad = data.draw(bad_values(path, value))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp, "cfg.json")
+            doc.write_text(json.dumps(cfg))
+            with contextlib.redirect_stderr(err):
+                code = main(["certify", "--scenario", "custom", "--config", str(doc), "--out", tmp])
+        lines = err.getvalue().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"config error at {key_path(path)}: "), lines
 
     @pytest.mark.parametrize("text, key_path", [
         ('{"sim": {"w_max": NaN}}', "sim.w_max"),
@@ -808,6 +889,31 @@ class TestBlasKernels:
         overlay = tmp_path / "overlay.json"
         overlay.write_text(json.dumps(NO_PLAN_RUN))
         self.run_children(tmp_path, ["-c", _NO_PLAN_CHILD, str(overlay)])
+
+
+# run in a child: the modules that `run` and `certify` of scenario B load
+# (argv: a short-run overlay, the output directory). The mixed disturbance
+# and the Lipschitz estimate draw from numkit.UniformStream, and only
+# `sweep` starts a process pool.
+_FOOTPRINT_CHILD = """
+import sys
+from laycon.cli import main
+overlay, out = sys.argv[1:]
+assert main(["run", "--scenario", "b", "--config", overlay, "--out", out + "/run"]) == 0
+assert main(["certify", "--scenario", "b", "--out", out + "/certify"]) in (0, 2)
+loaded = sorted({"numpy.random", "concurrent.futures.process"} & sys.modules.keys())
+assert not loaded, loaded
+"""
+
+
+def test_run_and_certify_leave_numpy_random_and_the_pool_unloaded(tmp_path):
+    overlay = tmp_path / "short.json"
+    overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(laycon.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, str(overlay), str(tmp_path / "out")],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 class InProcessPool:

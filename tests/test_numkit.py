@@ -19,6 +19,7 @@ from laycon.numkit import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SpdMatrix,
+    UniformStream,
     decay_rate,
     eigenvalues,
     invert_spd,
@@ -345,3 +346,52 @@ class TestSpdMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
             SpdMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def assert_same_draw(got, want):
+    """A scalar draw is a Python float, a sized draw a float64 array; the
+    values equal bit for bit."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestUniformStream:
+    """numpy's default_rng(seed).uniform is the oracle: the published seeded
+    runs drew from it."""
+
+    # single-word seeds, and seeds of two, three and four 32-bit words
+    SEEDS = [*range(64), 2**32 - 1, 2**32, 2**64 + 1, 10**30]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_numpy_generator(self, seed):
+        ours, oracle = UniformStream(seed), np.random.default_rng(seed)
+        for size in (None, 1, 2, 4001, None, 6001, 2):
+            assert_same_draw(ours.uniform(-1.0, 1.0, size), oracle.uniform(-1.0, 1.0, size))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 10**30])
+    def test_estimate_lipschitz_pattern(self, seed):
+        # scalar, scalar, size=2 per sample, over scenario B's SOC ranges
+        e_b_range, e_s_range, radius = (0.0, 5.0), (-40.0, 40.0), 0.5
+        ours, oracle = UniformStream(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            for low, high, size in ((*e_b_range, None), (*e_s_range, None), (-radius, radius, 2)):
+                assert_same_draw(ours.uniform(low, high, size), oracle.uniform(low, high, size))
+
+    def test_sized_draw_equals_scalar_draws(self):
+        scalar = UniformStream(11)
+        want = [scalar.uniform(0.3, 9.7) for _ in range(4001)]
+        assert UniformStream(11).uniform(0.3, 9.7, 4001).tolist() == want
+
+    def test_same_seed_same_sequence(self):
+        a, b = UniformStream(7), UniformStream(7)
+        assert a.uniform(-1.0, 1.0, 100).tobytes() == b.uniform(-1.0, 1.0, 100).tobytes()
+        assert a.uniform(-1.0, 1.0) == b.uniform(-1.0, 1.0)
+        assert UniformStream(8).uniform(-1.0, 1.0) != UniformStream(7).uniform(-1.0, 1.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            UniformStream(-1)

@@ -1,11 +1,13 @@
 """Every public symbol of the package is used by package code: a
 module-level function or class, and each public method, property and
 annotated field of a class. A symbol that only the tests use is dropped,
-or moved into the tests. The benchmark's entry points and probes resolve."""
+or moved into the tests. The benchmark's entry points and probes resolve.
+No package file names numpy's random package."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import laycon
@@ -117,3 +119,15 @@ def test_benchmark_probes_resolve():
     assert not missing, f"benchmark probes whose symbol is gone: {missing}"
     cli = importlib.import_module("laycon.cli")
     assert all(callable(getattr(cli, name, None)) for name in ("main", "resolve_config", "load_bundle"))
+
+
+def test_no_package_file_names_numpy_random():
+    """Seeded draws come from numkit.UniformStream, so no disturbance mode
+    and no certificate loads numpy's random package (~6 MB and ~14 ms per
+    process), and the published seeded outputs do not rest on its
+    Generator methods, whose streams numpy does not pin."""
+    pattern = re.compile(r"\b(np|numpy)\.random\b")
+    named = [f"{path.name}:{number}" for path in sorted(SRC.rglob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if pattern.search(line)]
+    assert not named, f"package lines that name numpy's random package: {named}"
