@@ -521,12 +521,12 @@ def monitor_to_dict(report, log: TrajectoryLog) -> dict:
         "all_pass": report.all_pass(),
         "planner": [
             {
-                "status": sol.status.value,
-                "iterations": sol.iterations,
-                "active_set_size": len(sol.active_set),
-                "kkt_residual": sol.kkt_residual,
+                "status": p.qp.status.value,
+                "iterations": p.qp.iterations,
+                "active_set_size": len(p.qp.active_set),
+                "kkt_residual": p.qp.kkt_residual,
             }
-            for sol in log.plan_qps
+            for p in log.plans
         ],
     }
 

@@ -270,8 +270,3 @@ def battery_interface_bounds(p: HessParams, t_s: float) -> tuple[float, float]:
     budget = p.u_b_bar / p.lambda_b_gain
     decay = np.exp(-p.lambda_b_gain * t_s)
     return budget * (1.0 - decay), budget * decay
-
-
-def outputs(x) -> tuple[np.ndarray, np.ndarray]:
-    """Tracked fast outputs (V_gr, I_B) and sampled slow outputs (E_B, E_S)."""
-    return np.array([x[0], x[2]]), np.array([x[4], x[3]])

@@ -23,6 +23,9 @@ from .numkit import UniformStream
 from .qp import QpSolution, QpSolver, QpStatus
 
 
+MAX_HORIZON = 1000  # planner steps; the QP workspace then holds about 21 N^2 floats, 170 MB
+
+
 class AllInfeasibleError(RuntimeError):
     """No sampled state admitted a feasible plan."""
 
@@ -46,13 +49,18 @@ class PlannerConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise FieldValueError("horizon", "horizon must be at least one step")
+        if self.horizon > MAX_HORIZON:
+            raise FieldValueError("horizon", f"horizon {self.horizon} above MAX_HORIZON {MAX_HORIZON}")
         for name in ("q_weight", "tighten_eps_e"):
             if getattr(self, name) < 0.0:
                 raise FieldValueError(name, f"{name} must be nonnegative")
-        for name in ("e_b_range", "e_s_range"):
+        # the QP bounds x = E_B - e_b_goal and E_S times gain_b / gain_s
+        for name, scale in (("e_b_range", 1.0), ("e_s_range", self.lambda_b_energy / self.lambda_s)):
             lo, hi = getattr(self, name)
             if hi <= lo:
                 raise FieldValueError(name, "SOC ranges must be nonempty intervals")
+            if not np.isfinite((hi - lo) * scale):
+                raise FieldValueError(name, f"width {hi - lo:g} times {scale:g} is not finite")
         if not self.e_b_range[0] <= self.e_b_goal <= self.e_b_range[1]:
             raise FieldValueError("e_b_goal", f"e_b_goal {self.e_b_goal} must lie within e_b_range {self.e_b_range}")
 

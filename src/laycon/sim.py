@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Literal, get_args
 import numpy as np
 
 from .contracts import (
-    ContractSpec,
     MonitorReport,
     check_A_env,
     check_A_mis,
@@ -53,12 +52,11 @@ from .contracts import (
     check_G_track,
 )
 from .errors import FieldValueError
-from .hess import feedback_law, outputs, plant_rhs
+from .hess import feedback_law, plant_rhs
 from .hess import load as load_eval
 from .iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
-from .mpc import Planner, abstract_step
+from .mpc import Planner, PlanResult, abstract_step
 from .numkit import SpdMatrix, UniformStream
-from .qp import QpSolution
 
 if TYPE_CHECKING:  # scenarios imports this module
     from .scenarios import RunBundle
@@ -129,29 +127,46 @@ class SimConfig:
 
 @dataclass
 class TrajectoryLog:
-    """Uniformly sampled run record plus the per-period planner data.
+    """A run's one record: the step log plus the planner's result per period.
 
     data holds one row per name in COLUMNS and one column per logged step;
-    columns maps each name to its row (a view into data). The simulator
-    logs step by step into an (n_rows, len(COLUMNS)) array and data is its
-    transpose, a view, so each column's values are strided.
+    columns maps each name to its row (a view into data), and data is the
+    transpose of the (n_rows, len(COLUMNS)) array the simulator logs into,
+    so each column is strided. Period k starts at logged step
+    k * steps_per_period, whose row holds its sampled state, held reference
+    and fallback flag.
     """
 
     data: np.ndarray  # (len(COLUMNS), n_rows)
-    y_samples: np.ndarray  # (K+1, 2) sampled (E_B, E_S)
-    predictions: np.ndarray  # (K, 2) one-step-ahead abstract states
-    v_n_star: np.ndarray  # (K,) optimal values, NaN on fallback steps
-    ref_points: np.ndarray  # (K+1, 2) held references, row 0 = initial
-    fallback_steps: np.ndarray  # (K,) bool
-    plan_qps: list[QpSolution]  # (K,) the planner's QP per period; empty without planner
+    steps_per_period: int
+    plans: list[PlanResult]  # one per full period; empty without a planner
     columns: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.columns = dict(zip(COLUMNS, self.data))
 
+    def at_period_starts(self, name: str) -> np.ndarray:
+        """Column name at each full period's first step and the last one's end."""
+        return self.columns[name][::self.steps_per_period]
+
     @property
     def n_periods(self) -> int:
-        return self.fallback_steps.shape[0]
+        return (self.data.shape[1] - 1) // self.steps_per_period
+
+    @property
+    def y_samples(self) -> np.ndarray:
+        """(K+1, 2) sampled slow outputs (E_B, E_S), the planner's state."""
+        return np.stack([self.at_period_starts("E_B"), self.at_period_starts("E_S")], axis=1)
+
+    @property
+    def fallback_steps(self) -> np.ndarray:
+        """(K,) bool: the period held its previous reference."""
+        return self.at_period_starts("fallback")[:self.n_periods] != 0.0
+
+    @property
+    def v_n_star(self) -> np.ndarray:
+        """The planner's optimal value per period, NaN on fallback periods."""
+        return np.array([np.nan if p.V_N_star is None else p.V_N_star for p in self.plans])
 
 
 def rk4_step(rhs, x, t: float, h: float) -> tuple[float, ...]:
@@ -267,13 +282,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     gamma_fixed = None if erg_on else gam.gamma(*v)
 
     rows = np.zeros((n_steps + 1, len(COLUMNS)))
-    y_samples = np.zeros((n_periods + 1, 2))
-    predictions = np.zeros((n_periods, 2))
-    v_n_star = np.full(n_periods, np.nan)
-    ref_points = np.zeros((n_periods + 1, 2))
-    ref_points[0] = r_v, r_ib
-    fallback_steps = np.zeros(n_periods, dtype=bool)
-    plan_qps = []
+    plans = []
     fallback_now = 0.0
 
     def joint_rhs(v_gr, i_s, i_b, e_s, e_b, v_v, v_ib):
@@ -305,21 +314,12 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
             if i - done >= STREAM_ROWS:
                 finish(done, i)
                 done = i
-            k = i // spp
-            if k <= n_periods:
-                _, y_k = outputs(z)
-                y_samples[k] = y_k
-                if k < n_periods:
-                    if planner is not None:
-                        res = planner.step(y_k, forecasts[k])
-                        r_v, r_ib = map(float, res.r_k)
-                        fallback_now = float(res.fallback_used)
-                        fallback_steps[k] = res.fallback_used
-                        plan_qps.append(res.qp)
-                        if res.V_N_star is not None:
-                            v_n_star[k] = res.V_N_star
-                        predictions[k] = abstract_step(y_k, r_ib, d, planner_cfg)
-                    ref_points[k + 1] = r_v, r_ib
+            if planner is not None and i < n_periods * spp:
+                # the planner sees the sampled slow outputs (E_B, E_S)
+                res = planner.step((z[4], z[3]), forecasts[i // spp])
+                r_v, r_ib = map(float, res.r_k)
+                fallback_now = float(res.fallback_used)
+                plans.append(res)
 
         d_dot = d_dot_steps[i]
         v_gr, i_s, i_b, e_s, e_b, v_v, v_ib = z
@@ -336,35 +336,35 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
         z = rk4_step(joint_rhs, z, t, h)
     finish(done, n_steps + 1)
 
-    log = TrajectoryLog(
-        data=rows.T,
-        y_samples=y_samples,
-        predictions=predictions,
-        v_n_star=v_n_star,
-        ref_points=ref_points,
-        fallback_steps=fallback_steps,
-        plan_qps=plan_qps,
-    )
-    return log, _build_report(log, bundle.spec, spp)
+    log = TrajectoryLog(data=rows.T, steps_per_period=spp, plans=plans)
+    return log, _build_report(log, bundle)
 
 
-def _build_report(log: TrajectoryLog, spec: ContractSpec, spp: int) -> MonitorReport:
+def _build_report(log: TrajectoryLog, bundle: RunBundle) -> MonitorReport:
+    """Every contract clause, read from the logged rows: a period's
+    sampled state, held reference and load are its first step's row, and
+    its end is the next period's first step."""
     report = MonitorReport()
-    cols = log.columns
+    spec, cols, n = bundle.spec, log.columns, log.n_periods
     report.record("A_env", check_A_env(cols["w"], spec.w_max))
     states = np.stack([cols["V_gr"], cols["I_S"], cols["I_B"]], axis=1)
     inputs = np.stack([cols["u_S"], cols["u_B"]], axis=1)
     report.record("G_safe", check_G_safe(states, inputs, spec))
-    if log.n_periods >= 1:
-        report.record("G_ref", check_G_ref(log.ref_points, spec.r_bar))
-        end_idx = [(k + 1) * spp for k in range(log.n_periods)]
-        ends = np.stack([cols["V_gr"][end_idx], cols["I_B"][end_idx]], axis=1)
-        report.record("G_track", check_G_track(ends, log.ref_points[1:], spec.eps_l))
-    if log.plan_qps:  # the planner ran at least one period
-        verdicts, w_tilde = check_A_mis(log.y_samples, log.predictions, spec.eps_e)
+    if n == 0:  # no full period, so no discrete clause
+        return report
+    start = {name: log.at_period_starts(name) for name in ("V_gr", "I_B", "r_V", "r_IB", "d")}
+    held = np.stack([start["r_V"][:n], start["r_IB"][:n]], axis=1)
+    report.record("G_ref", check_G_ref(np.vstack([bundle.r_start, held]), spec.r_bar))
+    ends = np.stack([start["V_gr"][1:], start["I_B"][1:]], axis=1)
+    report.record("G_track", check_G_track(ends, held, spec.eps_l))
+    if log.plans:  # the planner ran, once per period
+        y = log.y_samples
+        predictions = [abstract_step(y_k, r_ib, d, bundle.planner_cfg)
+                       for y_k, r_ib, d in zip(y, start["r_IB"][:n], start["d"][:n])]
+        verdicts, w_tilde = check_A_mis(y, predictions, spec.eps_e)
         report.record("A_mis", verdicts)
         report.w_tilde = w_tilde
-        iss_verdicts, k_live = check_G_iss(log.y_samples[:, 0], spec.y_goal, spec.eps_t, spec.delta)
+        iss_verdicts, k_live = check_G_iss(y[:, 0], spec.y_goal, spec.eps_t, spec.delta)
         report.record("G_iss", iss_verdicts)
         report.k_live = k_live
     return report
@@ -375,24 +375,20 @@ def calibrated_overshoot_for_run(
 ) -> tuple[float, float]:
     """Self-consistent hindsight overshoot for one run.
 
-    The envelope's noise floor depends on the overshoot factor through the
-    ISS gain, so the tightest factor solves a scalar fixed point. The plain
-    map alternates around it, so iterate with averaging, then take one
-    final calibration pass so the returned (m, eps) pair satisfies the
-    envelope exactly at every sample.
+    The noise floor eps = m kappa (kappa = norm_b w_max / lambda_e) grows
+    with m, so the tightest m is the fixed point of the decreasing map
+    F(m) = max(1, max_t (a_t - m c_t)), a_t = |e_t| / (decay_t |e_0|) and
+    c_t = kappa (1 - decay_t) / (decay_t |e_0|): m* = max(1, max_t a_t / (1 + c_t)).
+    A final calibration pass makes (m, eps) hold at every sample.
     """
     cols = log.columns
     norms = np.hypot(cols["e1"], cols["e2"])
     decay = envelope_decay(cols["t"], lambda_e)
     e0 = norms[0]
     m = 1.0
-    for _ in range(80):
-        eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
-        m_next = 0.5 * (m + calibrate_overshoot(norms, decay, eps, e0))
-        if abs(m_next - m) <= 1e-13:
-            m = m_next
-            break
-        m = m_next
+    if e0 != 0.0:
+        kappa = norm_b * w_max / lambda_e
+        m = max(1.0, float(np.max(norms / (decay * e0 + kappa * (1.0 - decay)))))
     eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
     return calibrate_overshoot(norms, decay, eps, e0), eps
 

@@ -11,11 +11,12 @@ import numpy as np
 from laycon import cli
 from laycon.erg import ErgConfig
 from laycon.hess import HessParams, LoadProfile, OutOfSpanError
+from laycon.iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
 from laycon.mpc import Planner, PlannerConfig, PlanResult
 from laycon.numkit import SpdMatrix
 from laycon.qp import QpSolution, QpSolver, QpStatus
 from laycon.scenarios import RunBundle
-from laycon.sim import NonFiniteStateError
+from laycon.sim import NonFiniteStateError, TrajectoryLog
 
 
 # governor gains for the tests that read only Gamma, which the gains do not change
@@ -85,6 +86,25 @@ def rk4_step_reference(rhs, x, t: float, h: float) -> list[float]:
     if not all(map(math.isfinite, x_next)):
         raise NonFiniteStateError(f"non-finite state at t={t + h:.6f}: {x_next}")
     return x_next
+
+
+def calibrated_overshoot_iterated(log: TrajectoryLog, lambda_e: float, norm_b: float,
+                                  w_max: float) -> tuple[float, float]:
+    """The hindsight overshoot by averaged fixed-point iteration: up to 80
+    steps of m <- (m + F(m)) / 2 with F(m) the calibration at eps(m), then
+    one final calibration pass."""
+    norms = np.hypot(log.columns["e1"], log.columns["e2"])
+    decay = envelope_decay(log.columns["t"], lambda_e)
+    m = 1.0
+    for _ in range(80):
+        eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
+        m_next = 0.5 * (m + calibrate_overshoot(norms, decay, eps, norms[0]))
+        if abs(m_next - m) <= 1e-13:
+            m = m_next
+            break
+        m = m_next
+    eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
+    return calibrate_overshoot(norms, decay, eps, norms[0]), eps
 
 
 def quad_reference(P: SpdMatrix, e) -> float:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import laycon
 from laycon import cli as cli_module
+from laycon import mpc as mpc_module
 from laycon import numkit as numkit_module
 from laycon import scenarios as scenarios_module
 from laycon import sim as sim_module
@@ -68,7 +69,7 @@ class TestConfigRoundTrip:
         assert rebuilt.plant.lambda_e == original.plant.lambda_e
         assert rebuilt.v_bar_h == original.v_bar_h
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_config_survives_load(self, data):
         cfg = resolve_config(data.draw(st.sampled_from(["a", "b"])), None)
@@ -146,6 +147,9 @@ BAD_KEYS = [
     ("planner.e_b_goal", lambda cfg: cfg["planner"].update(e_b_goal=7.0)),
     # t_s / h overflows to inf, which steps_per_period cannot round
     ("sim.t_s", lambda cfg: cfg["sim"].update(t_s=1e308)),
+    # the widths overflow to inf, which the planner QP cannot bound
+    ("planner.e_s_range", lambda cfg: cfg["planner"].update(e_s_range=[-1e308, 1e308])),
+    ("planner.e_b_range", lambda cfg: cfg["planner"].update(e_b_range=[-1e308, 1e308])),
 ]
 
 
@@ -213,7 +217,7 @@ class TestConfigErrors:
         assert err.count(key_path) == 1
         assert err.count("config error") == 1
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(data=st.data())
     def test_drawn_bad_value_names_its_path(self, data):
         # one entry of a default document replaced by a value its
@@ -273,6 +277,8 @@ class TestConfigErrors:
         # B's planner derives its slew bound 1 - exp(-lambda_b_gain t_s),
         # which underflows to zero for a tiny t_s
         ('{"sim": {"t_s": 1e-300}}', "sim.t_s"),
+        # a horizon above MAX_HORIZON, rejected before the load's span is checked
+        ('{"planner": {"horizon": 1001}}', "planner.horizon"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_planner_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -287,6 +293,14 @@ class TestConfigErrors:
         # 10^12 steps: load_bundle rejects them, so no run allocates their log
         with pytest.raises(cli_module.ConfigError, match=r"^config error at sim\.t_end: "):
             bundle(maker(), {"sim": {"t_end": 1e9}})
+
+    def test_planner_horizon_is_capped_at_load(self):
+        # a 10^6-step horizon's QP rows alone would take 48 TB; load_bundle
+        # rejects it, and no bundle builds a QP, so the cap itself loads
+        with pytest.raises(cli_module.ConfigError, match=r"^config error at planner\.horizon: .*MAX_HORIZON"):
+            bundle(scenario_b(), {"planner": {"horizon": 10**6}, "load": None})
+        cap = bundle(scenario_b(), {"planner": {"horizon": mpc_module.MAX_HORIZON}, "load": None})
+        assert cap.planner_cfg.horizon == mpc_module.MAX_HORIZON
 
     def test_step_count_cap_boundary(self):
         cap, h = sim_module.MAX_STEPS, 1e-3
@@ -777,6 +791,16 @@ PINNED_RUNS = [
         "88f585c85d961ee2e0585cdc54deea4b4af593a42c037e289a5a15a31bba62d1",
         "db1b7681861cc73c40f35d745a2d02b5a3eb4052d0a653536d7687fef8d8ffd4",
         "f47e522561cd1559cfd40a6ed71274c6481d8e3f9307f1b23ebad1a0d5385069")),
+    # 1.05 s: ten sampling periods and a partial eleventh of 50 steps, whose
+    # first row is read as a period start but runs no planner step
+    ("a_mid_period", "a", {"sim": {"t_end": 1.05}}, 1, (
+        "da7cc6fdaafb90ab4064180c42e98a95b62ae91d735d5a3faed36c74758b4f10",
+        "c7a3580360208b17e604a7c391e29a2e29f04a6bd60cd2c65fa39bf057b5bd95",
+        "cbab10dc26f2459076cf0166eac0d0a2f0f4c9d5a3271ccf2c5f5f6473a1bd9b")),
+    ("b_mid_period", "b", {"sim": {"t_end": 1.05}}, 3, (
+        "6e26c17ef84883f2b95715a12b432756650307096a6f82af5b0778068a215de3",
+        "0d846c0e2dc71ea89e7f1741c8c78e01dc6c82f745c6c6d3296ab9a8563bec9b",
+        "30d2fa81e95f66a6069f04a1556d04dfbebeb5d93c69164c7434f33fbe9484ae")),
 ]
 
 

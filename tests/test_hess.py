@@ -14,7 +14,6 @@ from laycon.hess import (
     feedback_law,
     hess_constraints,
     load,
-    outputs,
     plant_rhs,
 )
 from laycon.numkit import solve_lyapunov
@@ -218,11 +217,3 @@ class TestLoad:
                 assert got == load_reference(min(max(t, lo), hi), prof)
         ramp = prof.segments[1]
         assert np.sum((steps > ramp.t_start) & (steps < ramp.t_end)) >= 299
-
-
-class TestOutputs:
-    def test_projections(self):
-        x = np.array([400.0, 1.0, 2.0, 3.0, 4.0])
-        h_r, h_y = outputs(x)
-        assert np.allclose(h_r, [400.0, 2.0])
-        assert np.allclose(h_y, [4.0, 3.0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import bundle, rk4_step_reference
+from helpers import bundle, calibrated_overshoot_iterated, rk4_step_reference
 from scipy.linalg import expm
 
 from laycon import sim as sim_module
@@ -10,7 +10,9 @@ from laycon.erg import GammaEvaluator
 from laycon.numkit import SpdMatrix, UniformStream
 from laycon.scenarios import scenario_a, scenario_b
 from laycon.sim import (
+    COLUMNS,
     NonFiniteStateError,
+    TrajectoryLog,
     calibrated_overshoot_for_run,
     disturbance_adversarial,
     disturbance_mixed,
@@ -158,6 +160,19 @@ class TestRunLayered:
         for k in range(log.n_periods):
             seg = r_ib[k * spp:(k + 1) * spp]
             assert np.all(seg == seg[0])
+
+    def test_partial_last_period(self):
+        # 1.05 s: ten full periods, then 50 steps from row 1000, which is read
+        # as the tenth period's end but takes no planner step
+        log, report = run_layered(bundle(scenario_b(seed=3, t_end=1.05)))
+        c = log.columns
+        assert log.steps_per_period == 100
+        assert log.n_periods == len(log.plans) == 10
+        assert log.y_samples.tolist() == [[c["E_B"][i], c["E_S"][i]] for i in range(0, 1001, 100)]
+        assert np.all(c["r_IB"][900:] == log.plans[-1].r_k[1])
+        assert log.fallback_steps.tolist() == [p.fallback_used for p in log.plans]
+        assert {name: len(v) for name, v in report.verdicts.items() if name not in ("A_env", "G_safe")} == {
+            "G_ref": 10, "G_track": 10, "A_mis": 10, "G_iss": 11}
 
     def test_bit_identical_replay(self):
         a, _ = run_layered(bundle(scenario_a(seed=11, t_end=1.0)))
@@ -352,6 +367,31 @@ class TestScenarioA:
         norms = np.hypot(c["e1"], c["e2"])
         envelope = m * np.exp(-lam_e * c["t"]) * norms[0] + eps * (1.0 - np.exp(-lam_e * c["t"]))
         assert np.all(norms <= envelope + 1e-9)
+
+    @pytest.mark.parametrize("late_norm, m_star", [(2.0, 2.0), (0.5, 1.0)])
+    def test_calibrated_overshoot_two_samples(self, late_norm, m_star):
+        # decay (1, 1/2) and kappa = norm_b w_max / lambda_e = 1 from |e_0| = 1:
+        # the late sample has a = 2 |e_1| and c = 1, so m* = max(1, |e_1|)
+        data = np.zeros((len(COLUMNS), 2))
+        c = dict(zip(COLUMNS, data))
+        c["t"][:] = 0.0, 1.0
+        c["e1"][:] = 1.0, 0.0
+        c["e2"][:] = 0.0, late_norm
+        log = TrajectoryLog(data=data, steps_per_period=1, plans=[])
+        m, eps = calibrated_overshoot_for_run(log, math.log(2.0), 1.0, math.log(2.0))
+        assert m == pytest.approx(m_star, rel=1e-12)
+        assert eps == pytest.approx(m_star, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_calibrated_overshoot_is_the_iteration_fixed_point(self, seed):
+        a = bundle(scenario_a(seed=seed))
+        log, _ = run_layered(a)
+        args = (log, a.plant.lambda_e, 1.0 / a.plant.c_bus, a.sim.w_max)
+        m, eps = calibrated_overshoot_for_run(*args)
+        m_ref, eps_ref = calibrated_overshoot_iterated(*args)
+        assert m > 1.0
+        assert m == pytest.approx(m_ref, rel=1e-12)
+        assert eps == pytest.approx(eps_ref, rel=1e-12)
 
 
 class TestScenarioB:
