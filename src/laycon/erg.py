@@ -8,8 +8,8 @@ margin Gamma(v) - V(e). The barrier Phi = V(e) - Gamma(v) is <= 0 exactly
 on the governed safe set.
 
 GammaEvaluator precomputes the P^-1-metric normal lengths, and folds the
-governor gains and the nonzero repulsion pairs, once per (constraints, P,
-gains) triple, and evaluates every governor quantity from them on Python
+governor gains and the repelling rows' unit directions, once per (constraints,
+P, gains) triple, and evaluates every governor quantity from them on Python
 floats: e, v and r are passed as their two entries each and the fields
 come back as float pairs. The lengths c'P^-1 c and V(e) are SpdMatrix.quad's
 float form and each Euclidean norm is sqrt(a*a + b*b), so no governor value
@@ -87,9 +87,17 @@ class ErgConfig:
         return self.kappa_erg * (1.0 + self.delta_rep)
 
 
-def _sublevel(margin: float, denom: float) -> float:
-    """margin^2 / denom, or 0 for a closed (nonpositive) margin."""
-    return margin * margin / denom if margin > 0.0 else 0.0
+def _row_threshold(margin: float, g_gamma: float, denom: float) -> float:
+    """The root of g = (b - a g)^2 / d on [0, b/a), b = margin, a = g_gamma,
+    d = denom, or 0 for a closed margin b <= 0: 2b^2 / ((2ab + d) +
+    sqrt(d^2 + 4abd)), whose sums add nonnegative terms, so nothing cancels.
+    With a = 0 it is bit for bit b * b / d, since sqrt(fl(d * d)) = d while
+    d * d is a normal float (d * d overflows, and the root reads 0, only
+    for d above 1.3e154)."""
+    if margin <= 0.0:
+        return 0.0
+    return 2.0 * margin * margin / ((2.0 * g_gamma * margin + denom)
+                                    + math.sqrt(denom * denom + 4.0 * g_gamma * margin * denom))
 
 
 def _norm(a: float, b: float) -> float:
@@ -132,68 +140,53 @@ class GammaEvaluator:
                 raise ZeroNormalError(f"constraint {con.label!r} has zero normal in the P^-1 metric")
             c_v0, c_v1 = (float(x) for x in con.c_v)
             self.rows.append((float(con.d0), c_v0, c_v1, float(con.g_gamma), denom))
-        # (strength, row) for each row that repels; zero strengths drop out
-        self.repulsion = [(s, row) for s, row in zip(erg_cfg.eta_rep, self.rows) if s != 0.0]
-        self.plain = [row for row in self.rows if row[3] == 0.0]
-        self.self_referential = len(self.plain) < len(self.rows)
-        # with no row depending on v or on Gamma (every input_only row),
-        # Gamma is min_i d0_i^2 / denom_i for every v; d0 - 0 is exact
+        # (strength, row, unit) per repelling row with c_v != 0: while its
+        # margin is open, the v-gradient of its threshold points along -c_v
+        self.repulsion = [(s, row, (-row[1] / n, -row[2] / n)) for s, row in zip(erg_cfg.eta_rep, self.rows)
+                          if s != 0.0 and (n := _norm(row[1], row[2])) > 0.0]
+        # with no row depending on v (every input_only row), Gamma is the
+        # same for every v; d0 - 0 is exact
         self.constant = None
-        if all(c_v0 == c_v1 == g_gamma == 0.0 for _, c_v0, c_v1, g_gamma, _ in self.rows):
-            self.constant = min(_sublevel(d0, denom) for d0, _, _, _, denom in self.rows)
+        if all(c_v0 == c_v1 == 0.0 for _, c_v0, c_v1, _, _ in self.rows):
+            self.constant = min(_row_threshold(d0, g_gamma, denom) for d0, _, _, g_gamma, denom in self.rows)
 
-    def gamma_i(self, i: int, v0: float, v1: float, gamma_prev: float = 0.0) -> float:
+    def gamma_i(self, i: int, v0: float, v1: float) -> float:
         """Largest Lyapunov sublevel value inside constraint i's half-space at
-        v = (v0, v1): margin^2 / (c' P^-1 c), clamped to 0 when the margin
-        is nonpositive."""
+        v = (v0, v1) once its margin d0 - c_v' v shrinks by g_gamma times it."""
         d0, c_v0, c_v1, g_gamma, denom = self.rows[i]
-        return _sublevel(d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * gamma_prev, denom)
+        return _row_threshold(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom)
 
-    def gamma(self, v0: float, v1: float, fixed_point_iters: int = 5) -> float:
-        """Combined safety threshold Gamma(v) = min_i Gamma_i(v) at v = (v0, v1).
-
-        Rows with g_gamma > 0 reference Gamma itself; those are resolved by
-        fixed-point iteration seeded from the minimum over the plain rows
-        (the map is monotone nonincreasing in its argument, so the iteration
-        converges geometrically). A constant threshold is returned as is.
+    def gamma(self, v0: float, v1: float) -> float:
+        """Combined safety threshold Gamma(v) at v = (v0, v1): the fixed point
+        of G(g) = min_i f_i(g), f_i(g) = (b_i - a_i g)_+^2 / d_i, with margin
+        b_i = d0_i - c_v_i' v. It is min_i g_i, g_i = gamma_i(v) the fixed
+        point of f_i: each f_i is continuous and nonincreasing, so f_i(g) >= g
+        exactly for g <= g_i, hence G(g) >= g exactly for g <= min_i g_i, and
+        the strictly decreasing G(g) - g vanishes only there. Each g_i is
+        nondecreasing in b_i, since f_i is at every g, so Gamma is
+        nondecreasing in every margin. A constant threshold is returned as is.
         """
         if self.constant is not None:
             return self.constant
-        g = min([_sublevel(d0 - (c_v0 * v0 + c_v1 * v1), denom)
-                 for d0, c_v0, c_v1, _, denom in self.plain or self.rows])
-        if not self.self_referential:
-            return g
-        # each row's margin is its v-part minus g_gamma * g; the v-part is fixed
-        terms = [(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom)
-                 for d0, c_v0, c_v1, g_gamma, denom in self.rows]
-        for _ in range(fixed_point_iters):
-            g = min([_sublevel(base - g_gamma * g, denom) for base, g_gamma, denom in terms])
-        return g
+        return min([_row_threshold(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom)
+                    for d0, c_v0, c_v1, g_gamma, denom in self.rows])
 
-    def navigation_field(self, r0: float, r1: float, v0: float, v1: float) -> tuple[float, float]:
+    def navigation_field(self, r0: float, r1: float, v0: float, v1: float,
+                         gamma_v: float) -> tuple[float, float]:
         """Attraction toward the command r = (r0, r1) plus repulsion away from
-        constraint boundaries, at v = (v0, v1). Attraction is the unit vector
-        toward r beyond the smoothing radius and linear inside it; each
-        repulsion term pushes along the margin gradient with strength
-        eta_rep[i], skipping rows whose margin is closed or whose gradient
-        is numerically zero."""
+        constraint boundaries, at v = (v0, v1) with threshold gamma_v =
+        Gamma(v), the value erg_rhs has just computed. Attraction is the
+        unit vector toward r beyond the smoothing radius and linear inside
+        it; each repelling row with an open margin subtracts eta_rep[i]
+        times its threshold's unit v-gradient -c_v / |c_v|."""
         gap0, gap1 = r0 - v0, r1 - v1
         dist = _norm(gap0, gap1)
         scale = dist if dist >= self.eta else self.eta
         rho0, rho1 = gap0 / scale, gap1 / scale
-        if self.repulsion:
-            g_total = self.gamma(v0, v1)
-            for strength, (d0, c_v0, c_v1, g_gamma, denom) in self.repulsion:
-                margin = d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * g_total
-                if margin <= 0.0:
-                    continue
-                grad0 = 2.0 * margin * -c_v0 / denom
-                grad1 = 2.0 * margin * -c_v1 / denom
-                norm = _norm(grad0, grad1)
-                if norm <= 1e-12:
-                    continue
-                rho0 = rho0 - strength * grad0 / norm
-                rho1 = rho1 - strength * grad1 / norm
+        for strength, (d0, c_v0, c_v1, g_gamma, _), (unit0, unit1) in self.repulsion:
+            if d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * gamma_v > 0.0:
+                rho0 = rho0 - strength * unit0
+                rho1 = rho1 - strength * unit1
         return rho0, rho1
 
     def erg_rhs(self, e1: float, e2: float, v0: float, v1: float, r0: float, r1: float) -> tuple[float, float]:
@@ -203,10 +196,11 @@ class GammaEvaluator:
         Identically zero whenever V(e) >= Gamma(v); the reference freezes at
         the safety boundary and resumes once the tracking error has decayed.
         """
-        margin = self.gamma(v0, v1) - self.P.quad((e1, e2))
+        gamma_v = self.gamma(v0, v1)
+        margin = gamma_v - self.P.quad((e1, e2))
         if margin <= 0.0:
             return 0.0, 0.0
-        rho0, rho1 = self.navigation_field(r0, r1, v0, v1)
+        rho0, rho1 = self.navigation_field(r0, r1, v0, v1, gamma_v)
         gain = self.kappa_erg * margin
         return gain * rho0, gain * rho1
 

@@ -63,6 +63,10 @@ class HessParams:
                      "lambda_s", "i_s_bar", "i_b_bar", "u_s_bar", "u_b_bar"):
             if getattr(self, name) <= 0.0:
                 raise FieldValueError(name, f"{name} must be positive")
+        if not np.isfinite(self.lambda_b_energy / self.lambda_s):
+            # the planner scales the supercapacitor SOC by this ratio
+            raise FieldValueError("lambda_s", f"lambda_b_energy / lambda_s = "
+                                  f"{self.lambda_b_energy:g} / {self.lambda_s:g} is not finite")
         if self.v_min >= self.v_max:
             raise FieldValueError("v_min", f"v_min {self.v_min} must be below v_max {self.v_max}")
         lam_e = decay_rate(self.error_matrix())  # raises NotHurwitzError for bad gains

@@ -51,9 +51,10 @@ class PlannerConfig:
             raise FieldValueError("horizon", "horizon must be at least one step")
         if self.horizon > MAX_HORIZON:
             raise FieldValueError("horizon", f"horizon {self.horizon} above MAX_HORIZON {MAX_HORIZON}")
-        for name in ("q_weight", "tighten_eps_e"):
-            if getattr(self, name) < 0.0:
-                raise FieldValueError(name, f"{name} must be nonnegative")
+        if self.q_weight <= 0.0:
+            raise FieldValueError("q_weight", "the planner cost needs q_weight > 0")
+        if self.tighten_eps_e < 0.0:
+            raise FieldValueError("tighten_eps_e", "tighten_eps_e must be nonnegative")
         # the QP bounds x = E_B - e_b_goal and E_S times gain_b / gain_s
         for name, scale in (("e_b_range", 1.0), ("e_s_range", self.lambda_b_energy / self.lambda_s)):
             lo, hi = getattr(self, name)
@@ -135,8 +136,6 @@ def qp_matrices(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
     j's current is u_j = (x_j - x_j-1) / gain_b, so the rows are a band on
     Delta x_j (current box and supercapacitor coverage), the slew band on
     Delta^2 x_j, and a box on x_j (battery and supercapacitor corridors)."""
-    if cfg.q_weight <= 0.0:
-        raise ValueError("condensed cost requires q_weight > 0")
     N = cfg.horizon
     eye = np.eye(N)
     step = eye - np.eye(N, k=-1)
@@ -235,13 +234,10 @@ def estimate_lipschitz(
 
     Samples state pairs within sample_radius uniformly from the SOC box
     (seeded, so repeated runs agree) and takes the steepest observed
-    difference quotient. Zero cost weight short-circuits to zero: the
-    value function is then constant.
+    difference quotient.
     """
     if sample_count < 2:
         raise ValueError("need at least two samples")
-    if cfg.q_weight == 0.0:
-        return 0.0
     rng = UniformStream(seed)
     solver = QpSolver(*qp_matrices(cfg))
     d_zero = np.zeros(cfg.horizon)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from laycon import cli
-from laycon.erg import ErgConfig
+from laycon.erg import ErgConfig, GammaEvaluator
 from laycon.hess import HessParams, LoadProfile, OutOfSpanError
 from laycon.iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
 from laycon.mpc import Planner, PlannerConfig, PlanResult
@@ -105,6 +105,27 @@ def calibrated_overshoot_iterated(log: TrajectoryLog, lambda_e: float, norm_b: f
         m = m_next
     eps = noise_floor(iss_gain(m, norm_b, lambda_e), w_max)
     return calibrate_overshoot(norms, decay, eps, norms[0]), eps
+
+
+def gamma_iterated(gam: GammaEvaluator, v0: float, v1: float) -> float:
+    """Gamma(v) by fixed-point iteration, the form the closed form replaced:
+    seeded from the rows free of Gamma (from every row, its Gamma term
+    dropped, when none is), then g <- min_i (b_i - a_i g)_+^2 / d_i until g
+    stops changing, or repeats the value two steps back (a float two-cycle
+    at the fixed point). It converges where 2 a_i sqrt(g / d_i) < 1."""
+    terms = [(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom) for d0, c_v0, c_v1, g_gamma, denom in gam.rows]
+
+    def level(margin, denom):
+        return margin * margin / denom if margin > 0.0 else 0.0
+
+    g = min(level(b, d) for b, a, d in [t for t in terms if t[1] == 0.0] or terms)
+    before = None
+    for _ in range(10_000):
+        g_next = min(level(b - a * g, d) for b, a, d in terms)
+        if g_next in (g, before):
+            return g_next
+        before, g = g, g_next
+    raise AssertionError(f"the iteration did not settle at v = ({v0}, {v1})")
 
 
 def quad_reference(P: SpdMatrix, e) -> float:

@@ -252,6 +252,8 @@ class TestConfigErrors:
         ('{"contract": {"eps_e": -1}}', "contract.eps_e"),
         ('{"contract": {"delta": 0}}', "contract.delta"),
         ('{"erg": {"eta_rep": [0.1, 0.1, 0.1]}}', "erg.eta_rep"),
+        # B's planner scales the supercapacitor SOC by lambda_b_energy / lambda_s
+        ('{"plant": {"lambda_s": 5e-324}}', "plant.lambda_s"),
         # the planner bound's value-function sandwich and descent coefficients
         ('{"certificates": {"lambda_min_p": 0}}', "certificates.lambda_min_p"),
         ('{"certificates": {"lambda_max_p": 0}}', "certificates.lambda_max_p"),
@@ -279,6 +281,8 @@ class TestConfigErrors:
         ('{"sim": {"t_s": 1e-300}}', "sim.t_s"),
         # a horizon above MAX_HORIZON, rejected before the load's span is checked
         ('{"planner": {"horizon": 1001}}', "planner.horizon"),
+        # the planner cost q ||x||^2 needs a positive weight
+        ('{"planner": {"q_weight": 0.0}}', "planner.q_weight"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_planner_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -530,23 +534,32 @@ def fail_at_step(monkeypatch, step: int):
     monkeypatch.setattr(sim_module, "rk4_step", failing)
 
 
+def planner_raises(monkeypatch):
+    """Make the run's first planner step raise ValueError."""
+    def failing(self, y_k, d_forecast):
+        raise ValueError("planner step failed")
+
+    monkeypatch.setattr(mpc_module.Planner, "step", failing)
+
+
 class TestFailedRunLeavesNoCsv:
     """A run that fails after its writer has started exits 1, reaps the
     writer, and leaves no trajectory.csv or .part file; an earlier
     trajectory.csv stays as it was."""
 
     CASES = {
-        "planner_raises": ({"planner": {"q_weight": 0.0}}, None, "condensed cost requires q_weight > 0"),
+        "planner_raises": ({}, planner_raises, "planner step failed"),
         "non_finite_state": ({"sim": {"w_max": 1e308}}, None, "non-finite state"),
-        "fails_after_blocks_streamed": ({"sim": {"t_end": 2.0}}, 1500, "non-finite state at step 1500"),
+        "fails_after_blocks_streamed": ({"sim": {"t_end": 2.0}}, lambda mp: fail_at_step(mp, 1500),
+                                        "non-finite state at step 1500"),
     }
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("earlier", [False, True])
     def test_exit_1_and_no_file(self, tmp_path, monkeypatch, capsys, case, earlier):
-        overlay, fail_step, message = self.CASES[case]
-        if fail_step is not None:
-            fail_at_step(monkeypatch, fail_step)
+        overlay, patch, message = self.CASES[case]
+        if patch is not None:
+            patch(monkeypatch)
         path = tmp_path / "overlay.json"
         path.write_text(json.dumps(overlay))
         out = tmp_path / "out"
@@ -745,7 +758,8 @@ class TestRunCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.strip() == "condensed cost requires q_weight > 0"
+        assert capsys.readouterr().err.strip() == (
+            "config error at planner.q_weight: the planner cost needs q_weight > 0")
         assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -773,24 +787,24 @@ PINNED_RUNS = [
         "869ab689317c0635de0fdee76773a38debac5e871775208769187c2714f00902",
         "b810ddeca5ec18ba4d45227dd77aa991a2c9e8d999febfad6e3bfca95177aef8",
         "73c1b8807581014bd5619525e24553629bed6d64e2f931480192a860d47c568a")),
-    # full mode: self-referential rows, so Gamma runs its fixed point
+    # full mode: rows that depend on v and on Gamma itself
     ("b_full", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL}, 7, (
-        "c7d5778a2a2fe127c6fcd37bf4b14bda02cdb233daf72b7a5aee8aa9c480b680",
+        "8a709d72d0af22c97461f09c4c8ea3a542146e254fef1bc80bdab1aef72a3ae8",
         "0d01577fab13d31194724370e26edc410f82bbfd76d5a719816d2de9683414b7",
-        "000a59e5664d1d952aa1de2af7bbb6d37735dfb15aec5ec0b74d9602ce98553f")),
+        "1108b4868e59c80eac7fa61c2c33342fe5a963c45387e6591b553d6201061142")),
     # repulsion on: equal strengths on v_max/v_min cancel exactly while
     # v_V stays at 400, so this run writes the same bytes as b_full
     ("b_full_repulsion", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                "erg": {"eta_rep": [0.1, 0.1, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "c7d5778a2a2fe127c6fcd37bf4b14bda02cdb233daf72b7a5aee8aa9c480b680",
+        "8a709d72d0af22c97461f09c4c8ea3a542146e254fef1bc80bdab1aef72a3ae8",
         "0d01577fab13d31194724370e26edc410f82bbfd76d5a719816d2de9683414b7",
-        "000a59e5664d1d952aa1de2af7bbb6d37735dfb15aec5ec0b74d9602ce98553f")),
+        "1108b4868e59c80eac7fa61c2c33342fe5a963c45387e6591b553d6201061142")),
     # unequal strengths: the net repulsion moves v_V
     ("b_full_repulsion_asym", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                     "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "88f585c85d961ee2e0585cdc54deea4b4af593a42c037e289a5a15a31bba62d1",
-        "db1b7681861cc73c40f35d745a2d02b5a3eb4052d0a653536d7687fef8d8ffd4",
-        "f47e522561cd1559cfd40a6ed71274c6481d8e3f9307f1b23ebad1a0d5385069")),
+        "792dacc51156336e21087bcd0039f88a0d92bd34473ca50e65cdef817bbcc4c0",
+        "db7fcc1a65d9fff83b8a09c8cb08f1d3b3cf0febb7c76481bb2d8dd3cfedd43c",
+        "9a50ef147b169dbcd841b1b83189c288399257226bf427171b9e34c87a4e321b")),
     # 1.05 s: ten sampling periods and a partial eleventh of 50 steps, whose
     # first row is read as a period start but runs no planner step
     ("a_mid_period", "a", {"sim": {"t_end": 1.05}}, 1, (
@@ -838,8 +852,9 @@ assert set(statuses) == {"infeasible"}, statuses
 
 
 # run in a child: the bits of the closed-form planar values, P, P^-1,
-# lambda_e, the error matrix's eigenvalues and every Gamma denominator, for
-# scenarios A and B and for B with full governor rows (argv: the output file)
+# lambda_e, the error matrix's eigenvalues, every Gamma denominator and
+# Gamma at v_start, for scenarios A and B and for B with full governor rows
+# (argv: the output file)
 _PLANAR_CHILD = f"""
 import sys
 from pathlib import Path
@@ -850,7 +865,7 @@ values = []
 for b in (bundle(scenario_a()), bundle(scenario_b()), bundle(scenario_b(), {{"constraints": {_FULL!r}}})):
     values += b.P.mat.ravel().tolist() + b.governor.pinv.mat.ravel().tolist() + [b.plant.lambda_e]
     values += [part for z in eigenvalues(b.plant.error_matrix()) for part in (z.real, z.imag)]
-    values += [row[4] for row in b.governor.rows]
+    values += [row[4] for row in b.governor.rows] + [b.governor.gamma(*b.v_start)]
 Path(sys.argv[1]).write_text(" ".join(float(x).hex() for x in values))
 """
 
@@ -858,11 +873,11 @@ Path(sys.argv[1]).write_text(" ".join(float(x).hex() for x in values))
 @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 class TestBlasKernels:
     """What does not depend on the OpenBLAS kernel. P, P^-1, lambda_e, the
-    error matrix's eigenvalues and the Gamma denominators are closed forms
-    in Python floats, so they come out bit-equal under every kernel, in
-    both scenarios. `run --scenario a` writes the same bytes under every
-    kernel, since every value the loop and the logs take from them is a
-    fixed-order float form. Scenario B's bytes stay kernel-specific only
+    error matrix's eigenvalues, the Gamma denominators and Gamma itself are
+    closed forms in Python floats, so they come out bit-equal under every
+    kernel, in both scenarios. `run --scenario a` writes the same bytes
+    under every kernel, since every value the loop and the logs take from
+    them is a fixed-order float form. Scenario B's bytes stay kernel-specific only
     through its planner QP, which runs on BLAS; a planner QP with no
     solution ends `infeasible` under every kernel."""
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import GAINS
+from helpers import GAINS, gamma_iterated
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laycon.erg import ErgConfig, GammaEvaluator, HalfspaceConstraint, _norm
 from laycon.numkit import SpdMatrix, solve_lyapunov
@@ -50,13 +52,34 @@ class TestGamma:
             plain_row(d0=np.sqrt(200.0)),
             HalfspaceConstraint(c_a=(0.0,), c_b=(1.0,), d0=10.0, c_v=(0.0, 0.0), g_gamma=0.01),
         ]
-        v = (0.0, 0.0)
-        g_fast = GammaEvaluator(rows, P_EYE, GAINS).gamma(*v, fixed_point_iters=100)
-        g_ref = GammaEvaluator(rows, P_EYE, GAINS).gamma(*v, fixed_point_iters=1000)
-        assert abs(g_fast - g_ref) <= 1e-8
-        # fixed point reproduces itself through the margin map
-        margin = 10.0 - 0.01 * g_ref
-        assert min(200.0, margin**2) == pytest.approx(g_ref, abs=1e-6)
+        gam = GammaEvaluator(rows, P_EYE, GAINS)
+        g = gam.gamma(0.0, 0.0)
+        assert g == pytest.approx(gamma_iterated(gam, 0.0, 0.0), rel=1e-12)
+        # the fixed point reproduces itself through the margin map
+        assert min(200.0, (10.0 - 0.01 * g) ** 2) == pytest.approx(g, rel=1e-12)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_gamma_is_the_fixed_point(self, data):
+        """Gamma equals the settled iteration, and G(Gamma) = Gamma with
+        G(g) = min_i (b_i - a_i g)_+^2 / d_i, over rows with open and closed
+        margins, with and without a Gamma term. Each a_i is drawn below
+        rate * d_i / (2 b_max), rate < 1, so that the iteration converges."""
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            c_a = data.draw(st.floats(0.5, 3.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            c_b = data.draw(st.floats(-3.0, 3.0))
+            rate = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+            rows.append(plain_row(d0=data.draw(st.floats(-5.0, 10.0)), c_a=(c_a,), c_b=(c_b,),
+                                  c_v=data.draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])),
+                                  g=rate * (c_a * c_a + c_b * c_b) / (2.0 * 13.0)))
+        v0, v1 = data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0))
+        gam = GammaEvaluator(rows, P_EYE, GAINS)
+        g = gam.gamma(v0, v1)
+        assert g == pytest.approx(gamma_iterated(gam, v0, v1), rel=1e-12, abs=0.0)
+        margin_map = min(max(d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * g, 0.0) ** 2 / denom
+                         for d0, c_v0, c_v1, g_gamma, denom in gam.rows)
+        assert margin_map == pytest.approx(g, rel=1e-12, abs=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -65,33 +88,36 @@ class TestGamma:
 
 class TestNavigationField:
     CFG = ErgConfig(kappa_erg=1.0, eta=0.5)
+    GAMMA = 4.0  # plain_row()'s threshold in the identity metric
 
     def test_zero_at_target(self):
         v = np.array([1.0, 2.0])
-        rho = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*v, *v))
+        rho = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*v, *v, self.GAMMA))
         assert np.all(rho == 0.0)
 
     def test_unit_beyond_radius(self):
-        rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(1.0, 0.0, 0.0, 0.0)
+        rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(1.0, 0.0, 0.0, 0.0, self.GAMMA)
         assert np.linalg.norm(rho) == pytest.approx(1.0)
 
     def test_continuity_at_radius(self):
         r = np.array([self.CFG.eta, 0.0])
-        inside = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*(r * 0.999), 0.0, 0.0))
-        outside = np.array(GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*(r * 1.001), 0.0, 0.0))
+        gam = GammaEvaluator([plain_row()], P_EYE, self.CFG)
+        inside = np.array(gam.navigation_field(*(r * 0.999), 0.0, 0.0, self.GAMMA))
+        outside = np.array(gam.navigation_field(*(r * 1.001), 0.0, 0.0, self.GAMMA))
         assert np.linalg.norm(inside - outside) <= 2e-3
 
     def test_attraction_bounded(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             r, v = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
-            rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*r, *v)
+            rho = GammaEvaluator([plain_row()], P_EYE, self.CFG).navigation_field(*r, *v, self.GAMMA)
             assert np.linalg.norm(rho) <= 1.0 + 1e-12
 
     def test_repulsion_points_away_from_bound(self):
         cfg = ErgConfig(kappa_erg=1.0, eta=0.5, eta_rep=(0.1,))
         row = plain_row(d0=2.0, c_v=(1.0, 0.0))
-        rho = GammaEvaluator([row], P_EYE, cfg).navigation_field(0.0, 0.0, 0.0, 0.0)
+        gam = GammaEvaluator([row], P_EYE, cfg)
+        rho = gam.navigation_field(0.0, 0.0, 0.0, 0.0, gam.gamma(0.0, 0.0))
         assert np.allclose(rho, np.array([0.1, 0.0]))
 
 
@@ -116,8 +142,8 @@ class TestErgRhs:
 
 
 class TestConstantGamma:
-    """With every row's c_v = (0, 0) and g_gamma = 0, gamma returns a
-    threshold computed once; it must equal the general evaluation."""
+    """With every row's c_v = (0, 0), gamma returns a threshold computed
+    once; it must equal the general evaluation."""
 
     P = solve_lyapunov(np.array([[0.0, 1.0], [-35.0, -12.0]]), np.diag([100.0, 10.0]))
 
@@ -141,11 +167,12 @@ class TestConstantGamma:
         assert gam.constant is None
         assert gam.gamma(0.0, 2.5) == pytest.approx(0.25)
 
-    def test_not_taken_when_a_row_depends_on_gamma(self):
+    def test_taken_when_rows_depend_on_gamma_only(self):
         rows = [plain_row(d0=3.0), plain_row(d0=3.0, g=0.1)]
         gam = GammaEvaluator(rows, P_EYE, GAINS)
-        assert gam.constant is None
-        assert gam.gamma(0.0, 0.0) < 9.0  # the fixed point shrinks the second margin
+        assert gam.constant is not None
+        assert gam.constant < 9.0  # the fixed point shrinks the second margin
+        assert gam.constant == gam.gamma_i(1, 0.0, 0.0) == pytest.approx(gamma_iterated(gam, 0.0, 0.0), rel=1e-12)
 
 
 class TestNorm:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import GAINS, bundle, load_reference
+from helpers import GAINS, bundle, gamma_iterated, load_reference
 
 from laycon.erg import GammaEvaluator
 from laycon.hess import (
@@ -18,6 +18,7 @@ from laycon.hess import (
 )
 from laycon.numkit import solve_lyapunov
 from laycon.scenarios import scenario_a, scenario_b
+from laycon.sim import run_layered
 
 P_B = HessParams()  # published full-stack gain set (k1=35, k2=12)
 P_A = HessParams(k1=25.0, k2=11.0)
@@ -149,6 +150,16 @@ class TestConstraints:
         assert GammaEvaluator(rows, P, GAINS).gamma(*v) == pytest.approx(
             min(GammaEvaluator([r], P, GAINS).gamma_i(0, *v) for r in rows)
         )
+
+    def test_full_mode_threshold_is_the_settled_fixed_point(self):
+        # every logged Gamma_v of a governed-full run is the settled fixed
+        # point; no row's c_v reads v's second entry, which the log does not hold
+        full = {"constraints": {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 10.0}}
+        run = bundle(scenario_b(seed=7, t_end=0.5), full)
+        assert all(c_v1 == 0.0 for _, _, c_v1, _, _ in run.governor.rows)
+        log, _ = run_layered(run)
+        for v, g in zip(log.columns["v"].tolist(), log.columns["Gamma_v"].tolist()):
+            assert g == pytest.approx(gamma_iterated(run.governor, v, 0.0), rel=1e-12, abs=0.0)
 
 
 class TestBatteryInterface:

@@ -277,9 +277,6 @@ class TestPlannerIssBound:
 
 
 class TestEstimateLipschitz:
-    def test_zero_weight(self):
-        assert estimate_lipschitz(make_cfg(q_weight=0.0), 10, 0.5) == 0.0
-
     def test_matrices_built_once(self, monkeypatch):
         calls = count_qp_matrices(monkeypatch)
         estimate_lipschitz(make_cfg(), 200, 0.5)

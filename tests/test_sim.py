@@ -250,8 +250,10 @@ class TestCallGraph:
     def test_per_step_calls(self, monkeypatch):
         """rk4_step once per step, plant_rhs once per stage, Gamma once per
         logged row and once per stage with the governor on, also when the
-        governed-full rows make Gamma self-referential; the benchmark's
-        tracer counts these calls and its closed forms assume them."""
+        governed-full rows make Gamma depend on v and on itself, and when
+        repulsion is on (the navigation field takes the stage's Gamma); the
+        benchmark's tracer counts these calls and its closed forms assume
+        them."""
         counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
 
         def counted(name, fn):
@@ -266,10 +268,11 @@ class TestCallGraph:
         governed_full = {"constraints": {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5,
                                          "d_bar_dot_max": 10.0}}
         steps = 500
-        for overlay in (None, governed_full):
+        repulsion = {**governed_full, "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}
+        for overlay in (None, governed_full, repulsion):
             counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             run = bundle(scenario_b(seed=0, t_end=0.5), overlay)
-            assert run.governor.self_referential is (overlay is not None)
+            assert (run.governor.constant is None) is (overlay is not None)
             run_layered(run)
             assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
 
