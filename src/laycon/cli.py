@@ -316,7 +316,7 @@ def build_certificate(bundle: RunBundle) -> dict:
 
     # the governor threshold where the governor starts; the peak reference
     # rate is the governor gain's upper range times that margin
-    gamma_star = bundle.governor.gamma(*bundle.v_start)
+    gamma_star = bundle.governor.gamma(bundle.v_start)
     kappa_max = bundle.erg_cfg.kappa_hi * gamma_star
     mismatch = mismatch_bound_hess(plant, settling, eps_l, kappa_max, cert.eta, cert.settle_delta)
     eps_t = planner_iss_bound(cert.lambda_min_p, cert.lambda_max_p, l_v, cert.lambda_min_q, mismatch.eps_e)

@@ -3,17 +3,20 @@
 Maps each half-space constraint on the tracking error to the largest
 Lyapunov sublevel value that fits inside it (closed form for quadratic V),
 combines them into the safety threshold Gamma(v), and slews the filtered
-reference v toward the command r at a rate proportional to the spare
-margin Gamma(v) - V(e). The barrier Phi = V(e) - Gamma(v) is <= 0 exactly
-on the governed safe set.
+voltage reference v toward the command r at a rate proportional to the
+spare margin Gamma(v) - V(e). The barrier Phi = V(e) - Gamma(v) is <= 0
+exactly on the governed safe set.
 
-GammaEvaluator precomputes the P^-1-metric normal lengths, and folds the
-governor gains and the repelling rows' unit directions, once per (constraints,
-P, gains) triple, and evaluates every governor quantity from them on Python
-floats: e, v and r are passed as their two entries each and the fields
-come back as float pairs. The lengths c'P^-1 c and V(e) are SpdMatrix.quad's
-float form and each Euclidean norm is sqrt(a*a + b*b), so no governor value
-depends on the BLAS kernel.
+The governor filters one channel, the voltage reference: v and r are
+scalars (the battery loop tracks the planner's current reference
+directly), so the scalar explicit reference governor of Nicotra & Garone
+(2018) applies. GammaEvaluator precomputes the P^-1-metric normal lengths,
+and folds the governor gains and the repelling rows' pushes, once per
+(constraints, P, gains) triple, and evaluates every governor quantity from
+them on Python floats: e is passed as its two entries, v and r as floats,
+and the field and the rate come back as floats. The lengths c'P^-1 c and
+V(e) are SpdMatrix.quad's float form, so no governor value depends on the
+BLAS kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class HalfspaceConstraint:
 
     The error-space normal is the stacked (c_a, c_b) pair (position part,
     rate part). The margin is reference-dependent:
-    d(v) = d0 - c_v' v - g_gamma * Gamma, where g_gamma > 0 marks the
+    d(v) = d0 - c_v v - g_gamma * Gamma, where g_gamma > 0 marks the
     self-referential rows whose margin shrinks with the threshold itself
     (worst-case governor rate entering through the constraint bound).
     """
@@ -43,7 +46,7 @@ class HalfspaceConstraint:
     c_a: tuple[float, ...]
     c_b: tuple[float, ...]
     d0: float
-    c_v: tuple[float, ...]
+    c_v: float
     g_gamma: float = 0.0
     label: str = ""
 
@@ -100,23 +103,16 @@ def _row_threshold(margin: float, g_gamma: float, denom: float) -> float:
                                     + math.sqrt(denom * denom + 4.0 * g_gamma * margin * denom))
 
 
-def _norm(a: float, b: float) -> float:
-    """Euclidean norm of (a, b) as sqrt(a*a + b*b) in floats."""
-    return math.sqrt(a * a + b * b)
-
-
 class GammaEvaluator:
     """Threshold/field evaluation for a fixed constraint set, metric and
     governor gains.
 
-    Each constraint is held as a float row (d0, c_v0, c_v1, g_gamma, denom),
+    Each constraint is held as a float row (d0, c_v, g_gamma, denom),
     denom = pinv.quad(c_a + c_b), and its margin is evaluated as
-    d0 - (c_v0 v0 + c_v1 v1) - g_gamma Gamma.
-    That is exact, and so equal to numpy's dot product, for every row that
-    hess_constraints builds, because their c_v is (1, 0), (-1, 0) or (0, 0);
-    for other c_v it may differ from np.dot in the last bit. The i-th
-    repulsion strength of erg_cfg belongs to the i-th row; a strength
-    without a row is rejected at erg.eta_rep.
+    d0 - c_v v - g_gamma Gamma. Every row that hess_constraints builds has
+    c_v in {1, -1, 0}, so c_v v is exact there. The i-th repulsion strength
+    of erg_cfg belongs to the i-th row; a strength without a row is
+    rejected at erg.eta_rep.
     """
 
     def __init__(self, constraints, P: SpdMatrix, erg_cfg: ErgConfig):
@@ -138,28 +134,27 @@ class GammaEvaluator:
             denom = self.pinv.quad(con.c_a + con.c_b)
             if denom <= 0.0:
                 raise ZeroNormalError(f"constraint {con.label!r} has zero normal in the P^-1 metric")
-            c_v0, c_v1 = (float(x) for x in con.c_v)
-            self.rows.append((float(con.d0), c_v0, c_v1, float(con.g_gamma), denom))
-        # (strength, row, unit) per repelling row with c_v != 0: while its
-        # margin is open, the v-gradient of its threshold points along -c_v
-        self.repulsion = [(s, row, (-row[1] / n, -row[2] / n)) for s, row in zip(erg_cfg.eta_rep, self.rows)
-                          if s != 0.0 and (n := _norm(row[1], row[2])) > 0.0]
+            self.rows.append((float(con.d0), float(con.c_v), float(con.g_gamma), denom))
+        # (push, row) per repelling row with c_v != 0: while its margin is
+        # open, its threshold grows along -c_v, so the field moves by -push
+        self.repulsion = [(math.copysign(s, row[1]), row) for s, row in zip(erg_cfg.eta_rep, self.rows)
+                          if s != 0.0 and row[1] != 0.0]
         # with no row depending on v (every input_only row), Gamma is the
         # same for every v; d0 - 0 is exact
         self.constant = None
-        if all(c_v0 == c_v1 == 0.0 for _, c_v0, c_v1, _, _ in self.rows):
-            self.constant = min(_row_threshold(d0, g_gamma, denom) for d0, _, _, g_gamma, denom in self.rows)
+        if all(c_v == 0.0 for _, c_v, _, _ in self.rows):
+            self.constant = min(_row_threshold(d0, g_gamma, denom) for d0, _, g_gamma, denom in self.rows)
 
-    def gamma_i(self, i: int, v0: float, v1: float) -> float:
+    def gamma_i(self, i: int, v: float) -> float:
         """Largest Lyapunov sublevel value inside constraint i's half-space at
-        v = (v0, v1) once its margin d0 - c_v' v shrinks by g_gamma times it."""
-        d0, c_v0, c_v1, g_gamma, denom = self.rows[i]
-        return _row_threshold(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom)
+        v once its margin d0 - c_v v shrinks by g_gamma times it."""
+        d0, c_v, g_gamma, denom = self.rows[i]
+        return _row_threshold(d0 - c_v * v, g_gamma, denom)
 
-    def gamma(self, v0: float, v1: float) -> float:
-        """Combined safety threshold Gamma(v) at v = (v0, v1): the fixed point
-        of G(g) = min_i f_i(g), f_i(g) = (b_i - a_i g)_+^2 / d_i, with margin
-        b_i = d0_i - c_v_i' v. It is min_i g_i, g_i = gamma_i(v) the fixed
+    def gamma(self, v: float) -> float:
+        """Combined safety threshold Gamma(v): the fixed point of
+        G(g) = min_i f_i(g), f_i(g) = (b_i - a_i g)_+^2 / d_i, with margin
+        b_i = d0_i - c_v_i v. It is min_i g_i, g_i = gamma_i(v) the fixed
         point of f_i: each f_i is continuous and nonincreasing, so f_i(g) >= g
         exactly for g <= g_i, hence G(g) >= g exactly for g <= min_i g_i, and
         the strictly decreasing G(g) - g vanishes only there. Each g_i is
@@ -168,39 +163,35 @@ class GammaEvaluator:
         """
         if self.constant is not None:
             return self.constant
-        return min([_row_threshold(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom)
-                    for d0, c_v0, c_v1, g_gamma, denom in self.rows])
+        return min([_row_threshold(d0 - c_v * v, g_gamma, denom) for d0, c_v, g_gamma, denom in self.rows])
 
-    def navigation_field(self, r0: float, r1: float, v0: float, v1: float,
-                         gamma_v: float) -> tuple[float, float]:
-        """Attraction toward the command r = (r0, r1) plus repulsion away from
-        constraint boundaries, at v = (v0, v1) with threshold gamma_v =
-        Gamma(v), the value erg_rhs has just computed. Attraction is the
-        unit vector toward r beyond the smoothing radius and linear inside
-        it; each repelling row with an open margin subtracts eta_rep[i]
-        times its threshold's unit v-gradient -c_v / |c_v|."""
-        gap0, gap1 = r0 - v0, r1 - v1
-        dist = _norm(gap0, gap1)
-        scale = dist if dist >= self.eta else self.eta
-        rho0, rho1 = gap0 / scale, gap1 / scale
-        for strength, (d0, c_v0, c_v1, g_gamma, _), (unit0, unit1) in self.repulsion:
-            if d0 - (c_v0 * v0 + c_v1 * v1) - g_gamma * gamma_v > 0.0:
-                rho0 = rho0 - strength * unit0
-                rho1 = rho1 - strength * unit1
-        return rho0, rho1
+    def navigation_field(self, r: float, v: float, gamma_v: float) -> float:
+        """Attraction toward the command r plus repulsion away from constraint
+        boundaries, at v with threshold gamma_v = Gamma(v), the value erg_rhs
+        has just computed. Attraction is sign(r - v) beyond the smoothing
+        radius and linear inside it; each repelling row with an open margin
+        adds -eta_rep[i] sign(c_v), which points away from its bound."""
+        gap = r - v
+        dist = abs(gap)
+        rho = gap / (dist if dist >= self.eta else self.eta)
+        for push, (d0, c_v, g_gamma, _) in self.repulsion:
+            if d0 - c_v * v - g_gamma * gamma_v > 0.0:
+                rho = rho - push
+        return rho
 
-    def erg_rhs(self, e1: float, e2: float, v0: float, v1: float, r0: float, r1: float) -> tuple[float, float]:
+    def erg_rhs(self, e1: float, e2: float, v: float, r: float) -> float:
         """Governor velocity kappa_erg * max(0, Gamma(v) - V(e)) * rho(r, v)
-        at e = (e1, e2), v = (v0, v1) and r = (r0, r1).
+        at e = (e1, e2).
 
         Identically zero whenever V(e) >= Gamma(v); the reference freezes at
         the safety boundary and resumes once the tracking error has decayed.
+        With v at the command and no repelling row the field is 0, and so is
+        the rate, without Gamma or V(e): kappa_erg * margin * 0.0 is 0.0.
         """
-        gamma_v = self.gamma(v0, v1)
+        if r - v == 0.0 and not self.repulsion:
+            return 0.0
+        gamma_v = self.gamma(v)
         margin = gamma_v - self.P.quad((e1, e2))
         if margin <= 0.0:
-            return 0.0, 0.0
-        rho0, rho1 = self.navigation_field(r0, r1, v0, v1, gamma_v)
-        gain = self.kappa_erg * margin
-        return gain * rho0, gain * rho1
-
+            return 0.0
+        return self.kappa_erg * margin * self.navigation_field(r, v, gamma_v)

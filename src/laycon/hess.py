@@ -227,8 +227,8 @@ def hess_constraints(
     if erg_mode not in get_args(ConstraintMode):
         raise ValueError(f"unknown erg_mode {erg_mode!r}")
     voltage_rows = [
-        HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=p.v_max, c_v=(1.0, 0.0), label="v_max"),
-        HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-p.v_min, c_v=(-1.0, 0.0), label="v_min"),
+        HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=p.v_max, c_v=1.0, label="v_max"),
+        HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-p.v_min, c_v=-1.0, label="v_min"),
     ]
     if erg_mode == "voltage_only":
         return voltage_rows
@@ -236,12 +236,12 @@ def hess_constraints(
     u_s_eff = p.u_s_bar - d_bar_dot_max / p.c_bus
     input_rows = [
         HalfspaceConstraint(
-            c_a=(p.k1,), c_b=(k2_eff,), d0=u_s_eff, c_v=(0.0, 0.0),
+            c_a=(p.k1,), c_b=(k2_eff,), d0=u_s_eff, c_v=0.0,
             g_gamma=(k2_eff * kappa_bar if erg_mode == "full" else 0.0),
             label="u_s_upper",
         ),
         HalfspaceConstraint(
-            c_a=(-p.k1,), c_b=(-k2_eff,), d0=u_s_eff, c_v=(0.0, 0.0),
+            c_a=(-p.k1,), c_b=(-k2_eff,), d0=u_s_eff, c_v=0.0,
             g_gamma=(k2_eff * kappa_bar if erg_mode == "full" else 0.0),
             label="u_s_lower",
         ),
@@ -251,11 +251,11 @@ def hess_constraints(
     i_s_eff = p.i_s_bar - d_bar_max
     return voltage_rows + [
         HalfspaceConstraint(
-            c_a=(0.0,), c_b=(p.c_bus,), d0=i_s_eff, c_v=(0.0, 0.0),
+            c_a=(0.0,), c_b=(p.c_bus,), d0=i_s_eff, c_v=0.0,
             g_gamma=p.c_bus * kappa_bar, label="i_s_upper",
         ),
         HalfspaceConstraint(
-            c_a=(0.0,), c_b=(-p.c_bus,), d0=i_s_eff, c_v=(0.0, 0.0),
+            c_a=(0.0,), c_b=(-p.c_bus,), d0=i_s_eff, c_v=0.0,
             g_gamma=p.c_bus * kappa_bar, label="i_s_lower",
         ),
     ] + input_rows

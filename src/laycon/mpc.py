@@ -252,10 +252,10 @@ def estimate_lipschitz(
         gap = float(np.linalg.norm(y2 - y))
         if gap < 1e-9:
             continue
-        v1, v2 = (plan(z, d_zero, 0.0, cfg, solver).V_N_star for z in (y, y2))
-        if v1 is None or v2 is None:
+        v_y, v_y2 = (plan(z, d_zero, 0.0, cfg, solver).V_N_star for z in (y, y2))
+        if v_y is None or v_y2 is None:
             continue
-        ratio = abs(v2 - v1) / gap
+        ratio = abs(v_y2 - v_y) / gap
         if best is None or ratio > best:
             best = ratio
     if best is None:

@@ -75,7 +75,8 @@ class RunBundle:
     rows constraint_cfg selects, P and erg_cfg; its pinv is the one P^-1
     that the governor and the certificate read), the reference r_start at t = 0
     (sim.frozen_reference without a planner, else (v_nom, sim.r_init_ib)),
-    the governor's start v_start (sim.v0, or r_start when v0 is None), the
+    the governor's start v_start, a voltage (sim.v0, or r_start's r_V when
+    v0 is None; the battery loop tracks r_IB ungoverned), the
     optimized invariant level (computed on first use) and v_bar_h (the
     override, else that level). A run uses the planner iff planner_cfg is
     not None. The bundle checks the rules that span config sections."""
@@ -93,7 +94,7 @@ class RunBundle:
     P: SpdMatrix = field(init=False)
     governor: GammaEvaluator = field(init=False)
     r_start: tuple[float, float] = field(init=False)
-    v_start: tuple[float, float] = field(init=False)
+    v_start: float = field(init=False)
 
     def __post_init__(self):
         # each rule spans sections, so its field is its full key path
@@ -122,7 +123,7 @@ class RunBundle:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "governor", GammaEvaluator(rows, P, self.erg_cfg))
         object.__setattr__(self, "r_start", r)
-        object.__setattr__(self, "v_start", r if self.sim.v0 is None else tuple(map(float, self.sim.v0)))
+        object.__setattr__(self, "v_start", r[0] if self.sim.v0 is None else float(self.sim.v0))
 
     @functools.cached_property
     def level(self) -> tuple[float, float, np.ndarray]:
@@ -171,7 +172,7 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
             "t_end": t_end, "t_s": 0.1, "h": 0.001, "seed": seed, "disturbance": "mixed",
             "w_max": w_max, "erg_on": False, "frozen_reference": [400.0, 0.0],
             "x0": [403.0, 0.0, 0.0, 0.0, 0.0],  # tracking error starts at (3, 0)
-            "v0": [400.0, 0.0], "r_init_ib": 0.0,
+            "v0": 400.0, "r_init_ib": 0.0,
         },
         "load": None,
         "certificates": {
@@ -209,7 +210,7 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
         "sim": {
             "t_end": t_end, "t_s": t_s, "h": 0.001, "seed": seed, "disturbance": "mixed",
             "w_max": w_max, "erg_on": True, "frozen_reference": None,
-            "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": [400.0, 0.0], "r_init_ib": 0.0,
+            "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": 400.0, "r_init_ib": 0.0,
         },
         # 0 A, a cubic ramp to -5 A over [0.5, 0.8] s, then constant up to the
         # planner's last forecast time, with a 0.5 A / 2 Hz ripple throughout

@@ -8,14 +8,15 @@ flow within a period is strictly sequential. Exogenous signals
 each step, while the feedback controllers follow the stage states; runs
 are bit-reproducible for a given seed.
 
-The loop runs on Python floats: the joint state is a tuple of seven floats
-(V_gr, I_S, I_B, E_S, E_B, v_V, v_IB), RK4 is unrolled over its entries,
+The loop runs on Python floats: the joint state is a tuple of six floats
+(V_gr, I_S, I_B, E_S, E_B, v), v the governed voltage reference (the
+battery loop tracks r_IB ungoverned), RK4 is unrolled over its entries,
 and each logged step is one row of a preallocated array. Every stage
-evaluator takes floats and returns floats: the stage RHS receives the seven
+evaluator takes floats and returns floats: the stage RHS receives the six
 stage floats and no time, and passes floats on to hess.feedback_law,
-hess.plant_rhs and GammaEvaluator.erg_rhs. The reductions (V(e) = e'Pe, the
-adversarial disturbance's e'PB and the governor's Euclidean norms) are
-fixed-order float sums, so they do not depend on the BLAS kernel. Work
+hess.plant_rhs and GammaEvaluator.erg_rhs. The reductions (V(e) = e'Pe and
+the adversarial e'PB) are fixed-order float sums and each margin d0 - c_v v
+is exact (c_v in {1, -1, 0}), so none depends on the BLAS kernel. Work
 that depends only on time, or that only the log reads, stays out of the
 loop: the mixed disturbance and the load (at every step and forecast
 time) are evaluated for the whole run before it, and so is Gamma(v) when
@@ -91,7 +92,7 @@ class SimConfig:
     erg_on: bool = True
     frozen_reference: tuple[float, float] | None = None
     x0: tuple[float, float, float, float, float] = (400.0, 0.0, 0.0, 0.0, 0.0)
-    v0: tuple[float, float] | None = None
+    v0: float | None = None
     r_init_ib: float = 0.0
 
     def __post_init__(self):
@@ -172,22 +173,22 @@ class TrajectoryLog:
 def rk4_step(rhs, x, t: float, h: float) -> tuple[float, ...]:
     """Classical 4-stage step with inputs held constant over the step.
 
-    x is the joint state (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB) as seven
-    floats, and rhs(x0, ..., x6) returns its derivative as seven floats.
+    x is the joint state (V_gr, I_S, I_B, E_S, E_B, v) as six floats,
+    and rhs(x0, ..., x5) returns its derivative as six floats.
     No stage reads a time, since every time-varying input is held over the
     step; t only dates a non-finite state. The step is unrolled over the
     entries: stages 2 and 3 are x + (h/2) s, stage 4 is x + h s, and the
     result is x + (h/6) (s1 + 2 s2 + 2 s3 + s4), each summed left to right.
     """
-    x0, x1, x2, x3, x4, x5, x6 = x
+    x0, x1, x2, x3, x4, x5 = x
     half = 0.5 * h
-    a0, a1, a2, a3, a4, a5, a6 = rhs(x0, x1, x2, x3, x4, x5, x6)
-    b0, b1, b2, b3, b4, b5, b6 = rhs(x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
-                                     x4 + half * a4, x5 + half * a5, x6 + half * a6)
-    c0, c1, c2, c3, c4, c5, c6 = rhs(x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
-                                     x4 + half * b4, x5 + half * b5, x6 + half * b6)
-    d0, d1, d2, d3, d4, d5, d6 = rhs(x0 + h * c0, x1 + h * c1, x2 + h * c2, x3 + h * c3,
-                                     x4 + h * c4, x5 + h * c5, x6 + h * c6)
+    a0, a1, a2, a3, a4, a5 = rhs(x0, x1, x2, x3, x4, x5)
+    b0, b1, b2, b3, b4, b5 = rhs(x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
+                                 x4 + half * a4, x5 + half * a5)
+    c0, c1, c2, c3, c4, c5 = rhs(x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
+                                 x4 + half * b4, x5 + half * b5)
+    d0, d1, d2, d3, d4, d5 = rhs(x0 + h * c0, x1 + h * c1, x2 + h * c2, x3 + h * c3,
+                                 x4 + h * c4, x5 + h * c5)
     sixth = h / 6.0
     x_next = (
         x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
@@ -196,7 +197,6 @@ def rk4_step(rhs, x, t: float, h: float) -> tuple[float, ...]:
         x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
         x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
         x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-        x6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
     )
     if not all(map(math.isfinite, x_next)):
         raise NonFiniteStateError(f"non-finite state at t={t + h:.6f}: {list(x_next)}")
@@ -248,9 +248,9 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     n_steps = round(sim.t_end / sim.h)
     n_periods = n_steps // spp
 
-    (r_v, r_ib), v, gam = bundle.r_start, bundle.v_start, bundle.governor
+    (r_v, r_ib), gam = bundle.r_start, bundle.governor
     planner = None if planner_cfg is None else Planner(planner_cfg, r_init=r_ib)
-    z = (*map(float, sim.x0), *v)  # (V_gr, I_S, I_B, E_S, E_B, v_V, v_IB)
+    z = (*map(float, sim.x0), bundle.v_start)  # (V_gr, I_S, I_B, E_S, E_B, v)
     B_w = (0.0, 1.0 / plant.c_bus)
     law = feedback_law(plant)
     erg_on = sim.erg_on
@@ -278,22 +278,20 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
         else:
             forecasts, _ = load_eval(forecast_times, load_profile)
     # with the governor off v only loses the sign of a zero, which no margin
-    # d0 - (c_v0 v0 + c_v1 v1) can see, so Gamma(v) is one value per run
-    gamma_fixed = None if erg_on else gam.gamma(*v)
+    # d0 - c_v v can see, so Gamma(v) is one value per run
+    gamma_fixed = None if erg_on else gam.gamma(bundle.v_start)
 
     rows = np.zeros((n_steps + 1, len(COLUMNS)))
     plans = []
     fallback_now = 0.0
 
-    def joint_rhs(v_gr, i_s, i_b, e_s, e_b, v_v, v_ib):
+    def joint_rhs(v_gr, i_s, i_b, e_s, e_b, v):
         # the exogenous signals w, d, d_dot and (r_v, r_ib) are the step's
         # held values, which the loop rebinds once per step, so they are
         # frozen over its four stages; the feedback law follows the stage states
-        u_s, u_b, e1, e2 = law(v_gr, i_s, i_b, v_v, r_ib, d, d_dot)
+        u_s, u_b, e1, e2 = law(v_gr, i_s, i_b, v, r_ib, d, d_dot)
         dx = plant_rhs(v_gr, i_s, i_b, u_s, u_b, w, d, plant)
-        if not erg_on:
-            return dx + (0.0, 0.0)
-        return dx + gam.erg_rhs(e1, e2, v_v, v_ib, r_v, r_ib)
+        return dx + ((gam.erg_rhs(e1, e2, v, r_v),) if erg_on else (0.0,))
 
     def finish(lo: int, hi: int) -> None:
         # the inputs, error, V_e and Phi of rows lo..hi-1, from their columns
@@ -322,13 +320,13 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
                 plans.append(res)
 
         d_dot = d_dot_steps[i]
-        v_gr, i_s, i_b, e_s, e_b, v_v, v_ib = z
+        v_gr, i_s, i_b, e_s, e_b, v = z
         w = w_steps[i]
         if adversarial:  # the loop's one use of the error: the sign of e'PB sets w
-            w = disturbance_adversarial(law(v_gr, i_s, i_b, v_v, r_ib, d, d_dot)[2:], P, B_w, sim.w_max)
-        gamma_v = gam.gamma(v_v, v_ib) if gamma_fixed is None else gamma_fixed
+            w = disturbance_adversarial(law(v_gr, i_s, i_b, v, r_ib, d, d_dot)[2:], P, B_w, sim.w_max)
+        gamma_v = gam.gamma(v) if gamma_fixed is None else gamma_fixed
         # the error, V_e, Phi and the inputs are filled in per block
-        rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v_v, r_v, r_ib, 0.0, 0.0,
+        rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v, r_v, r_ib, 0.0, 0.0,
                    0.0, gamma_v, 0.0, w, d, 0.0, 0.0, fallback_now)
 
         if i == n_steps:

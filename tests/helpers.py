@@ -107,13 +107,13 @@ def calibrated_overshoot_iterated(log: TrajectoryLog, lambda_e: float, norm_b: f
     return calibrate_overshoot(norms, decay, eps, norms[0]), eps
 
 
-def gamma_iterated(gam: GammaEvaluator, v0: float, v1: float) -> float:
+def gamma_iterated(gam: GammaEvaluator, v: float) -> float:
     """Gamma(v) by fixed-point iteration, the form the closed form replaced:
     seeded from the rows free of Gamma (from every row, its Gamma term
     dropped, when none is), then g <- min_i (b_i - a_i g)_+^2 / d_i until g
     stops changing, or repeats the value two steps back (a float two-cycle
     at the fixed point). It converges where 2 a_i sqrt(g / d_i) < 1."""
-    terms = [(d0 - (c_v0 * v0 + c_v1 * v1), g_gamma, denom) for d0, c_v0, c_v1, g_gamma, denom in gam.rows]
+    terms = [(d0 - c_v * v, g_gamma, denom) for d0, c_v, g_gamma, denom in gam.rows]
 
     def level(margin, denom):
         return margin * margin / denom if margin > 0.0 else 0.0
@@ -125,7 +125,7 @@ def gamma_iterated(gam: GammaEvaluator, v0: float, v1: float) -> float:
         if g_next in (g, before):
             return g_next
         before, g = g, g_next
-    raise AssertionError(f"the iteration did not settle at v = ({v0}, {v1})")
+    raise AssertionError(f"the iteration did not settle at v = {v}")
 
 
 def quad_reference(P: SpdMatrix, e) -> float:

@@ -87,7 +87,7 @@ def test_criterion_05_iss_gain_chain():
 
 
 def test_criterion_06_erg_threshold():
-    g = bundle(scenario_b()).governor.gamma(400.0, 0.0)
+    g = bundle(scenario_b()).governor.gamma(400.0)
     ok = abs(g - 9.3) <= 0.1
     assert report(6, "actuator-limited governor threshold 9.3", ok)
 
@@ -197,7 +197,7 @@ def test_criterion_11_oracle_equivalence():
 
     # fourth-order error scaling of the integrator
     def final_error(h):
-        x = [1.0] * 7
+        x = [1.0] * 6
         for i in range(round(1.0 / h)):
             x = rk4_step(lambda *x: [-a for a in x], x, i * h, h)
         return abs(x[0] - math.exp(-1.0))

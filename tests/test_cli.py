@@ -120,7 +120,9 @@ BAD_KEYS = [
     # every leaf is checked against its annotation, tuple elements and
     # optional scalars included, and a float must be finite
     ("certificates.l_v", lambda cfg: cfg["certificates"].update(l_v="x")),
-    ("sim.v0.0", lambda cfg: cfg["sim"].update(v0=["a", 0])),
+    # v0 is the governed voltage alone: the old (v_V, v_IB) pair is rejected
+    ("sim.v0", lambda cfg: cfg["sim"].update(v0=[400.0, 0.0])),
+    ("sim.v0", lambda cfg: cfg["sim"].update(v0="a")),
     ("contract.eps_l.0", lambda cfg: cfg["contract"].update(eps_l=["x", 1])),
     ("sim.w_max", lambda cfg: cfg["sim"].update(w_max=float("nan"))),
     ("sim.frozen_reference.0", lambda cfg: cfg["sim"].update(frozen_reference=[float("inf"), 0.0])),
@@ -793,18 +795,19 @@ PINNED_RUNS = [
         "0d01577fab13d31194724370e26edc410f82bbfd76d5a719816d2de9683414b7",
         "1108b4868e59c80eac7fa61c2c33342fe5a963c45387e6591b553d6201061142")),
     # repulsion on: equal strengths on v_max/v_min cancel exactly while
-    # v_V stays at 400, so this run writes the same bytes as b_full
+    # v stays at 400, so this run writes the same bytes as b_full
     ("b_full_repulsion", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                "erg": {"eta_rep": [0.1, 0.1, 0.05, 0.05, 0.1, 0.1]}}, 7, (
         "8a709d72d0af22c97461f09c4c8ea3a542146e254fef1bc80bdab1aef72a3ae8",
         "0d01577fab13d31194724370e26edc410f82bbfd76d5a719816d2de9683414b7",
         "1108b4868e59c80eac7fa61c2c33342fe5a963c45387e6591b553d6201061142")),
-    # unequal strengths: the net repulsion moves v_V
+    # unequal strengths: the net repulsion pushes v away from v_max, until
+    # attraction balances it at 400 - 0.15 eta = 399.9985
     ("b_full_repulsion_asym", "b", {"sim": {"t_end": 0.5}, "constraints": _FULL,
                                     "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}, 7, (
-        "792dacc51156336e21087bcd0039f88a0d92bd34473ca50e65cdef817bbcc4c0",
-        "db7fcc1a65d9fff83b8a09c8cb08f1d3b3cf0febb7c76481bb2d8dd3cfedd43c",
-        "9a50ef147b169dbcd841b1b83189c288399257226bf427171b9e34c87a4e321b")),
+        "98fa29aec188d37e29c506524adeeff1ee2c498aa4027f195ca161548473ab10",
+        "27eb5401bd0a9d4a1338837168c4078afb9b182480409104465860d799733e50",
+        "d40cd97644fc50edd3b51a8cd122a7e5eac8c7575e41b328fb48d4dc6063d03a")),
     # 1.05 s: ten sampling periods and a partial eleventh of 50 steps, whose
     # first row is read as a period start but runs no planner step
     ("a_mid_period", "a", {"sim": {"t_end": 1.05}}, 1, (
@@ -865,7 +868,7 @@ values = []
 for b in (bundle(scenario_a()), bundle(scenario_b()), bundle(scenario_b(), {{"constraints": {_FULL!r}}})):
     values += b.P.mat.ravel().tolist() + b.governor.pinv.mat.ravel().tolist() + [b.plant.lambda_e]
     values += [part for z in eigenvalues(b.plant.error_matrix()) for part in (z.real, z.imag)]
-    values += [row[4] for row in b.governor.rows] + [b.governor.gamma(*b.v_start)]
+    values += [row[3] for row in b.governor.rows] + [b.governor.gamma(b.v_start)]
 Path(sys.argv[1]).write_text(" ".join(float(x).hex() for x in values))
 """
 

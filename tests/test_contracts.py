@@ -167,10 +167,10 @@ class TestCertificateReport:
     def test_admissibility_from_constraints(self):
         P = solve_lyapunov(np.array([[0.0, 1.0], [-25.0, -11.0]]), np.diag([50.0, 1.0]))
         rows = [
-            HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=420.0, c_v=(1.0, 0.0), label="v_max"),
-            HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-380.0, c_v=(-1.0, 0.0), label="v_min"),
+            HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=420.0, c_v=1.0, label="v_max"),
+            HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-380.0, c_v=-1.0, label="v_min"),
         ]
-        gamma_inf = GammaEvaluator(rows, P, GAINS).gamma(400.0, 0.0)
+        gamma_inf = GammaEvaluator(rows, P, GAINS).gamma(400.0)
         rep = certificate_report(
             make_spec(eps_h=1e4), 0.51, self.TIMING, eps_t=0.1,
             eps_e=mismatch().eps_e, gamma_inf=gamma_inf,

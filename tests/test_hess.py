@@ -134,32 +134,30 @@ class TestConstraints:
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, erg_mode="input_only")
         assert len(rows) == 2
-        g = GammaEvaluator(rows, P, GAINS).gamma(400.0, 0.0)
+        g = GammaEvaluator(rows, P, GAINS).gamma(400.0)
         assert abs(g - 9.3) <= 0.1
 
     def test_voltage_row_closes_at_bound(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B)
         v_max_row = next(r for r in rows if r.label == "v_max")
-        assert GammaEvaluator([v_max_row], P, GAINS).gamma_i(0, P_B.v_max, 0.0) == 0.0
+        assert GammaEvaluator([v_max_row], P, GAINS).gamma_i(0, P_B.v_max) == 0.0
 
     def test_full_set_is_min_over_rows(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
         rows = hess_constraints(P_B, d_bar_max=6.0)
-        v = (400.0, 0.0)
-        assert GammaEvaluator(rows, P, GAINS).gamma(*v) == pytest.approx(
-            min(GammaEvaluator([r], P, GAINS).gamma_i(0, *v) for r in rows)
+        v = 400.0
+        assert GammaEvaluator(rows, P, GAINS).gamma(v) == pytest.approx(
+            min(GammaEvaluator([r], P, GAINS).gamma_i(0, v) for r in rows)
         )
 
     def test_full_mode_threshold_is_the_settled_fixed_point(self):
-        # every logged Gamma_v of a governed-full run is the settled fixed
-        # point; no row's c_v reads v's second entry, which the log does not hold
+        # every logged Gamma_v of a governed-full run is the settled fixed point
         full = {"constraints": {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 10.0}}
         run = bundle(scenario_b(seed=7, t_end=0.5), full)
-        assert all(c_v1 == 0.0 for _, _, c_v1, _, _ in run.governor.rows)
         log, _ = run_layered(run)
         for v, g in zip(log.columns["v"].tolist(), log.columns["Gamma_v"].tolist()):
-            assert g == pytest.approx(gamma_iterated(run.governor, v, 0.0), rel=1e-12, abs=0.0)
+            assert g == pytest.approx(gamma_iterated(run.governor, v), rel=1e-12, abs=0.0)
 
 
 class TestBatteryInterface:

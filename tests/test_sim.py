@@ -25,19 +25,19 @@ from laycon.sim import (
 
 class TestRk4:
     def test_zero_field(self):
-        x0 = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0]
+        x0 = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0]
         x = rk4_step(lambda *x: np.zeros_like(x), x0, 0.0, 0.1)
         assert np.allclose(x, x0)
 
     def test_exponential_decay(self):
-        x = [1.0] * 7
+        x = [1.0] * 6
         for i in range(10):
             x = rk4_step(lambda *x: [-a for a in x], x, i * 0.1, 0.1)
         assert abs(x[0] - math.exp(-1.0)) <= 1e-6
 
     def test_fourth_order_scaling(self):
         def final_error(h):
-            x = [1.0] * 7
+            x = [1.0] * 6
             for i in range(round(1.0 / h)):
                 x = rk4_step(lambda *x: [-a for a in x], x, i * h, h)
             return abs(x[0] - math.exp(-1.0))
@@ -47,7 +47,7 @@ class TestRk4:
 
     def test_non_finite_aborts(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
-            rk4_step(lambda *x: [a * 1e308 for a in x], [1.0] * 7, 0.0, 1.0)
+            rk4_step(lambda *x: [a * 1e308 for a in x], [1.0] * 6, 0.0, 1.0)
 
     def test_unrolled_step_equals_reference_bit_for_bit(self):
         # random states and stage derivatives, mixed with signed zeros,
@@ -57,8 +57,8 @@ class TestRk4:
                     1e300, -3e300, 1.7e308, -1.7e308]
 
         def draw():
-            x = rng.standard_normal(7) * 10.0 ** rng.integers(-3, 4, 7)
-            for j in np.flatnonzero(rng.random(7) < 0.3):
+            x = rng.standard_normal(6) * 10.0 ** rng.integers(-3, 4, 6)
+            for j in np.flatnonzero(rng.random(6) < 0.3):
                 x[j] = specials[rng.integers(len(specials))]
             return x.tolist()
 
@@ -248,12 +248,13 @@ class TestRunLayered:
 
 class TestCallGraph:
     def test_per_step_calls(self, monkeypatch):
-        """rk4_step once per step, plant_rhs once per stage, Gamma once per
-        logged row and once per stage with the governor on, also when the
-        governed-full rows make Gamma depend on v and on itself, and when
-        repulsion is on (the navigation field takes the stage's Gamma); the
-        benchmark's tracer counts these calls and its closed forms assume
-        them."""
+        """rk4_step once per step, plant_rhs once per stage, and Gamma once
+        per logged row. A stage evaluates Gamma only where the governor's
+        field can be nonzero: in B, r_V = v = v_nom throughout, so without
+        repelling rows no stage does, also when the governed-full rows make
+        Gamma depend on v and on itself; with repulsion on, each stage's
+        navigation field takes the stage's Gamma. The benchmark's tracer
+        counts these calls and its closed forms assume them."""
         counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
 
         def counted(name, fn):
@@ -274,7 +275,8 @@ class TestCallGraph:
             run = bundle(scenario_b(seed=0, t_end=0.5), overlay)
             assert (run.governor.constant is None) is (overlay is not None)
             run_layered(run)
-            assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + 4 * steps}
+            stages = 4 * steps if overlay is repulsion else 0
+            assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + stages}
 
     def test_per_step_calls_governor_off(self, monkeypatch):
         """With the governor off, v is constant up to the sign of a zero, so
@@ -302,7 +304,7 @@ class TestCallGraph:
         monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
         base = bundle(scenario_a(seed=0, t_end=0.5))
-        signed_zero = bundle(scenario_a(seed=1, t_end=0.5), {"sim": {"v0": [400.0, -0.0]}})
+        signed_zero = bundle(scenario_a(seed=1, t_end=0.5), {"sim": {"v0": -0.0}})
         steps = 500
         gam = base.governor
         for run in (base, signed_zero):
@@ -311,8 +313,8 @@ class TestCallGraph:
             states.clear()
             log, _ = run_layered(run)
             assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": 1}
-            assert math.copysign(1.0, states[0][6]) == math.copysign(1.0, run.sim.v0[1])
-            per_row = [gam.gamma(z[5], z[6]) for z in states]
+            assert math.copysign(1.0, states[0][5]) == math.copysign(1.0, run.sim.v0)
+            per_row = [gam.gamma(z[5]) for z in states]
             assert log.columns["Gamma_v"].tolist() == per_row
 
 
@@ -330,9 +332,9 @@ class TestFusedStage:
             inputs.append((u_s, u_b))
             return plant_rhs(v_gr, i_s, i_b, u_s, u_b, w, d, p)
 
-        def record_error(self, e1, e2, v0, v1, r0, r1):
+        def record_error(self, e1, e2, v, r):
             errors.append((e1, e2))
-            return erg_rhs(self, e1, e2, v0, v1, r0, r1)
+            return erg_rhs(self, e1, e2, v, r)
 
         monkeypatch.setattr(sim_module, "plant_rhs", record_inputs)
         monkeypatch.setattr(GammaEvaluator, "erg_rhs", record_error)
