@@ -327,9 +327,9 @@ def build_certificate(bundle: RunBundle) -> dict:
         "kappa_P": P.cond(),
         "lambda_e": lam_e,
         "V_bar_h": float(v_bar_h),
-        "V_bar_h_optimized": float(v_bar_opt),
+        "V_bar_h_optimized": v_bar_opt,
         "theta_star_deg": math.degrees(theta_star),
-        "z_star": [float(z_star[0]), float(z_star[1])],
+        "z_star": list(z_star),
         "eps_L": [float(x) for x in eps_l],
         "gamma_iss": gamma_iss,
         "eps": eps,

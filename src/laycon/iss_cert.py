@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import SpdMatrix
+from .numkit import SpdMatrix, cubic_roots
 
 
 @dataclass(frozen=True)
@@ -41,56 +41,35 @@ class TimingVerdict:
     window_within_transit: bool
 
 
-def _planar_level(theta, P, R, B, H_max):
-    b = np.array([math.cos(theta), math.sin(theta)])
-    a = 2.0 * abs(b @ P @ B) * H_max / (b @ R @ b)
-    return a * a * (b @ P @ b), a
-
-
 def ultimate_level_optimized(P: SpdMatrix, R: SpdMatrix, B, H_max: float):
-    """Tight invariant level for planar error dynamics.
+    """Tight invariant level for planar error dynamics, in closed form.
 
-    Maximizes V(z) over the locus where the worst-case disturbance can hold
-    V steady: along direction b(theta) that radius is
-    a(theta) = 2 |b'PB| H_max / (b'Rb). Returns (V_bar_h, theta_star,
-    z_star) with the maximizer found on a 3600-point grid and refined by
-    golden-section search to 1e-6 rad.
+    The worst-case disturbance can hold V steady along direction b at radius
+    a(b) = 2 |b'PB| H_max / (b'Rb); V_bar_h is the maximum of
+    f(b) = a(b)^2 b'Pb, homogeneous of degree 0. With b = (1, t), L = b'PB,
+    Q = b'Pb and q = b'Rb, the numerator of f' is L (2 L' Q q + L Q' q -
+    2 L Q q'), whose second factor is twice the cubic below (its t^4 terms
+    cancel). f is taken at the cubic's roots and at b = (0, 1), the root at
+    infinity. Returns (V_bar_h, theta_star, z_star = a(b*) b*), theta_star
+    in (-pi/2, pi/2] since f(b) = f(-b).
     """
-    B = np.asarray(B, dtype=float).reshape(-1)
-    if B.shape[0] != 2:
-        raise ValueError("optimized level requires a planar (2-D) error space")
-    Pm = P.mat
-    Rm = R.mat if isinstance(R, SpdMatrix) else SpdMatrix(R).mat
-    if np.all(B == 0.0) or H_max == 0.0:
-        return 0.0, 0.0, np.zeros(2)
+    B0, B1 = map(float, B)  # a ValueError unless B is planar
+    if B0 == B1 == 0.0 or H_max == 0.0:
+        return 0.0, 0.0, (0.0, 0.0)
+    (p0, p1), (_, p2) = P.mat.tolist()
+    (r0, r1), (_, r2) = R.mat.tolist()
+    l0, l1 = p0 * B0 + p1 * B1, p1 * B0 + p2 * B1  # PB, so that b'PB = l0 b0 + l1 b1
+    roots = cubic_roots(l1 * (2.0 * p2 * r1 - p1 * r2) - l0 * p2 * r2,
+                        l1 * (2.0 * p2 * r0 + 2.0 * p1 * r1 - p0 * r2) - 3.0 * l0 * p1 * r2,
+                        l0 * (p2 * r0 - 2.0 * p0 * r2 - 2.0 * p1 * r1) + 3.0 * l1 * p1 * r0,
+                        l0 * (p1 * r0 - 2.0 * p0 * r1) + l1 * p0 * r0)
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)
-    bs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    a = 2.0 * np.abs(bs @ Pm @ B) * H_max / np.einsum("ij,jk,ik->i", bs, Rm, bs)
-    vals = a * a * np.einsum("ij,jk,ik->i", bs, Pm, bs)
-    k = int(np.argmax(vals))
-    step = thetas[1] - thetas[0]
+    def level(b):  # a(b) b and f(b) do not depend on the length of b
+        a = 2.0 * abs(l0 * b[0] + l1 * b[1]) * H_max / R.quad(b)
+        return a * a * P.quad(b), b, a
 
-    # golden-section refinement on the bracketing interval
-    lo, hi = thetas[k] - step, thetas[k] + step
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, _ = _planar_level(x1, Pm, Rm, B, H_max)
-    f2, _ = _planar_level(x2, Pm, Rm, B, H_max)
-    while hi - lo > 1e-6:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2, _ = _planar_level(x2, Pm, Rm, B, H_max)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1, _ = _planar_level(x1, Pm, Rm, B, H_max)
-    theta_star = 0.5 * (lo + hi)
-    V_bar, a_star = _planar_level(theta_star, Pm, Rm, B, H_max)
-    z_star = a_star * np.array([math.cos(theta_star), math.sin(theta_star)])
-    return float(V_bar), float(theta_star), z_star
+    V_bar, b, a = max(map(level, [(0.0, 1.0)] + [(1.0, t) for t in roots]), key=lambda c: c[0])
+    return V_bar, math.atan2(b[1], b[0]), (a * b[0], a * b[1])
 
 
 def coordinate_bound(P_inv: np.ndarray, V_bar_h: float, i: int) -> float:

@@ -1,5 +1,5 @@
-"""Planar linear algebra for control certificates, in closed form, and the
-seeded uniform stream of the runs.
+"""Planar linear algebra for control certificates, in closed form, the real
+roots of a cubic, and the seeded uniform stream of the runs.
 
 Every matrix here is 2x2 (the error matrix, R, P and P^-1). Each value is a
 fixed-order expression in Python floats, so none depends on the BLAS or
@@ -67,6 +67,39 @@ def eigenvalues(M):
     big = half_t + math.copysign(math.sqrt(q), half_t)
     small = (a * d - b * c) / big if big != 0.0 else 0.0
     return (big, small) if big >= small else (small, big)
+
+
+def cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """Real parts of the roots of c3 t^3 + c2 t^2 + c1 t + c0, one per root
+    (a complex pair's twice); zero leading coefficients lower the degree,
+    and a quadratic's roots are the eigenvalues of its companion matrix.
+    One root t1 of the shifted cubic y^3 + 3p y + 2q is Cardano's (one real
+    root) or the largest in magnitude of the trigonometric form's three;
+    t - t1 is divided out from the end that is stable for it (Press et al.
+    2007, "Numerical Recipes", 3rd ed., section 9.5), so roots that t1
+    dwarfs keep their own scale."""
+    if c3 == 0.0:
+        if c2 == 0.0:
+            return [-c0 / c1] if c1 != 0.0 else []
+        return [z.real for z in eigenvalues([[-c1 / c2, -c0 / c2], [1.0, 0.0]])]
+    shift, b, c = c2 / (3.0 * c3), c1 / c3, c0 / c3
+    p = b / 3.0 - shift * shift
+    q = 0.5 * c + shift * (shift * shift - 0.5 * b)
+    disc = q * q + p * p * p
+    if disc >= 0.0:
+        s = -q - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(s) ** (1.0 / 3.0), s)
+        # y = u - p/u, taken as -2q / (u^2 + p + (p/u)^2), free of cancellation
+        t1 = (-2.0 * q / (u * u + p + (p / u) ** 2) if u != 0.0 else 0.0) - shift
+    else:
+        r = math.sqrt(-p)
+        phi = math.acos(max(-1.0, min(1.0, q / (p * r))))
+        t1 = max((2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)), key=abs)
+    if abs(c3 * t1 ** 3) > abs(c0):  # |t1|^2 > |t2 t3|: from the constant end
+        e0 = -c0 / t1
+        return [t1] + cubic_roots(0.0, c3, (e0 - c1) / t1, e0)
+    e1 = c2 + c3 * t1
+    return [t1] + cubic_roots(0.0, c3, e1, c1 + e1 * t1)
 
 
 def _hurwitz(A) -> tuple[float, float, float, float]:

@@ -31,7 +31,7 @@ from .hess import (
 from .iss_cert import ultimate_level_optimized
 from .mpc import PlannerConfig
 from .numkit import SpdMatrix, eigenvalues, solve_lyapunov
-from .sim import RK4_REAL_LIMIT, SimConfig
+from .sim import SimConfig
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,12 @@ class RunBundle:
         if self.planner_cfg is not None and not self.planner_cfg.slew_bound > 0.0:
             # u_b_bar / lambda_b_gain (1 - exp(-lambda_b_gain t_s)) underflows to zero for a tiny t_s
             raise FieldValueError("sim.t_s", f"t_s {self.sim.t_s:g} gives the planner no slew bound")
-        rate = max(self.plant.lambda_b_gain, *map(abs, eigenvalues(self.plant.error_matrix())))
-        if self.sim.h * rate >= RK4_REAL_LIMIT:
-            raise FieldValueError("sim.h", f"h times the fastest loop rate {rate:.6g} is {self.sim.h * rate:.6g}, "
-                                           f"not below RK4's real stability limit {RK4_REAL_LIMIT}")
+        for mu in (-self.plant.lambda_b_gain, *eigenvalues(self.plant.error_matrix())):
+            z = self.sim.h * mu  # an RK4 step multiplies the mode mu by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+            growth = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+            if not growth < 1.0:
+                raise FieldValueError("sim.h", f"h times the loop eigenvalue {mu:.6g} is {z:.6g}, where "
+                                               f"RK4's step multiplies the mode by {growth:.6g}, not below 1")
         if self.load_profile is not None:
             t0, t1 = self.load_profile.t_span
             t_last = self.sim.last_load_time(None if self.planner_cfg is None else self.planner_cfg.horizon)
@@ -126,8 +128,8 @@ class RunBundle:
         object.__setattr__(self, "v_start", r[0] if self.sim.v0 is None else float(self.sim.v0))
 
     @functools.cached_property
-    def level(self) -> tuple[float, float, np.ndarray]:
-        return ultimate_level_optimized(self.P, SpdMatrix(self.R), np.array([0.0, 1.0]), self.cert.h_max)
+    def level(self) -> tuple[float, float, tuple[float, float]]:
+        return ultimate_level_optimized(self.P, SpdMatrix(self.R), (0.0, 1.0), self.cert.h_max)
 
     @property
     def v_bar_h(self) -> float:

@@ -76,8 +76,6 @@ COLUMNS = (
 
 STREAM_ROWS = 512  # a block of logged rows closes at a period boundary once this many are pending
 
-RK4_REAL_LIMIT = 2.78  # RK4 is stable for a real eigenvalue lambda < 0 iff h |lambda| < 2.785
-
 MAX_STEPS = 1_000_000  # integration steps a run may take; its log of 19 floats per step is then 152 MB
 
 

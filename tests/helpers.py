@@ -128,6 +128,42 @@ def gamma_iterated(gam: GammaEvaluator, v: float) -> float:
     raise AssertionError(f"the iteration did not settle at v = {v}")
 
 
+def planar_level_reference(theta: float, P: SpdMatrix, R: SpdMatrix, B, H_max: float) -> float:
+    """f(b) = a^2 b'Pb along b = (cos theta, sin theta), with the radius
+    a = 2 |b'PB| H_max / (b'Rb), as numpy's matrix products."""
+    b = np.array([math.cos(theta), math.sin(theta)])
+    a = 2.0 * abs(b @ P.mat @ np.asarray(B, dtype=float)) * H_max / (b @ R.mat @ b)
+    return float(a * a * (b @ P.mat @ b))
+
+
+def level_search(P: SpdMatrix, R: SpdMatrix, B, H_max: float) -> tuple[float, float]:
+    """(V_bar_h, theta_star) by the search the closed form replaced: the
+    largest f on a 3600-point grid over [0, 2 pi), refined by golden-section
+    search on the two grid steps around it until the bracket is below
+    1e-12 rad (the search stopped at 1e-6 rad, which leaves f up to ~1e-9
+    relative short of its maximum where f is sharply peaked)."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)
+    bs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    a = 2.0 * np.abs(bs @ P.mat @ np.asarray(B, dtype=float)) * H_max / np.einsum("ij,jk,ik->i", bs, R.mat, bs)
+    k = int(np.argmax(a * a * np.einsum("ij,jk,ik->i", bs, P.mat, bs)))
+    step = thetas[1] - thetas[0]
+    lo, hi = thetas[k] - step, thetas[k] + step
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = (planar_level_reference(x, P, R, B, H_max) for x in (x1, x2))
+    while hi - lo > 1e-12:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = planar_level_reference(x2, P, R, B, H_max)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = planar_level_reference(x1, P, R, B, H_max)
+    theta = 0.5 * (lo + hi)
+    return planar_level_reference(theta, P, R, B, H_max), theta
+
+
 def quad_reference(P: SpdMatrix, e) -> float:
     """Quadratic form e'Pe as numpy's matrix products, whose rounding the
     BLAS kernel sets."""

@@ -264,10 +264,13 @@ class TestConfigErrors:
         # rules across the fields of one section
         ('{"plant": {"v_min": 420.0}}', "plant.v_min"),
         ('{"contract": {"u_bounds": [200.0, -1.0]}}', "contract.u_bounds.1"),
-        # RK4 is unstable on the battery loop (h lambda_b_gain = 25), or on
-        # the fast error-matrix eigenvalue near -199.9 (h |lambda| = 4.0)
+        # RK4 is unstable on the battery loop (h lambda_b_gain = 25), on
+        # the fast error-matrix eigenvalue near -199.9 (h |lambda| = 4.0),
+        # or on a complex pair with |h lambda| = 2.70 at 122 degrees, inside
+        # the real limit 2.785 but where the step multiplies the mode by 1.109
         ('{"sim": {"h": 0.5}}', "sim.h"),
         ('{"plant": {"k2": 200.0}, "sim": {"h": 0.02}}', "sim.h"),
+        ('{"plant": {"k1": 18225.0, "k2": 143.1, "lambda_b_gain": 100.0}, "sim": {"h": 0.02}}', "sim.h"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -776,15 +779,15 @@ PINNED_RUNS = [
     ("a_mixed", "a", {"sim": {"t_end": 0.5}}, 1, (
         "1d276772eb5dd0df2948d997cdbd93285f43af64aa1be867eea2c875215f68a9",
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
-        "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
+        "ee903670170123abbf510e7ad767294731ef9e64f9809f1e6ca82ee144b3f1dc")),
     ("a_adversarial", "a", {"sim": {"t_end": 0.5, "disturbance": "adversarial"}}, 1, (
         "68be8dcfc57cad2cdd8a3c4ce276a1417772e9cbb25dee4c0ee96e1bb1f61440",
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
-        "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
+        "ee903670170123abbf510e7ad767294731ef9e64f9809f1e6ca82ee144b3f1dc")),
     ("a_none", "a", {"sim": {"t_end": 0.5, "disturbance": "none"}}, 1, (
         "8cc7fcdf1110f6a0867634faee2ba7e364e20db9fa5670d38e4cb051ca2173fc",
         "530683abbf2f16de734e1af3d973a064b183daecbd50b168104280af44dcc62d",
-        "6878b1cf66be68c9f04595fced9e5e8e909eb210af3ac425a701f148ba906afc")),
+        "ee903670170123abbf510e7ad767294731ef9e64f9809f1e6ca82ee144b3f1dc")),
     ("b_mixed", "b", {"sim": {"t_end": 0.5}}, 3, (
         "869ab689317c0635de0fdee76773a38debac5e871775208769187c2714f00902",
         "b810ddeca5ec18ba4d45227dd77aa991a2c9e8d999febfad6e3bfca95177aef8",
@@ -813,7 +816,7 @@ PINNED_RUNS = [
     ("a_mid_period", "a", {"sim": {"t_end": 1.05}}, 1, (
         "da7cc6fdaafb90ab4064180c42e98a95b62ae91d735d5a3faed36c74758b4f10",
         "c7a3580360208b17e604a7c391e29a2e29f04a6bd60cd2c65fa39bf057b5bd95",
-        "cbab10dc26f2459076cf0166eac0d0a2f0f4c9d5a3271ccf2c5f5f6473a1bd9b")),
+        "ce872e0e5d6fb327e165b4c4c8c73e65955e643755a157ea0b7f9702643d0592")),
     ("b_mid_period", "b", {"sim": {"t_end": 1.05}}, 3, (
         "6e26c17ef84883f2b95715a12b432756650307096a6f82af5b0778068a215de3",
         "0d846c0e2dc71ea89e7f1741c8c78e01dc6c82f745c6c6d3296ab9a8563bec9b",
@@ -855,9 +858,9 @@ assert set(statuses) == {"infeasible"}, statuses
 
 
 # run in a child: the bits of the closed-form planar values, P, P^-1,
-# lambda_e, the error matrix's eigenvalues, every Gamma denominator and
-# Gamma at v_start, for scenarios A and B and for B with full governor rows
-# (argv: the output file)
+# lambda_e, the error matrix's eigenvalues, every Gamma denominator, Gamma
+# at v_start and the optimized level (V_bar_h, theta_star, z_star), for
+# scenarios A and B and for B with full governor rows (argv: the output file)
 _PLANAR_CHILD = f"""
 import sys
 from pathlib import Path
@@ -869,6 +872,7 @@ for b in (bundle(scenario_a()), bundle(scenario_b()), bundle(scenario_b(), {{"co
     values += b.P.mat.ravel().tolist() + b.governor.pinv.mat.ravel().tolist() + [b.plant.lambda_e]
     values += [part for z in eigenvalues(b.plant.error_matrix()) for part in (z.real, z.imag)]
     values += [row[3] for row in b.governor.rows] + [b.governor.gamma(b.v_start)]
+    values += [b.level[0], b.level[1], *b.level[2]]
 Path(sys.argv[1]).write_text(" ".join(float(x).hex() for x in values))
 """
 
@@ -876,13 +880,14 @@ Path(sys.argv[1]).write_text(" ".join(float(x).hex() for x in values))
 @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 class TestBlasKernels:
     """What does not depend on the OpenBLAS kernel. P, P^-1, lambda_e, the
-    error matrix's eigenvalues, the Gamma denominators and Gamma itself are
-    closed forms in Python floats, so they come out bit-equal under every
-    kernel, in both scenarios. `run --scenario a` writes the same bytes
-    under every kernel, since every value the loop and the logs take from
-    them is a fixed-order float form. Scenario B's bytes stay kernel-specific only
-    through its planner QP, which runs on BLAS; a planner QP with no
-    solution ends `infeasible` under every kernel."""
+    error matrix's eigenvalues, the Gamma denominators, Gamma itself and the
+    optimized level are closed forms in Python floats, so they come out
+    bit-equal under every kernel, in both scenarios. `run --scenario a`
+    writes the same bytes under every kernel, since every value the loop
+    and the logs take from them is a fixed-order float form. Scenario B's
+    bytes stay kernel-specific only through its planner QP, which runs on
+    BLAS; a planner QP with no solution ends `infeasible` under every
+    kernel."""
 
     KERNELS = (None, "Haswell", "Zen", "Nehalem", "Prescott")  # None: the one OpenBLAS picks
 

@@ -1,7 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import level_search
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laycon.iss_cert import (
     SettlingTimes,
@@ -33,25 +37,112 @@ def p_scen_b():
     return solve_lyapunov(A_SCEN_B, R_SCEN_B)
 
 
+def exact_level(theta: float, P: SpdMatrix, R: SpdMatrix, B, H_max: float) -> Fraction:
+    """f(b) = 4 H^2 (b'PB)^2 (b'Pb) / (b'Rb)^2 at the float pair
+    b = (cos theta, sin theta), in exact rational arithmetic."""
+    b = [Fraction(math.cos(theta)), Fraction(math.sin(theta))]
+    Pm, Rm = ([[Fraction(x) for x in row] for row in M.mat.tolist()] for M in (P, R))
+
+    def form(M, e, f):
+        return sum(e[i] * M[i][j] * f[j] for i in range(2) for j in range(2))
+
+    L = form(Pm, b, [Fraction(float(x)) for x in B])
+    return 4 * Fraction(H_max) ** 2 * L * L * form(Pm, b, b) / form(Rm, b, b) ** 2
+
+
+@st.composite
+def planar_levels(draw):
+    """A Hurwitz companion error matrix's P, an SPD R with its off-diagonal
+    entry, B of any direction and H_max."""
+    k1 = draw(st.floats(0.1, 1e5))
+    k2 = draw(st.floats(0.1, 1e3))
+    r0, r2 = draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0))
+    r1 = draw(st.floats(-0.99, 0.99)) * math.sqrt(r0 * r2)
+    R = SpdMatrix([[r0, r1], [r1, r2]])
+    beta, size = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.1, 10.0))
+    B = np.array([size * math.cos(beta), size * math.sin(beta)])
+    return solve_lyapunov([[0.0, 1.0], [-k1, -k2]], R), R, B, draw(st.floats(0.1, 10.0))
+
+
+def check_against_search(P: SpdMatrix, R: SpdMatrix, B, H: float):
+    """The closed form's level is the search's within 1e-12 relative, and its
+    direction is never worse than the search's by more than 1e-15 relative."""
+    V, theta, z = ultimate_level_optimized(P, R, B, H)
+    V_search, theta_search = level_search(P, R, B, H)
+    assert V == pytest.approx(V_search, rel=1e-12)
+    # f's float value carries the rounding of b'Rb's cancellation (up to
+    # ~3e-14 relative where R is far from round), so the directions are
+    # compared by f in exact arithmetic
+    exact, exact_search = exact_level(theta, P, R, B, H), exact_level(theta_search, P, R, B, H)
+    assert exact >= exact_search * (1 - Fraction(1, 10**15))
+    assert float(exact) == pytest.approx(V, rel=1e-12)
+    assert P.quad(z) == pytest.approx(V, rel=1e-12)
+
+
 class TestUltimateLevelOptimized:
     def test_zero_input_direction(self, p_scen_a):
-        V, theta, z = ultimate_level_optimized(p_scen_a, SpdMatrix(R_SCEN_A), np.zeros(2), 3.0)
-        assert V == 0.0
-        assert np.all(z == 0.0)
+        assert ultimate_level_optimized(p_scen_a, SpdMatrix(R_SCEN_A), np.zeros(2), 3.0) == (0.0, 0.0, (0.0, 0.0))
+        assert ultimate_level_optimized(p_scen_a, SpdMatrix(R_SCEN_A), np.array([0.0, 1.0]), 0.0) == (
+            0.0, 0.0, (0.0, 0.0))
 
     def test_published_level(self, p_scen_a):
         V, theta, z = ultimate_level_optimized(p_scen_a, SpdMatrix(R_SCEN_A), np.array([0.0, 1.0]), 3.0)
         assert abs(V - 0.51) <= 0.01
         assert abs(math.degrees(theta) - 79.7) <= 0.5
-        assert np.all(np.abs(z - np.array([0.13, 0.72])) <= 0.01)
+        assert np.all(np.abs(np.array(z) - np.array([0.13, 0.72])) <= 0.01)
 
     def test_analytic_circular_case(self):
-        # P = I, R = 2I, B = (0,1): a(theta) = |sin theta|, V = sin^2 theta
-        V, theta, z = ultimate_level_optimized(
-            SpdMatrix(np.eye(2)), SpdMatrix(2.0 * np.eye(2)), np.array([0.0, 1.0]), 1.0
-        )
-        assert V == pytest.approx(1.0, abs=1e-9)
-        assert math.degrees(theta) == pytest.approx(90.0, abs=1e-3)
+        # P = I, R = 2I, B = (0,1): a(theta) = |sin theta|, V = sin^2 theta; the
+        # cubic degenerates to 4 (1 + t^2), with no real root, so the maximum
+        # is the root at infinity
+        assert ultimate_level_optimized(SpdMatrix(np.eye(2)), SpdMatrix(2.0 * np.eye(2)),
+                                        np.array([0.0, 1.0]), 1.0) == (1.0, math.pi / 2, (0.0, 1.0))
+
+    def test_circular_case_with_horizontal_input(self):
+        # B = (1,0): V = cos^2 theta; the cubic -2 t (1 + t^2) has the one real root 0
+        assert ultimate_level_optimized(SpdMatrix(np.eye(2)), SpdMatrix(2.0 * np.eye(2)),
+                                        np.array([1.0, 0.0]), 1.0) == (1.0, 0.0, (1.0, 0.0))
+
+    @pytest.mark.parametrize("k1, k2, R, B, H", [
+        (25.0, 11.0, R_SCEN_A, (0.0, 1.0), 3.0),
+        (25.0, 11.0, R_SCEN_A, (1.0, 0.0), 3.0),
+        (25.0, 11.0, R_SCEN_A, (0.3, -2.0), 3.0),
+        (35.0, 12.0, R_SCEN_B, (0.0, 1.0), 3.0),
+        # three real roots (-182.9, -72.1, 0.486): the maximum is at the smallest
+        (6718.688382129133, 47.81910281388983,
+         [[53.45526106029907, -10.253700626234137], [-10.253700626234137, 23.011656419992466]],
+         (-0.0037911832533663536, -0.9999928134389464), 1.0),
+        # roots -8.7e7 and +-0.0663: shifted by -c2 / (3 c3) = 2.9e7, the
+        # pair rounds to a complex one, so only dividing out -8.7e7 finds it
+        (9419.626813823821, 116.19107055655681, np.diag([0.36836536175366064, 83.78923702134098]),
+         (0.0, 1.0), 4.123764165465168),
+    ], ids=["a", "a_b_horizontal", "a_b_oblique", "b", "three_real_roots", "pair_dwarfed_by_a_root"])
+    def test_matches_the_search_on_chosen_cases(self, k1, k2, R, B, H):
+        R = SpdMatrix(R)
+        check_against_search(solve_lyapunov([[0.0, 1.0], [-k1, -k2]], R), R, np.array(B), H)
+
+    @settings(max_examples=150)
+    @given(planar_levels())
+    def test_matches_the_search(self, case):
+        check_against_search(*case)
+
+    @settings(max_examples=50)
+    @given(planar_levels())
+    def test_theta_star_is_the_representative_of_plus_minus_b(self, case):
+        P, R, B, H = case
+        V, theta, z = ultimate_level_optimized(P, R, B, H)
+        assert -math.pi / 2 < theta <= math.pi / 2
+        # f(b) = f(-b), so the level at theta + pi is the same, bit for bit
+        b = np.array([math.cos(theta), math.sin(theta)])
+        for f in (lambda e: abs(e @ P.mat @ B), lambda e: e @ P.mat @ e, lambda e: e @ R.mat @ e):
+            assert f(b) == f(-b)
+        assert P.quad(z) == P.quad((-z[0], -z[1]))
+
+    def test_scenario_b_direction_is_the_half_plane_representative(self, p_scen_b):
+        # the search's grid picked the opposite direction, 241.83 degrees
+        V, theta, z = ultimate_level_optimized(p_scen_b, SpdMatrix(R_SCEN_B), np.array([0.0, 1.0]), 2.0)
+        assert math.degrees(theta) == pytest.approx(61.83, abs=0.01)
+        assert z[0] > 0.0 and z[1] > 0.0
 
     def test_monotone_in_disturbance_bound(self, p_scen_a):
         R = SpdMatrix(R_SCEN_A)

@@ -20,6 +20,7 @@ from laycon.numkit import (
     NotSymmetricError,
     SpdMatrix,
     UniformStream,
+    cubic_roots,
     decay_rate,
     eigenvalues,
     invert_spd,
@@ -262,6 +263,32 @@ class TestInvertSpd:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             invert_spd(np.diag([1.0, -1.0]))
+
+
+class TestCubicRoots:
+    @pytest.mark.parametrize("coeffs, roots", [
+        ((1.0, -6.0, 11.0, -6.0), [1.0, 2.0, 3.0]),  # three real roots, trigonometric form
+        ((1.0, 0.0, 1.0, 2.0), [-1.0, 0.5, 0.5]),  # -1 and the pair 0.5 +- i sqrt(7)/2 (Cardano)
+        ((1.0, -6.0, 12.0, -8.0), [2.0, 2.0, 2.0]),  # a triple root
+        # 1e8 and +-0.0663: shifted by 3.3e7, the pair rounds into a complex
+        # one, and dividing out 1e8 recovers it
+        ((1.0, -1e8, -0.0044, 440000.0), [-0.066332495807108, 0.066332495807108, 1e8]),
+        ((0.0, 1.0, 0.0, -1.0), [-1.0, 1.0]),  # leading zeros lower the degree
+        ((0.0, 0.0, 2.0, -4.0), [2.0]),
+        ((0.0, 0.0, 0.0, 5.0), []),
+    ])
+    def test_known_roots(self, coeffs, roots):
+        assert sorted(cubic_roots(*coeffs)) == pytest.approx(roots, rel=1e-9, abs=1e-12)
+
+    def test_matches_numpy_on_random_cubics(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            coeffs = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+            got = cubic_roots(*coeffs)
+            assert len(got) == 3
+            for z in np.roots(coeffs):
+                if abs(z.imag) <= 1e-9 * max(1.0, abs(z)):
+                    assert min(abs(z.real - t) for t in got) <= 1e-6 * max(1.0, abs(z.real))
 
 
 def spd_forms(n, rng):
