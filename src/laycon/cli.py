@@ -23,13 +23,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
 
 from .contracts import ContractSpec, certificate_report, mismatch_bound_hess
 from .erg import ErgConfig
-from .errors import FieldValueError
+from .errors import FieldValueError, field_hints
 from .hess import ConstraintConfig, HessParams, LoadProfile
 from .iss_cert import (
     coordinate_bound,
@@ -100,7 +100,7 @@ _SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 @functools.cache
 def _schema(cls) -> dict:
     """Serialised fields of a config dataclass: name -> (type, required)."""
-    hints = get_type_hints(cls)
+    hints = field_hints(cls)
     return {
         f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls) if f.init and not f.metadata.get("derived")
@@ -122,10 +122,15 @@ def _at(path: str):
 def _field_value(hint, value, path: str):
     """A JSON value as a field value, checked against the field's annotation
     down to every leaf: a scalar field takes its JSON type (a float field
-    only a finite number), an optional field null or its type, a Literal
-    field one of its values, and a tuple field a list of its length whose
-    elements are checked at path.<index> (a tuple of dataclasses a list of
-    rows, each row's entries at path.<index>.<field>)."""
+    only a finite number), an optional field null or its type, and a tuple
+    field a list of its length whose elements are checked at path.<index>
+    (a tuple of dataclasses a list of rows, each row's entries at
+    path.<index>.<field>). A range that the annotation states, a bound or a
+    Literal's values, is the dataclass's own check_fields."""
+    if get_origin(hint) is Annotated:
+        hint = get_args(hint)[0]
+    if get_origin(hint) is Literal:
+        return value
     if hint in _SCALARS:
         if not isinstance(value, _SCALARS[hint]) or isinstance(value, bool) is not (hint is bool):
             raise ConfigError(path, f"expected {hint.__name__}, got {value!r}")
@@ -133,10 +138,6 @@ def _field_value(hint, value, path: str):
             raise ConfigError(path, f"expected a finite number, got {value!r}")
         return value
     args = get_args(hint)
-    if get_origin(hint) is Literal:
-        if value not in args:
-            raise ConfigError(path, f"expected one of {', '.join(args)}, got {value!r}")
-        return value
     if type(None) in args:
         if value is None:
             return None
@@ -296,14 +297,15 @@ def build_certificate(bundle: RunBundle) -> dict:
     v_bar_h = bundle.v_bar_h
     eps_l = [coordinate_bound(bundle.governor.pinv.mat, v_bar_h, i) for i in range(2)]
 
+    # gamma_iss holds ||B|| = 1 / c_bus, so the bounds take w_max itself
+    w_max = bundle.sim.w_max
     gamma_iss = iss_gain(cert.m_overshoot, B_norm, lam_e)
-    eps = noise_floor(gamma_iss, cert.h_max)
+    eps = noise_floor(gamma_iss, w_max)
     r_bar_b = bundle.spec.r_bar[1]
     settling = settling_time(
         m=cert.m_overshoot, lambda_e=lam_e, gamma_iss=gamma_iss, r_bar=r_bar_b,
         eps=eps, kappa_lo=bundle.erg_cfg.kappa_lo * cert.kappa_lo,
-        r_lo=cert.r_lo, delta=cert.settle_delta, H_max=cert.h_max,
-        M=cert.ff_residual_bound, mode=cert.settle_mode,
+        r_lo=cert.r_lo, delta=cert.settle_delta, w_max=w_max, M=cert.ff_residual_bound,
     )
     timing = timing_check(bundle.spec.t_s, settling)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldValueError
+from .errors import NonNegative, Positive, check_fields
 from .hess import DERIVED, HessParams, battery_interface_bounds
 from .iss_cert import SettlingTimes, TimingVerdict
 
@@ -27,34 +27,22 @@ from .iss_cert import SettlingTimes, TimingVerdict
 class ContractSpec:
     """All contract tolerances and the safe-set geometry."""
 
-    eps_e: float  # one-step abstraction mismatch budget (A-s)
-    eps_t: float  # planner ultimate tracking radius (A-s)
-    eps_l: tuple[float, float]  # end-of-period tracking tolerance (V, A)
-    eps_h: float  # end-to-end liveness band (A-s)
+    eps_e: NonNegative  # one-step abstraction mismatch budget (A-s)
+    eps_t: NonNegative  # planner ultimate tracking radius (A-s)
+    eps_l: tuple[NonNegative, NonNegative]  # end-of-period tracking tolerance (V, A)
+    eps_h: NonNegative  # end-to-end liveness band (A-s)
     r_bar: tuple[float, float] = field(metadata=DERIVED)  # per-period reference step bound (V, A)
     w_max: float = field(metadata=DERIVED)  # disturbance magnitude bound (A/s)
     t_s: float = field(metadata=DERIVED)
-    delta: float  # settling slack
+    delta: Positive  # settling slack
     v_box: tuple[float, float] = field(metadata=DERIVED)
     i_s_box: tuple[float, float] = field(metadata=DERIVED)
     i_b_box: tuple[float, float] = field(metadata=DERIVED)
-    u_bounds: tuple[float, float]  # (u_s_bar, u_b_bar)
+    u_bounds: tuple[NonNegative, NonNegative]  # (u_s_bar, u_b_bar)
     y_goal: float  # battery energy target (A-s)
 
     def __post_init__(self):
-        for name in ("eps_e", "eps_t", "eps_h"):
-            if getattr(self, name) < 0.0:
-                raise FieldValueError(name, f"{name} must be nonnegative")
-        if self.delta <= 0.0:
-            raise FieldValueError("delta", "settling slack delta must be positive")
-        for i, bound in enumerate(self.u_bounds):
-            if bound < 0.0:
-                raise FieldValueError(f"u_bounds.{i}", "input bounds must be nonnegative")
-        # derived from the sim section, which rejects these values first
-        if self.w_max < 0.0:
-            raise ValueError("disturbance bound w_max must be nonnegative")
-        if self.t_s <= 0.0:
-            raise ValueError("sampling period must be positive")
+        check_fields(self)
 
     @classmethod
     def from_hess(cls, p: HessParams, t_s: float, w_max: float, **tolerances) -> "ContractSpec":

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import FieldValueError
+from .errors import FieldValueError, NonNegative, Positive, check_fields
 from .numkit import SpdMatrix, invert_spd
 
 
@@ -63,17 +63,12 @@ class ErgConfig:
     per-constraint repulsion strengths (their sum must stay below 1 so the
     attraction field always makes net progress)."""
 
-    kappa_erg: float
-    eta: float
-    eta_rep: tuple[float, ...] = field(default_factory=tuple)
+    kappa_erg: Positive
+    eta: Positive
+    eta_rep: tuple[NonNegative, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kappa_erg <= 0.0:
-            raise FieldValueError("kappa_erg", "kappa_erg must be positive")
-        if self.eta <= 0.0:
-            raise FieldValueError("eta", "eta must be positive")
-        if any(x < 0.0 for x in self.eta_rep):
-            raise FieldValueError("eta_rep", "repulsion strengths must be nonnegative")
+        check_fields(self)
         if self.delta_rep >= 1.0:
             raise FieldValueError("eta_rep", "sum of repulsion strengths must be < 1")
 

@@ -12,12 +12,12 @@ interface bounds that tie the current loop to the planner's slew limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, get_args
+from typing import Literal
 
 import numpy as np
 
 from .erg import HalfspaceConstraint
-from .errors import FieldValueError
+from .errors import FieldValueError, NonNegative, Positive, check_fields
 from .numkit import decay_rate
 
 
@@ -43,26 +43,23 @@ class HessParams:
     so the current settles well within each sampling period.
     """
 
-    c_bus: float = 1.0
-    v_nom: float = 400.0
-    k1: float = 35.0
-    k2: float = 12.0
-    lambda_b_gain: float = 50.0
-    lambda_b_energy: float = 1.0 / 400.0
-    lambda_s: float = 1.0 / 400.0
+    c_bus: Positive = 1.0
+    v_nom: Positive = 400.0
+    k1: Positive = 35.0
+    k2: Positive = 12.0
+    lambda_b_gain: Positive = 50.0
+    lambda_b_energy: Positive = 1.0 / 400.0
+    lambda_s: Positive = 1.0 / 400.0
     v_min: float = 380.0
     v_max: float = 420.0
-    i_s_bar: float = 12.0
-    i_b_bar: float = 5.0
-    u_s_bar: float = 50.0
-    u_b_bar: float = 30.0
+    i_s_bar: Positive = 12.0
+    i_b_bar: Positive = 5.0
+    u_s_bar: Positive = 50.0
+    u_b_bar: Positive = 30.0
     lambda_e: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("c_bus", "v_nom", "k1", "k2", "lambda_b_gain", "lambda_b_energy",
-                     "lambda_s", "i_s_bar", "i_b_bar", "u_s_bar", "u_b_bar"):
-            if getattr(self, name) <= 0.0:
-                raise FieldValueError(name, f"{name} must be positive")
+        check_fields(self)
         if not np.isfinite(self.lambda_b_energy / self.lambda_s):
             # the planner scales the supercapacitor SOC by this ratio
             raise FieldValueError("lambda_s", f"lambda_b_energy / lambda_s = "
@@ -89,15 +86,14 @@ class LoadSegment:
 
     t_start: float
     t_end: float
-    kind: str  # "constant" | "cubic-ramp"
+    kind: Literal["constant", "cubic-ramp"]
     level_start: float
     level_end: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.t_end <= self.t_start:
             raise FieldValueError("t_end", "segment must have positive duration")
-        if self.kind not in ("constant", "cubic-ramp"):
-            raise FieldValueError("kind", f"unknown segment kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +105,7 @@ class LoadProfile:
     osc_freq_hz: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         segs = tuple(self.segments)
         if not segs:
             raise FieldValueError("segments", "load profile needs at least one segment")
@@ -197,13 +194,12 @@ class ConstraintConfig:
     """Which governor rows hess_constraints builds, and the margins they reserve."""
 
     mode: ConstraintMode = "full"
-    kappa_bar: float = 0.0
-    d_bar_max: float = 0.0
-    d_bar_dot_max: float = 0.0
+    kappa_bar: NonNegative = 0.0
+    d_bar_max: NonNegative = 0.0
+    d_bar_dot_max: NonNegative = 0.0
 
     def __post_init__(self):
-        if self.kappa_bar < 0.0:
-            raise FieldValueError("kappa_bar", "kappa_bar must be nonnegative")
+        check_fields(self)
 
 
 def hess_constraints(
@@ -224,8 +220,6 @@ def hess_constraints(
     scenario. "voltage_only" emits just the voltage box, which shapes the
     logged threshold when the governor is idle.
     """
-    if erg_mode not in get_args(ConstraintMode):
-        raise ValueError(f"unknown erg_mode {erg_mode!r}")
     voltage_rows = [
         HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=p.v_max, c_v=1.0, label="v_max"),
         HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-p.v_min, c_v=-1.0, label="v_min"),
@@ -269,8 +263,6 @@ def battery_interface_bounds(p: HessParams, t_s: float) -> tuple[float, float]:
     sample. Their sum is identically u_b_bar / lambda_b_gain, which is the
     induction invariant keeping the loop inside its saturation budget.
     """
-    if t_s < 0.0:
-        raise ValueError("sampling period must be nonnegative")
     budget = p.u_b_bar / p.lambda_b_gain
     decay = np.exp(-p.lambda_b_gain * t_s)
     return budget * (1.0 - decay), budget * decay

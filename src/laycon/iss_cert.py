@@ -75,8 +75,6 @@ def ultimate_level_optimized(P: SpdMatrix, R: SpdMatrix, B, H_max: float):
 def coordinate_bound(P_inv: np.ndarray, V_bar_h: float, i: int) -> float:
     """Per-coordinate tracking bound |e_i| <= sqrt(V_bar_h * [P^-1]_ii),
     given the inverse P_inv of the Lyapunov matrix."""
-    if V_bar_h < 0.0:
-        raise ValueError("V_bar_h must be nonnegative")
     if i not in (0, 1):
         raise IndexError(f"coordinate {i} out of range for the planar error")
     return math.sqrt(V_bar_h * P_inv[i, i])
@@ -84,16 +82,13 @@ def coordinate_bound(P_inv: np.ndarray, V_bar_h: float, i: int) -> float:
 
 def iss_gain(m: float, norm_B: float, lambda_e: float) -> float:
     """Linear ISS gain gamma = m ||B|| / lambda_e."""
-    if m < 1.0:
-        raise ValueError("overshoot factor m must be >= 1")
-    if lambda_e <= 0.0:
-        raise ValueError("decay rate must be positive")
     return m * norm_B / lambda_e
 
 
-def noise_floor(gamma_iss: float, H_max: float) -> float:
-    """Ultimate bound epsilon = gamma_iss * H_max."""
-    return gamma_iss * H_max
+def noise_floor(gamma_iss: float, w_max: float) -> float:
+    """Ultimate bound epsilon = gamma_iss * w_max; gamma_iss already holds
+    ||B||, so it takes the disturbance bound w_max itself."""
+    return gamma_iss * w_max
 
 
 def envelope_decay(times, lambda_e: float) -> np.ndarray:
@@ -121,16 +116,11 @@ def calibrate_overshoot(norms, decay, eps: float, e0_norm: float) -> float:
     return max(1.0, float(np.max(ratios)))
 
 
-def decay_time(m: float, z_peak: float, lambda_e: float, delta: float, eps: float, mode: str = "relative") -> float:
+def decay_time(m: float, z_peak: float, lambda_e: float, delta: float, eps: float) -> float:
     """Decay phase duration: time for m e^{-lambda_e t} z_peak to reach the
-    settling tolerance (delta absolute, or delta*eps relative to the noise
-    floor). Returns 0 when the tolerance already exceeds the peak."""
-    if mode == "absolute":
-        arg = m * z_peak / delta
-    elif mode == "relative":
-        arg = m * z_peak / (delta * eps)
-    else:
-        raise ValueError(f"unknown settling mode {mode!r}")
+    settling tolerance delta * eps, relative to the noise floor eps.
+    Returns 0 when the tolerance already exceeds the peak."""
+    arg = m * z_peak / (delta * eps)
     if arg <= 1.0:
         return 0.0
     return math.log(arg) / lambda_e
@@ -145,9 +135,8 @@ def settling_time(
     kappa_lo: float,
     r_lo: float,
     delta: float,
-    H_max: float,
+    w_max: float,
     M: float = 0.0,
-    mode: str = "relative",
 ) -> SettlingTimes:
     """Two-phase settling time of the governed tracking loop.
 
@@ -155,15 +144,16 @@ def settling_time(
     the noise floor eps) at worst-case speed kappa_lo * r_lo, taking
     tau1 = (r_bar + eps) / (kappa_lo * r_lo). The error at the end of
     transit is bounded by
-    z_peak = m e^{-lambda_e tau1} (r_bar + eps) + gamma_iss (H_max + M),
-    with M bounding the reference-motion feedforward residual. Decay then
+    z_peak = m e^{-lambda_e tau1} (r_bar + eps) + gamma_iss (w_max + M),
+    with w_max the disturbance bound (gamma_iss already holds ||B||) and M
+    bounding the reference-motion feedforward residual. Decay then
     brings the envelope down to the settling tolerance in tau2.
     """
     if min(m, lambda_e, r_bar + eps, kappa_lo, r_lo, delta) <= 0.0:
         raise ValueError("settling-time inputs must be positive")
     tau1 = (r_bar + eps) / (kappa_lo * r_lo)
-    z_peak = m * math.exp(-lambda_e * tau1) * (r_bar + eps) + gamma_iss * (H_max + M)
-    tau2 = decay_time(m, z_peak, lambda_e, delta, eps, mode)
+    z_peak = m * math.exp(-lambda_e * tau1) * (r_bar + eps) + gamma_iss * (w_max + M)
+    tau2 = decay_time(m, z_peak, lambda_e, delta, eps)
     return SettlingTimes(
         tau1=tau1,
         tau2=tau2,
@@ -174,8 +164,6 @@ def settling_time(
 
 def timing_check(T_s: float, times: SettlingTimes) -> TimingVerdict:
     """Evaluate both timing-compatibility readings for a sampling period."""
-    if T_s <= 0.0:
-        raise ValueError("sampling period must be positive")
     window = T_s - times.tau2
     return TimingVerdict(
         period_covers_settling=T_s >= times.tau_LL,

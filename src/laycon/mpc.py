@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldValueError
+from .errors import FieldValueError, NonNegative, Positive, PositiveInt, check_fields
 from .hess import DERIVED, HessParams, battery_interface_bounds
 from .numkit import UniformStream
 from .qp import QpSolution, QpSolver, QpStatus
@@ -32,9 +32,9 @@ class AllInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    horizon: int
+    horizon: PositiveInt
     t_s: float = field(metadata=DERIVED)
-    q_weight: float
+    q_weight: Positive
     e_b_goal: float
     v_nom: float = field(metadata=DERIVED)
     i_b_bar: float = field(metadata=DERIVED)
@@ -44,17 +44,12 @@ class PlannerConfig:
     slew_bound: float = field(metadata=DERIVED)
     lambda_b_energy: float = field(metadata=DERIVED)
     lambda_s: float = field(metadata=DERIVED)
-    tighten_eps_e: float = 0.0
+    tighten_eps_e: NonNegative = 0.0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise FieldValueError("horizon", "horizon must be at least one step")
+        check_fields(self)
         if self.horizon > MAX_HORIZON:
             raise FieldValueError("horizon", f"horizon {self.horizon} above MAX_HORIZON {MAX_HORIZON}")
-        if self.q_weight <= 0.0:
-            raise FieldValueError("q_weight", "the planner cost needs q_weight > 0")
-        if self.tighten_eps_e < 0.0:
-            raise FieldValueError("tighten_eps_e", "tighten_eps_e must be nonnegative")
         # the QP bounds x = E_B - e_b_goal and E_S times gain_b / gain_s
         for name, scale in (("e_b_range", 1.0), ("e_s_range", self.lambda_b_energy / self.lambda_s)):
             lo, hi = getattr(self, name)

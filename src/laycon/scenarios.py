@@ -14,13 +14,13 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Literal
+from typing import Annotated
 
 import numpy as np
 
 from .contracts import ContractSpec
 from .erg import ErgConfig, GammaEvaluator
-from .errors import FieldValueError
+from .errors import Bound, FieldValueError, NonNegative, Positive, check_fields
 from .hess import (
     ConstraintConfig,
     HessParams,
@@ -38,32 +38,22 @@ from .sim import SimConfig
 class CertificateInputs:
     """Knobs the offline certificate chain needs beyond the plant model."""
 
-    m_overshoot: float
-    h_max: float
-    v_bar_h_override: float | None
-    kappa_lo: float
-    r_lo: float
-    settle_delta: float
-    settle_mode: Literal["absolute", "relative"]
-    ff_residual_bound: float
-    eta: float
-    lambda_min_p: float
-    lambda_max_p: float
-    lambda_min_q: float
-    l_v: float | None  # None: estimate empirically
+    m_overshoot: Annotated[float, Bound(1.0)]
+    v_bar_h_override: NonNegative | None
+    kappa_lo: Positive
+    r_lo: Positive
+    settle_delta: Positive
+    ff_residual_bound: NonNegative
+    eta: NonNegative
+    lambda_min_p: Positive
+    lambda_max_p: Positive
+    lambda_min_q: Positive
+    l_v: NonNegative | None  # None: estimate empirically
 
     def __post_init__(self):
-        for name in ("settle_delta", "kappa_lo", "r_lo", "lambda_min_p", "lambda_max_p", "lambda_min_q"):
-            if getattr(self, name) <= 0.0:
-                raise FieldValueError(name, f"{name} must be positive")
+        check_fields(self)
         if self.lambda_min_p > self.lambda_max_p:
             raise FieldValueError("lambda_min_p", "lambda_min_p must not exceed lambda_max_p")
-        if self.m_overshoot < 1.0:
-            raise FieldValueError("m_overshoot", "m_overshoot must be at least 1")
-        for name in ("h_max", "ff_residual_bound", "l_v", "v_bar_h_override"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise FieldValueError(name, f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,9 @@ class RunBundle:
 
     @functools.cached_property
     def level(self) -> tuple[float, float, tuple[float, float]]:
-        return ultimate_level_optimized(self.P, SpdMatrix(self.R), (0.0, 1.0), self.cert.h_max)
+        # the disturbance w enters the error rate e2' as w / c_bus
+        h_max = self.sim.w_max / self.plant.c_bus
+        return ultimate_level_optimized(self.P, SpdMatrix(self.R), (0.0, 1.0), h_max)
 
     @property
     def v_bar_h(self) -> float:
@@ -156,7 +148,6 @@ def _plant(k1: float, k2: float) -> dict:
 def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
     """Frozen-reference invariance/decay study at the (25, 11) gain point."""
     plant = _plant(k1=25.0, k2=11.0)
-    w_max = 3.0
     return {
         "scenario": "a",
         "plant": plant,
@@ -172,14 +163,13 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
         },
         "sim": {
             "t_end": t_end, "t_s": 0.1, "h": 0.001, "seed": seed, "disturbance": "mixed",
-            "w_max": w_max, "erg_on": False, "frozen_reference": [400.0, 0.0],
+            "w_max": 3.0, "erg_on": False, "frozen_reference": [400.0, 0.0],
             "x0": [403.0, 0.0, 0.0, 0.0, 0.0],  # tracking error starts at (3, 0)
             "v0": 400.0, "r_init_ib": 0.0,
         },
         "load": None,
         "certificates": {
-            "m_overshoot": 2.94, "h_max": w_max / plant["c_bus"], "v_bar_h_override": None,
-            "kappa_lo": 1.0, "r_lo": 1.0, "settle_delta": 0.1, "settle_mode": "relative",
+            "m_overshoot": 2.94, "v_bar_h_override": None, "kappa_lo": 1.0, "r_lo": 1.0, "settle_delta": 0.1,
             "ff_residual_bound": 0.0, "eta": 0.01, "lambda_min_p": 1.0, "lambda_max_p": 1.0,
             "lambda_min_q": 1.0, "l_v": 0.0,
         },
@@ -190,7 +180,7 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
     """Full hierarchy at the (35, 12) gain point: charge 5 A-s under the
     ramped load while the governor certifies the actuator margin."""
     plant = _plant(k1=35.0, k2=12.0)
-    t_s, w_max, horizon = 0.1, 2.0, 20
+    t_s, horizon = 0.1, 20
     _, eps_l_ib = battery_interface_bounds(HessParams(**plant), t_s)
     return {
         "scenario": "b",
@@ -211,7 +201,7 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
         },
         "sim": {
             "t_end": t_end, "t_s": t_s, "h": 0.001, "seed": seed, "disturbance": "mixed",
-            "w_max": w_max, "erg_on": True, "frozen_reference": None,
+            "w_max": 2.0, "erg_on": True, "frozen_reference": None,
             "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": 400.0, "r_init_ib": 0.0,
         },
         # 0 A, a cubic ramp to -5 A over [0.5, 0.8] s, then constant up to the
@@ -226,8 +216,7 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
             "osc_freq_hz": 2.0,
         },
         "certificates": {
-            "m_overshoot": 1.5, "h_max": w_max / plant["c_bus"], "v_bar_h_override": 0.50,
-            "kappa_lo": 10.0, "r_lo": 1.0, "settle_delta": 0.1, "settle_mode": "relative",
+            "m_overshoot": 1.5, "v_bar_h_override": 0.50, "kappa_lo": 10.0, "r_lo": 1.0, "settle_delta": 0.1,
             "ff_residual_bound": 0.0, "eta": 0.01, "lambda_min_p": 1.0, "lambda_max_p": 1.0,
             "lambda_min_q": 1.0, "l_v": None,
         },

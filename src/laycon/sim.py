@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, get_args
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .contracts import (
     check_G_safe,
     check_G_track,
 )
-from .errors import FieldValueError
+from .errors import FieldValueError, NonNegative, NonNegativeInt, Positive, check_fields
 from .hess import feedback_law, plant_rhs
 from .hess import load as load_eval
 from .iss_cert import calibrate_overshoot, envelope_decay, iss_gain, noise_floor
@@ -81,12 +81,12 @@ MAX_STEPS = 1_000_000  # integration steps a run may take; its log of 19 floats 
 
 @dataclass(frozen=True)
 class SimConfig:
-    t_end: float
-    t_s: float
-    h: float = 1e-3
-    seed: int = 0
+    t_end: Positive
+    t_s: Positive
+    h: Positive = 1e-3
+    seed: NonNegativeInt = 0
     disturbance: DisturbanceMode = "mixed"
-    w_max: float = 3.0
+    w_max: NonNegative = 3.0
     erg_on: bool = True
     frozen_reference: tuple[float, float] | None = None
     x0: tuple[float, float, float, float, float] = (400.0, 0.0, 0.0, 0.0, 0.0)
@@ -94,20 +94,12 @@ class SimConfig:
     r_init_ib: float = 0.0
 
     def __post_init__(self):
-        for name in ("h", "t_end", "t_s"):
-            if getattr(self, name) <= 0.0:
-                raise FieldValueError(name, f"{name} must be positive")
+        check_fields(self)
         if self.t_end / self.h > MAX_STEPS + 0.5:  # round(t_end / h) > MAX_STEPS; the quotient may be inf
             raise FieldValueError("t_end", f"t_end / h = {self.t_end / self.h:.6g} steps, "
                                            f"above MAX_STEPS {MAX_STEPS}")
         if not math.isfinite(self.t_s / self.h):  # steps_per_period rounds it
             raise FieldValueError("t_s", f"t_s / h = {self.t_s / self.h} is not finite")
-        if self.disturbance not in get_args(DisturbanceMode):
-            raise FieldValueError("disturbance", f"unknown disturbance mode {self.disturbance!r}")
-        if self.w_max < 0.0:
-            raise FieldValueError("w_max", "w_max must be nonnegative")
-        if self.seed < 0:
-            raise FieldValueError("seed", "seed must be nonnegative")
 
     @property
     def steps_per_period(self) -> int:

@@ -81,7 +81,7 @@ def test_criterion_04_coordinate_bounds():
 def test_criterion_05_iss_gain_chain():
     g = iss_gain(2.94, 1.0, 3.21)
     eps = noise_floor(g, 3.0)
-    tau2 = decay_time(2.94, 8.81, 3.21, 0.1, 2.75, "relative")
+    tau2 = decay_time(2.94, 8.81, 3.21, 0.1, 2.75)
     ok = abs(g - 0.92) <= 0.005 and abs(eps - 2.75) <= 0.02 and abs(tau2 - 1.42) <= 0.02
     assert report(5, "ISS gain 0.92, noise floor 2.75 V, decay time 1.42 s", ok)
 
@@ -96,7 +96,7 @@ def test_criterion_07_scenario_a_run():
     a = bundle(scenario_a(seed=0))
     log, _ = run_layered(a)
     v_bar, _, _ = ultimate_level_optimized(
-        a.P, SpdMatrix(a.R), np.array([0.0, 1.0]), a.cert.h_max
+        a.P, SpdMatrix(a.R), np.array([0.0, 1.0]), a.sim.w_max / a.plant.c_bus
     )
     entry = omega_entry_time(log, v_bar)
     m, _ = calibrated_overshoot_for_run(log, decay_rate(A_GAINS_A), 1.0, a.sim.w_max)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,13 @@ from laycon.cli import (
     summarize_run,
     write_trajectory_csv,
 )
-from laycon.hess import LoadSegment
-from laycon.scenarios import scenario_a, scenario_b
-from laycon.sim import COLUMNS, STREAM_ROWS, NonFiniteStateError, run_layered
+from laycon.contracts import ContractSpec
+from laycon.erg import ErgConfig
+from laycon.errors import Bound, FieldValueError
+from laycon.hess import ConstraintConfig, HessParams, LoadProfile, LoadSegment
+from laycon.mpc import PlannerConfig
+from laycon.scenarios import CertificateInputs, scenario_a, scenario_b
+from laycon.sim import COLUMNS, STREAM_ROWS, NonFiniteStateError, SimConfig, run_layered
 
 
 class TestConfigRoundTrip:
@@ -81,7 +86,7 @@ class TestConfigRoundTrip:
             "d_bar_max": data.draw(margin),
             "d_bar_dot_max": data.draw(margin),
         }
-        cfg["certificates"]["h_max"] = data.draw(st.just(0.0) | st.floats(min_value=0.0, max_value=5.0))
+        cfg["sim"]["w_max"] = data.draw(st.just(0.0) | st.floats(min_value=0.0, max_value=5.0))
         cfg["certificates"]["v_bar_h_override"] = data.draw(optional)
         cfg["certificates"]["l_v"] = data.draw(optional)
         cfg["sim"]["seed"] = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -207,6 +212,57 @@ def bad_values(path, value):
     return st.floats() | st.integers(-3, 3) | flag | scalar_list
 
 
+# the dataclass of each config section
+SECTION_CLASSES = {
+    "plant": HessParams, "constraints": ConstraintConfig, "erg": ErgConfig, "planner": PlannerConfig,
+    "contract": ContractSpec, "sim": SimConfig, "load": LoadProfile, "certificates": CertificateInputs,
+}
+
+
+def bounded_leaves(hint, value, path):
+    """(key path, bound, type) of each leaf at or below a config node, of
+    annotation hint and value, whose annotation carries a Bound."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        yield path, hint.__metadata__[0], args[0]
+    elif typing.get_origin(hint) is tuple:
+        for i, v in enumerate(value or ()):
+            yield from bounded_leaves(args[0] if Ellipsis in args else args[i], v, (*path, i))
+    elif type(None) in args:
+        (inner,) = (t for t in args if t is not type(None))
+        yield from bounded_leaves(inner, value, path)
+
+
+def document_bounded_leaves(cfg: dict) -> list:
+    """bounded_leaves of every section of a config document."""
+    return [leaf for section, cls in SECTION_CLASSES.items() if cfg[section] is not None
+            for name, (hint, _) in cli_module._schema(cls).items()
+            for leaf in bounded_leaves(hint, cfg[section].get(name), (section, name))]
+
+
+def out_of_range(bound: Bound, kind: type):
+    """Finite values at or below the bound that it rejects."""
+    if kind is int:
+        return st.integers(min_value=-2**31, max_value=int(bound.lo) - (0 if bound.strict else 1))
+    return st.floats(max_value=bound.lo, exclude_max=not bound.strict, allow_nan=False, allow_infinity=False)
+
+
+def certify_custom(cfg: dict, path, value) -> tuple[int, list[str]]:
+    """certify's exit code and stderr lines on cfg with the entry at key
+    path (a tuple of keys) replaced by value."""
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp, "cfg.json")
+        doc.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err):
+            code = main(["certify", "--scenario", "custom", "--config", str(doc), "--out", tmp])
+    return code, err.getvalue().splitlines()
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("key_path, spoil", BAD_KEYS, ids=[k for k, _ in BAD_KEYS])
     def test_bad_key_names_its_path(self, tmp_path, capsys, key_path, spoil):
@@ -226,20 +282,42 @@ class TestConfigErrors:
         # annotation rejects: certify stops at that entry's key path
         cfg = resolve_config(data.draw(st.sampled_from(["a", "b"])), None)
         path, value = data.draw(st.sampled_from(list(config_nodes(cfg))))
-        bad = data.draw(bad_values(path, value))
-        parent = cfg
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = bad
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            doc = Path(tmp, "cfg.json")
-            doc.write_text(json.dumps(cfg))
-            with contextlib.redirect_stderr(err):
-                code = main(["certify", "--scenario", "custom", "--config", str(doc), "--out", tmp])
-        lines = err.getvalue().splitlines()
+        code, lines = certify_custom(cfg, path, data.draw(bad_values(path, value)))
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith(f"config error at {key_path(path)}: "), lines
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_drawn_out_of_range_value_names_its_path(self, data):
+        # one bounded leaf of a default document replaced by a finite value
+        # at or below its bound: certify stops at that leaf's key path
+        # before it builds anything
+        cfg = resolve_config(data.draw(st.sampled_from(["a", "b"])), None)
+        path, bound, kind = data.draw(st.sampled_from(document_bounded_leaves(cfg)))
+        code, lines = certify_custom(cfg, path, data.draw(out_of_range(bound, kind)))
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"config error at {key_path(path)}: "), lines
+
+    def test_every_bounded_leaf_is_drawn_from(self):
+        # the leaves the test above draws from, in both documents together
+        leaves = {key_path(path) for cfg in (scenario_a(), scenario_b())
+                  for path, _, _ in document_bounded_leaves(cfg)}
+        assert {"plant.k1", "sim.seed", "sim.w_max", "planner.horizon", "contract.eps_l.0", "contract.u_bounds.1",
+                "certificates.m_overshoot", "certificates.l_v", "certificates.eta",
+                "constraints.d_bar_max", "constraints.d_bar_dot_max"} <= leaves
+        assert not {"plant.v_min", "contract.y_goal", "sim.x0.0", "planner.e_b_goal"} & leaves
+
+    @pytest.mark.parametrize("cls, kwargs, field", [
+        (SimConfig, {"t_end": 1.0, "t_s": 0.1, "disturbance": "bogus"}, "disturbance"),
+        (LoadSegment, {"t_start": 0.0, "t_end": 1.0, "kind": "bogus", "level_start": 0.0}, "kind"),
+        (ErgConfig, {"kappa_erg": 1.0, "eta": 0.1, "eta_rep": (0.1, -0.1)}, "eta_rep.1"),
+        (ConstraintConfig, {"d_bar_max": -1.0}, "d_bar_max"),
+        (CertificateInputs, {**scenario_a()["certificates"], "v_bar_h_override": -1.0}, "v_bar_h_override"),
+    ])
+    def test_direct_construction_is_checked(self, cls, kwargs, field):
+        with pytest.raises(FieldValueError) as info:
+            cls(**kwargs)
+        assert info.value.field == field
 
     @pytest.mark.parametrize("text, key_path", [
         ('{"sim": {"w_max": NaN}}', "sim.w_max"),
@@ -252,6 +330,12 @@ class TestConfigErrors:
         ('{"certificates": {"l_v": -1}}', "certificates.l_v"),
         ('{"sim": {"seed": -1}}', "sim.seed"),
         ('{"contract": {"eps_e": -1}}', "contract.eps_e"),
+        # a negative governor margin would widen its current limit, and a
+        # negative eta would shrink the mismatch bound
+        ('{"constraints": {"d_bar_max": -1.0}}', "constraints.d_bar_max"),
+        ('{"constraints": {"d_bar_dot_max": -1.0}}', "constraints.d_bar_dot_max"),
+        ('{"contract": {"eps_l": [-0.1, 0.005]}}', "contract.eps_l.0"),
+        ('{"certificates": {"eta": -0.01}}', "certificates.eta"),
         ('{"contract": {"delta": 0}}', "contract.delta"),
         ('{"erg": {"eta_rep": [0.1, 0.1, 0.1]}}', "erg.eta_rep"),
         # B's planner scales the supercapacitor SOC by lambda_b_energy / lambda_s
@@ -689,6 +773,28 @@ class TestCertify:
         cfg_path.write_text(json.dumps({"plant": {"k1": -5.0}, "sim": {"t_end": 1.0, "t_s": 0.1}}))
         assert main(["certify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
+    @staticmethod
+    def certify_a(out: Path, overlay: dict) -> dict:
+        """Scenario A's certificate under overlay."""
+        out.mkdir()
+        path = out / "overlay.json"
+        path.write_text(json.dumps(overlay))
+        assert main(["certify", "--scenario", "a", "--config", str(path), "--out", str(out)]) in (0, 2)
+        return json.loads((out / "certificate.json").read_text())
+
+    def test_level_follows_the_disturbance_bound(self, tmp_path):
+        # V_bar_h grows as H^2, H = sim.w_max / plant.c_bus
+        base = self.certify_a(tmp_path / "base", {})
+        half = self.certify_a(tmp_path / "half", {"sim": {"w_max": 1.5}})
+        assert half["V_bar_h_optimized"] == pytest.approx(base["V_bar_h_optimized"] * (1.5 / 3.0) ** 2, rel=1e-12)
+
+    def test_input_gain_is_charged_once(self, tmp_path):
+        # gamma_iss = m ||B|| / lambda_e holds ||B|| = 1 / c_bus, so eps = m w_max / (c_bus lambda_e)
+        base = self.certify_a(tmp_path / "base", {})
+        cert = self.certify_a(tmp_path / "c_bus", {"plant": {"c_bus": 2.0}})
+        assert cert["eps"] == pytest.approx(2.94 * 3.0 / (2.0 * cert["lambda_e"]), rel=1e-12)
+        assert cert["V_bar_h_optimized"] == pytest.approx(base["V_bar_h_optimized"] / 4.0, rel=1e-12)
+
     def test_zero_budget_fails_compat_exits_2(self, tmp_path):
         override = tmp_path / "tight.json"
         override.write_text(json.dumps({"contract": {"eps_h": 1e-12}}))
@@ -764,7 +870,7 @@ class TestRunCommand:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--scenario", "custom", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.strip() == (
-            "config error at planner.q_weight: the planner cost needs q_weight > 0")
+            "config error at planner.q_weight: q_weight must be > 0, got 0.0")
         assert not (tmp_path / "trajectory.csv").exists()
 
 

@@ -150,7 +150,7 @@ class TestPlan:
         assert len(calls) == 1
 
     def test_zero_weight_planner_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="q_weight > 0"):
+        with pytest.raises(ValueError, match="q_weight must be > 0"):
             Planner(make_cfg(q_weight=0.0))
 
     def test_slew_guarantee_across_fallbacks(self):

@@ -2,15 +2,22 @@
 module-level function or class, and each public method, property and
 annotated field of a class. A symbol that only the tests use is dropped,
 or moved into the tests. The benchmark's entry points and probes resolve.
-No package file names numpy's random package."""
+No package file names numpy's random package. A config dataclass states
+each field's range in its annotation, not in its __post_init__."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
+import textwrap
+import typing
 from pathlib import Path
 
 import laycon
+from laycon.errors import field_hints
+from laycon.scenarios import RunBundle
 
 SRC = Path(laycon.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -131,3 +138,60 @@ def test_no_package_file_names_numpy_random():
              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if pattern.search(line)]
     assert not named, f"package lines that name numpy's random package: {named}"
+
+
+def config_dataclasses() -> set[type]:
+    """The dataclass of each config section a RunBundle holds, and each
+    dataclass that one of their fields holds (a load segment row)."""
+    found = set()
+
+    def visit(hint):
+        if isinstance(hint, type) and dataclasses.is_dataclass(hint) and hint not in found:
+            found.add(hint)
+            hints = field_hints(hint)
+            for f in dataclasses.fields(hint):
+                if f.init:
+                    visit(hints[f.name])
+        for arg in typing.get_args(hint):
+            visit(arg)
+
+    hints = field_hints(RunBundle)
+    for f in dataclasses.fields(RunBundle):
+        if f.init:
+            visit(hints[f.name])
+    return found
+
+
+def is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_config_ranges_live_in_annotations():
+    """No config dataclass's __post_init__ compares one of its own init
+    fields, or getattr(self, name), with a number literal: a range on one
+    field's value is its annotation's, which check_fields, the first call
+    of every __post_init__, enforces. Comparisons across fields, with a
+    named cap or of a derived property stay."""
+    classes = config_dataclasses()
+    assert {cls.__name__ for cls in classes} >= {"HessParams", "SimConfig", "LoadSegment", "CertificateInputs"}
+    flagged = []
+    for cls in classes:
+        own = {f.name for f in dataclasses.fields(cls) if f.init}
+        body = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__))).body[0].body
+        first = ast.unparse(body[0])
+        assert first == "check_fields(self)", f"{cls.__name__}.__post_init__ starts with {first!r}"
+
+        def reads_own_field(node):
+            if isinstance(node, ast.Attribute):
+                return isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr in own
+            return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+
+        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(is_number, operands)) and any(map(reads_own_field, operands)):
+                    flagged.append(f"{cls.__name__}: {ast.unparse(node)}")
+    assert not flagged, f"single-field range checks in __post_init__: {sorted(flagged)}"

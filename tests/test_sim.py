@@ -354,7 +354,7 @@ class TestScenarioA:
         from laycon.iss_cert import ultimate_level_optimized
 
         v_bar, _, _ = ultimate_level_optimized(
-            a.P, SpdMatrix(a.R), np.array([0.0, 1.0]), a.cert.h_max
+            a.P, SpdMatrix(a.R), np.array([0.0, 1.0]), a.sim.w_max / a.plant.c_bus
         )
         entry = omega_entry_time(log, v_bar)
         assert 0.82 <= entry <= 1.12
