@@ -218,7 +218,7 @@ def load_bundle(cfg: dict) -> RunBundle:
         erg_cfg=_load(ErgConfig, cfg, "erg"),
         planner_cfg=planner_cfg,
         spec=_load(ContractSpec, cfg, "contract",
-                   functools.partial(ContractSpec.from_hess, plant, sim.t_s, sim.w_max)),
+                   functools.partial(ContractSpec.from_hess, plant, sim.t_s)),
         sim=sim,
         load_profile=profile,
         cert=_load(CertificateInputs, cfg, "certificates"),
@@ -307,7 +307,7 @@ def build_certificate(bundle: RunBundle) -> dict:
         eps=eps, kappa_lo=bundle.erg_cfg.kappa_lo * cert.kappa_lo,
         r_lo=cert.r_lo, delta=cert.settle_delta, w_max=w_max, M=cert.ff_residual_bound,
     )
-    timing = timing_check(bundle.spec.t_s, settling)
+    timing = timing_check(bundle.sim.t_s, settling)
 
     if cert.l_v is not None:
         l_v = cert.l_v

@@ -32,26 +32,21 @@ class ContractSpec:
     eps_l: tuple[NonNegative, NonNegative]  # end-of-period tracking tolerance (V, A)
     eps_h: NonNegative  # end-to-end liveness band (A-s)
     r_bar: tuple[float, float] = field(metadata=DERIVED)  # per-period reference step bound (V, A)
-    w_max: float = field(metadata=DERIVED)  # disturbance magnitude bound (A/s)
-    t_s: float = field(metadata=DERIVED)
     delta: Positive  # settling slack
     v_box: tuple[float, float] = field(metadata=DERIVED)
     i_s_box: tuple[float, float] = field(metadata=DERIVED)
     i_b_box: tuple[float, float] = field(metadata=DERIVED)
     u_bounds: tuple[NonNegative, NonNegative]  # (u_s_bar, u_b_bar)
-    y_goal: float  # battery energy target (A-s)
 
     def __post_init__(self):
         check_fields(self)
 
     @classmethod
-    def from_hess(cls, p: HessParams, t_s: float, w_max: float, **tolerances) -> "ContractSpec":
+    def from_hess(cls, p: HessParams, t_s: float, **tolerances) -> "ContractSpec":
         """Derive the safe-set boxes from the plant, and the reference step
         bound from the battery loop's per-period slew capacity."""
         return cls(
             r_bar=(0.0, battery_interface_bounds(p, t_s)[0]),
-            w_max=w_max,
-            t_s=t_s,
             v_box=(p.v_min, p.v_max),
             i_s_box=(-p.i_s_bar, p.i_s_bar),
             i_b_box=(-p.i_b_bar, p.i_b_bar),
@@ -150,7 +145,7 @@ def check_A_mis(y_samples, predictions, eps_e: float):
     return verdicts, w_tilde
 
 
-def check_G_iss(e_b_samples, y_goal: float, eps_t: float, delta: float):
+def check_G_iss(e_b_samples, e_b_goal: float, eps_t: float, delta: float):
     """Ultimate-bound reading of the planner's convergence guarantee.
 
     Returns (per-sample verdicts |E_B - goal| <= eps_t + delta, K_live),
@@ -158,7 +153,7 @@ def check_G_iss(e_b_samples, y_goal: float, eps_t: float, delta: float):
     sample, or None if it never does.
     """
     e_b = np.asarray(e_b_samples, dtype=float)
-    inside = np.abs(e_b - y_goal) <= eps_t + delta + _tol(eps_t + delta)
+    inside = np.abs(e_b - e_b_goal) <= eps_t + delta + _tol(eps_t + delta)
     if not inside.size:
         return inside, None
     holds_from = np.flip(np.logical_and.accumulate(np.flip(inside)))

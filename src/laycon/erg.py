@@ -134,11 +134,6 @@ class GammaEvaluator:
         # open, its threshold grows along -c_v, so the field moves by -push
         self.repulsion = [(math.copysign(s, row[1]), row) for s, row in zip(erg_cfg.eta_rep, self.rows)
                           if s != 0.0 and row[1] != 0.0]
-        # with no row depending on v (every input_only row), Gamma is the
-        # same for every v; d0 - 0 is exact
-        self.constant = None
-        if all(c_v == 0.0 for _, c_v, _, _ in self.rows):
-            self.constant = min(_row_threshold(d0, g_gamma, denom) for d0, _, g_gamma, denom in self.rows)
 
     def gamma_i(self, i: int, v: float) -> float:
         """Largest Lyapunov sublevel value inside constraint i's half-space at
@@ -154,10 +149,8 @@ class GammaEvaluator:
         exactly for g <= g_i, hence G(g) >= g exactly for g <= min_i g_i, and
         the strictly decreasing G(g) - g vanishes only there. Each g_i is
         nondecreasing in b_i, since f_i is at every g, so Gamma is
-        nondecreasing in every margin. A constant threshold is returned as is.
+        nondecreasing in every margin.
         """
-        if self.constant is not None:
-            return self.constant
         return min([_row_threshold(d0 - c_v * v, g_gamma, denom) for d0, c_v, g_gamma, denom in self.rows])
 
     def navigation_field(self, r: float, v: float, gamma_v: float) -> float:

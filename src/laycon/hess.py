@@ -202,14 +202,8 @@ class ConstraintConfig:
         check_fields(self)
 
 
-def hess_constraints(
-    p: HessParams,
-    erg_mode: ConstraintMode = "full",
-    kappa_bar: float = 0.0,
-    d_bar_max: float = 0.0,
-    d_bar_dot_max: float = 0.0,
-) -> list[HalfspaceConstraint]:
-    """Governor constraint rows in error coordinates.
+def hess_constraints(p: HessParams, con: ConstraintConfig) -> list[HalfspaceConstraint]:
+    """Governor constraint rows in error coordinates, by con.mode.
 
     "full" emits the six half-spaces: the voltage box (coupled to the
     reference), the supercapacitor current limit (margin reserved for the
@@ -224,33 +218,33 @@ def hess_constraints(
         HalfspaceConstraint(c_a=(1.0,), c_b=(0.0,), d0=p.v_max, c_v=1.0, label="v_max"),
         HalfspaceConstraint(c_a=(-1.0,), c_b=(0.0,), d0=-p.v_min, c_v=-1.0, label="v_min"),
     ]
-    if erg_mode == "voltage_only":
+    if con.mode == "voltage_only":
         return voltage_rows
     k2_eff = p.k2 * p.c_bus
-    u_s_eff = p.u_s_bar - d_bar_dot_max / p.c_bus
+    u_s_eff = p.u_s_bar - con.d_bar_dot_max / p.c_bus
     input_rows = [
         HalfspaceConstraint(
             c_a=(p.k1,), c_b=(k2_eff,), d0=u_s_eff, c_v=0.0,
-            g_gamma=(k2_eff * kappa_bar if erg_mode == "full" else 0.0),
+            g_gamma=(k2_eff * con.kappa_bar if con.mode == "full" else 0.0),
             label="u_s_upper",
         ),
         HalfspaceConstraint(
             c_a=(-p.k1,), c_b=(-k2_eff,), d0=u_s_eff, c_v=0.0,
-            g_gamma=(k2_eff * kappa_bar if erg_mode == "full" else 0.0),
+            g_gamma=(k2_eff * con.kappa_bar if con.mode == "full" else 0.0),
             label="u_s_lower",
         ),
     ]
-    if erg_mode == "input_only":
+    if con.mode == "input_only":
         return input_rows
-    i_s_eff = p.i_s_bar - d_bar_max
+    i_s_eff = p.i_s_bar - con.d_bar_max
     return voltage_rows + [
         HalfspaceConstraint(
             c_a=(0.0,), c_b=(p.c_bus,), d0=i_s_eff, c_v=0.0,
-            g_gamma=p.c_bus * kappa_bar, label="i_s_upper",
+            g_gamma=p.c_bus * con.kappa_bar, label="i_s_upper",
         ),
         HalfspaceConstraint(
             c_a=(0.0,), c_b=(-p.c_bus,), d0=i_s_eff, c_v=0.0,
-            g_gamma=p.c_bus * kappa_bar, label="i_s_lower",
+            g_gamma=p.c_bus * con.kappa_bar, label="i_s_lower",
         ),
     ] + input_rows
 

@@ -108,7 +108,7 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class PlanResult:
-    r_k: tuple[float, float]  # (voltage target, battery current reference)
+    r_ib: float  # the battery current reference held over the period
     V_N_star: float | None
     fallback_used: bool
     qp: QpSolution  # the period's QP: status, iterations, active set, KKT residual
@@ -183,8 +183,8 @@ def plan(y_k, d_forecast, r_prev: float, cfg: PlannerConfig, solver: QpSolver) -
         x = sol.x.tolist()
         r = (x[0] - (float(y_k[0]) - cfg.e_b_goal)) / cfg.gain_b
         value = cfg.q_weight * sum(x_j * x_j for x_j in x)
-        return PlanResult(r_k=(cfg.v_nom, r), V_N_star=value, fallback_used=False, qp=sol)
-    return PlanResult(r_k=(cfg.v_nom, r_prev), V_N_star=None, fallback_used=True, qp=sol)
+        return PlanResult(r_ib=r, V_N_star=value, fallback_used=False, qp=sol)
+    return PlanResult(r_ib=r_prev, V_N_star=None, fallback_used=True, qp=sol)
 
 
 class Planner:
@@ -203,7 +203,7 @@ class Planner:
 
     def step(self, y_k, d_forecast) -> PlanResult:
         result = plan(y_k, d_forecast, self.r_prev, self.cfg, self.solver)
-        self.r_prev = result.r_k[1]
+        self.r_prev = result.r_ib
         return result
 
 

@@ -31,7 +31,7 @@ from .hess import (
 from .iss_cert import ultimate_level_optimized
 from .mpc import PlannerConfig
 from .numkit import SpdMatrix, eigenvalues, solve_lyapunov
-from .sim import SimConfig
+from .sim import MAX_STEPS, SimConfig
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,15 @@ class RunBundle:
         # each rule spans sections, so its field is its full key path
         if self.planner_cfg is None and self.sim.frozen_reference is None:
             raise FieldValueError("sim.frozen_reference", "no planner: a frozen reference is required")
-        if self.planner_cfg is not None and not self.planner_cfg.slew_bound > 0.0:
-            # u_b_bar / lambda_b_gain (1 - exp(-lambda_b_gain t_s)) underflows to zero for a tiny t_s
-            raise FieldValueError("sim.t_s", f"t_s {self.sim.t_s:g} gives the planner no slew bound")
+        if self.planner_cfg is not None:
+            if not self.planner_cfg.slew_bound > 0.0:
+                # u_b_bar / lambda_b_gain (1 - exp(-lambda_b_gain t_s)) underflows to zero for a tiny t_s
+                raise FieldValueError("sim.t_s", f"t_s {self.sim.t_s:g} gives the planner no slew bound")
+            # the run holds the planner's forecast times as one n_periods x horizon array
+            n_forecasts = self.sim.n_steps // self.sim.steps_per_period * self.planner_cfg.horizon
+            if n_forecasts > MAX_STEPS:
+                raise FieldValueError("planner.horizon", f"{n_forecasts} forecast times (periods times "
+                                                         f"horizon), above MAX_STEPS {MAX_STEPS}")
         for mu in (-self.plant.lambda_b_gain, *eigenvalues(self.plant.error_matrix())):
             z = self.sim.h * mu  # an RK4 step multiplies the mode mu by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
             growth = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
@@ -106,8 +112,7 @@ class RunBundle:
                 raise FieldValueError("load.segments", f"load span [{t0}, {t1}] does not cover the times "
                                                        f"[0, {t_last}] the run reads the load at")
         P = solve_lyapunov(self.plant.error_matrix(), self.R)
-        con = self.constraint_cfg
-        rows = hess_constraints(self.plant, con.mode, con.kappa_bar, con.d_bar_max, con.d_bar_dot_max)
+        rows = hess_constraints(self.plant, self.constraint_cfg)
         if self.planner_cfg is None:
             r = tuple(map(float, self.sim.frozen_reference))
         else:
@@ -159,7 +164,6 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
         "contract": {
             "eps_e": 0.5, "eps_t": 0.1, "eps_l": [0.28, 0.005], "eps_h": 1.0, "delta": 0.1,
             "u_bounds": [200.0, plant["u_b_bar"]],  # supercap input unconstrained here
-            "y_goal": 0.0,
         },
         "sim": {
             "t_end": t_end, "t_s": 0.1, "h": 0.001, "seed": seed, "disturbance": "mixed",
@@ -197,7 +201,7 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
         },
         "contract": {
             "eps_e": 0.5, "eps_t": 0.2, "eps_l": [0.15, float(eps_l_ib)], "eps_h": 1.0, "delta": 0.1,
-            "u_bounds": [plant["u_s_bar"], plant["u_b_bar"]], "y_goal": 5.0,
+            "u_bounds": [plant["u_s_bar"], plant["u_b_bar"]],
         },
         "sim": {
             "t_end": t_end, "t_s": t_s, "h": 0.001, "seed": seed, "disturbance": "mixed",

@@ -19,14 +19,15 @@ the adversarial e'PB) are fixed-order float sums and each margin d0 - c_v v
 is exact (c_v in {1, -1, 0}), so none depends on the BLAS kernel. Work
 that depends only on time, or that only the log reads, stays out of the
 loop: the mixed disturbance and the load (at every step and forecast
-time) are evaluated for the whole run before it, and so is Gamma(v) when
-the governor is off. The logged inputs, error, V(e) and Phi are filled in
-per block of rows, by the same law and SpdMatrix.quad on the block's
-columns, whose every row equals the float form (so a row holds its step's
-first-stage values). A block closes at the first period boundary with at
-least STREAM_ROWS rows pending, and the last one after the loop; each
-finished block is handed to the caller's on_rows, so a writer can render
-the log while the loop runs.
+time) are evaluated for the whole run before it, and Gamma(v) is computed
+again only on a step whose v differs from the last one's. The logged
+inputs, error, V(e) and Phi are filled in per block of rows, by the same
+law and SpdMatrix.quad on the block's columns, whose every row equals the
+float form (so a row holds its step's first-stage values). A block
+closes at the first period boundary with at least STREAM_ROWS rows
+pending, and the last one after the loop; each finished block is handed
+to the caller's on_rows, so a writer can render the log while the loop
+runs.
 
 The governor's safety gate uses the held-reference error (the reference
 rate enters the physical loop as a feedforward residual, not the gate);
@@ -37,7 +38,6 @@ two coincide.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
@@ -98,18 +98,27 @@ class SimConfig:
         if self.t_end / self.h > MAX_STEPS + 0.5:  # round(t_end / h) > MAX_STEPS; the quotient may be inf
             raise FieldValueError("t_end", f"t_end / h = {self.t_end / self.h:.6g} steps, "
                                            f"above MAX_STEPS {MAX_STEPS}")
-        if not math.isfinite(self.t_s / self.h):  # steps_per_period rounds it
-            raise FieldValueError("t_s", f"t_s / h = {self.t_s / self.h} is not finite")
+        # the loop, the planner and the certificate all read t_s, so it must
+        # be the period the loop runs: a whole number of steps
+        k = self.t_s / self.h
+        if not (math.isfinite(k) and round(k) >= 1
+                and abs(round(k) * self.h - self.t_s) <= 1e-9 * max(1.0, self.t_s)):
+            raise FieldValueError("t_s", f"t_s / h = {k:.9g} is not a whole number of steps, at least 1")
 
     @property
     def steps_per_period(self) -> int:
-        """Integration steps per sampling period: t_s / h rounded, at least 1."""
-        return max(1, round(self.t_s / self.h))
+        """Integration steps per sampling period, t_s / h."""
+        return round(self.t_s / self.h)
+
+    @property
+    def n_steps(self) -> int:
+        """Integration steps of the run, t_end / h rounded."""
+        return round(self.t_end / self.h)
 
     def last_load_time(self, horizon: int | None) -> float:
         """The last time run_layered reads the load at: the last step time,
         or, with a planner of this horizon, its last forecast time if later."""
-        spp, n_steps = self.steps_per_period, round(self.t_end / self.h)
+        spp, n_steps = self.steps_per_period, self.n_steps
         last_period = (n_steps // spp - 1) * spp  # the last period's first step
         if horizon is None or last_period < 0:
             return n_steps * self.h
@@ -228,14 +237,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     """
     plant, planner_cfg, sim = bundle.plant, bundle.planner_cfg, bundle.sim
     P, load_profile = bundle.P, bundle.load_profile
-    spp = sim.steps_per_period
-    t_s_eff = spp * sim.h
-    if abs(t_s_eff - sim.t_s) > 1e-9 * max(1.0, sim.t_s):
-        warnings.warn(
-            f"t_s={sim.t_s} is not an integer multiple of h={sim.h}; using {t_s_eff}",
-            stacklevel=2,
-        )
-    n_steps = round(sim.t_end / sim.h)
+    spp, n_steps = sim.steps_per_period, sim.n_steps
     n_periods = n_steps // spp
 
     (r_v, r_ib), gam = bundle.r_start, bundle.governor
@@ -260,25 +262,25 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
         d_run, d_dot_run = load_eval(step_times, load_profile)
     d_steps, d_dot_steps = d_run.tolist(), d_dot_run.tolist()
     if planner is not None:
-        # row k holds the planner's forecast times t_k + j t_s_eff
+        # row k holds the planner's forecast times t_k + j t_s
         period_starts = step_times[:n_periods * spp:spp]
-        forecast_times = period_starts[:, None] + np.arange(planner_cfg.horizon) * t_s_eff
+        forecast_times = period_starts[:, None] + np.arange(planner_cfg.horizon) * (spp * h)
         if load_profile is None:
             forecasts = np.zeros_like(forecast_times)
         else:
             forecasts, _ = load_eval(forecast_times, load_profile)
-    # with the governor off v only loses the sign of a zero, which no margin
-    # d0 - c_v v can see, so Gamma(v) is one value per run
-    gamma_fixed = None if erg_on else gam.gamma(bundle.v_start)
+    v_gamma = bundle.v_start
+    gamma_v = gam.gamma(v_gamma)
 
     rows = np.zeros((n_steps + 1, len(COLUMNS)))
     plans = []
     fallback_now = 0.0
 
     def joint_rhs(v_gr, i_s, i_b, e_s, e_b, v):
-        # the exogenous signals w, d, d_dot and (r_v, r_ib) are the step's
-        # held values, which the loop rebinds once per step, so they are
-        # frozen over its four stages; the feedback law follows the stage states
+        # the exogenous signals w, d, d_dot and r_ib are the step's held
+        # values, which the loop rebinds once per step (r_ib once per period;
+        # r_v is one value per run), so they are frozen over its four stages;
+        # the feedback law follows the stage states
         u_s, u_b, e1, e2 = law(v_gr, i_s, i_b, v, r_ib, d, d_dot)
         dx = plant_rhs(v_gr, i_s, i_b, u_s, u_b, w, d, plant)
         return dx + ((gam.erg_rhs(e1, e2, v, r_v),) if erg_on else (0.0,))
@@ -305,7 +307,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
             if planner is not None and i < n_periods * spp:
                 # the planner sees the sampled slow outputs (E_B, E_S)
                 res = planner.step((z[4], z[3]), forecasts[i // spp])
-                r_v, r_ib = map(float, res.r_k)
+                r_ib = res.r_ib
                 fallback_now = float(res.fallback_used)
                 plans.append(res)
 
@@ -314,7 +316,8 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
         w = w_steps[i]
         if adversarial:  # the loop's one use of the error: the sign of e'PB sets w
             w = disturbance_adversarial(law(v_gr, i_s, i_b, v, r_ib, d, d_dot)[2:], P, B_w, sim.w_max)
-        gamma_v = gam.gamma(v) if gamma_fixed is None else gamma_fixed
+        if v != v_gamma:  # Gamma(v) moves only with v; no margin d0 - c_v v sees the sign of a zero
+            v_gamma, gamma_v = v, gam.gamma(v)
         # the error, V_e, Phi and the inputs are filled in per block
         rows[i] = (t, v_gr, i_s, i_b, e_s, e_b, v, r_v, r_ib, 0.0, 0.0,
                    0.0, gamma_v, 0.0, w, d, 0.0, 0.0, fallback_now)
@@ -334,7 +337,7 @@ def _build_report(log: TrajectoryLog, bundle: RunBundle) -> MonitorReport:
     its end is the next period's first step."""
     report = MonitorReport()
     spec, cols, n = bundle.spec, log.columns, log.n_periods
-    report.record("A_env", check_A_env(cols["w"], spec.w_max))
+    report.record("A_env", check_A_env(cols["w"], bundle.sim.w_max))
     states = np.stack([cols["V_gr"], cols["I_S"], cols["I_B"]], axis=1)
     inputs = np.stack([cols["u_S"], cols["u_B"]], axis=1)
     report.record("G_safe", check_G_safe(states, inputs, spec))
@@ -352,7 +355,7 @@ def _build_report(log: TrajectoryLog, bundle: RunBundle) -> MonitorReport:
         verdicts, w_tilde = check_A_mis(y, predictions, spec.eps_e)
         report.record("A_mis", verdicts)
         report.w_tilde = w_tilde
-        iss_verdicts, k_live = check_G_iss(y[:, 0], spec.y_goal, spec.eps_t, spec.delta)
+        iss_verdicts, k_live = check_G_iss(y[:, 0], bundle.planner_cfg.e_b_goal, spec.eps_t, spec.delta)
         report.record("G_iss", iss_verdicts)
         report.k_live = k_live
     return report

@@ -243,6 +243,6 @@ def test_criterion_12_monitor_reconstruction():
     k_live = monitor.k_live
     ok = monitor.all_pass() and k_live is not None
     if ok:
-        settled = np.abs(log.y_samples[k_live:, 0] - spec.y_goal)
+        settled = np.abs(log.y_samples[k_live:, 0] - nominal.planner_cfg.e_b_goal)
         ok = bool(np.all(settled <= band))
     assert report(12, f"nominal run: all clauses pass, liveness index {k_live}, band {band:.2f}", ok)

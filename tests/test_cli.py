@@ -103,6 +103,8 @@ class TestConfigRoundTrip:
 
 BAD_KEYS = [
     ("contract.eps_hh", lambda cfg: cfg["contract"].update(eps_hh=5)),
+    # the convergence clause reads the goal from its one home, planner.e_b_goal
+    ("contract.y_goal", lambda cfg: cfg["contract"].update(y_goal=5.0)),
     ("sim.typo", lambda cfg: cfg["sim"].update(typo=1)),
     ("planner.horizon", lambda cfg: cfg["planner"].pop("horizon")),
     ("load.segments", lambda cfg: cfg["load"].update(segments=[[0.0, 8.0, "constant"]])),
@@ -305,7 +307,7 @@ class TestConfigErrors:
         assert {"plant.k1", "sim.seed", "sim.w_max", "planner.horizon", "contract.eps_l.0", "contract.u_bounds.1",
                 "certificates.m_overshoot", "certificates.l_v", "certificates.eta",
                 "constraints.d_bar_max", "constraints.d_bar_dot_max"} <= leaves
-        assert not {"plant.v_min", "contract.y_goal", "sim.x0.0", "planner.e_b_goal"} & leaves
+        assert not {"plant.v_min", "sim.r_init_ib", "sim.x0.0", "planner.e_b_goal"} & leaves
 
     @pytest.mark.parametrize("cls, kwargs, field", [
         (SimConfig, {"t_end": 1.0, "t_s": 0.1, "disturbance": "bogus"}, "disturbance"),
@@ -352,7 +354,7 @@ class TestConfigErrors:
         # the fast error-matrix eigenvalue near -199.9 (h |lambda| = 4.0),
         # or on a complex pair with |h lambda| = 2.70 at 122 degrees, inside
         # the real limit 2.785 but where the step multiplies the mode by 1.109
-        ('{"sim": {"h": 0.5}}', "sim.h"),
+        ('{"sim": {"h": 0.5, "t_s": 0.5}}', "sim.h"),
         ('{"plant": {"k2": 200.0}, "sim": {"h": 0.02}}', "sim.h"),
         ('{"plant": {"k1": 18225.0, "k2": 143.1, "lambda_b_gain": 100.0}, "sim": {"h": 0.02}}', "sim.h"),
     ])
@@ -365,8 +367,7 @@ class TestConfigErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["overlay.json"]  # nothing written
 
     @pytest.mark.parametrize("text, key_path", [
-        # B's planner derives its slew bound 1 - exp(-lambda_b_gain t_s),
-        # which underflows to zero for a tiny t_s
+        # a period shorter than one step is no whole number of steps
         ('{"sim": {"t_s": 1e-300}}', "sim.t_s"),
         # a horizon above MAX_HORIZON, rejected before the load's span is checked
         ('{"planner": {"horizon": 1001}}', "planner.horizon"),
@@ -394,6 +395,27 @@ class TestConfigErrors:
             bundle(scenario_b(), {"planner": {"horizon": 10**6}, "load": None})
         cap = bundle(scenario_b(), {"planner": {"horizon": mpc_module.MAX_HORIZON}, "load": None})
         assert cap.planner_cfg.horizon == mpc_module.MAX_HORIZON
+
+    def test_forecast_grid_is_capped_at_load(self):
+        # 10^6 periods times a 1000-step horizon: the run's forecast times
+        # would be a 10^9-float array; load_bundle rejects the product, and
+        # the cap itself loads
+        with pytest.raises(cli_module.ConfigError, match=r"^config error at planner\.horizon: .*MAX_STEPS"):
+            bundle(scenario_b(), {"sim": {"t_end": 1000.0, "t_s": 0.001}, "planner": {"horizon": 1000}, "load": None})
+        cap = bundle(scenario_b(), {"sim": {"t_end": 1000.0, "t_s": 1.0}, "planner": {"horizon": 1000}, "load": None})
+        assert cap.sim.n_steps // cap.sim.steps_per_period * cap.planner_cfg.horizon == sim_module.MAX_STEPS
+
+    @pytest.mark.parametrize("command", [["run"], ["certify"], ["sweep", "--seeds", "2"]],
+                             ids=["run", "certify", "sweep"])
+    def test_off_grid_period_stops_every_command(self, tmp_path, capsys, command):
+        # 0.0995 s is 99.5 steps of 1 ms: the loop would run 0.1-s periods
+        # while the planner and the certificate read 0.0995 s
+        path = tmp_path / "overlay.json"
+        path.write_text('{"sim": {"t_s": 0.0995}}')
+        argv = [command[0], "--scenario", "b", "--config", str(path), *command[1:], "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error at sim.t_s: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["overlay.json"]  # nothing written
 
     def test_step_count_cap_boundary(self):
         cap, h = sim_module.MAX_STEPS, 1e-3
@@ -846,6 +868,15 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fallback_count"] == sum(rec["status"] != "optimal" for rec in planner)
         assert np.all(read_trajectory_csv(out / "trajectory.csv")["r_IB"] == 0.0)  # held from the start
+
+    def test_goal_is_the_planner_goal(self, tmp_path):
+        # E_B settles at the planner's goal, and the convergence clause
+        # measures it against that same goal
+        path = tmp_path / "overlay.json"
+        path.write_text('{"planner": {"e_b_goal": 4.0}}')
+        assert main(["run", "--scenario", "b", "--config", str(path), "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["K_live"] == 18
+        assert json.loads((tmp_path / "monitor.json").read_text())["all_pass"] is True
 
     def test_planner_less_scenario_b(self, tmp_path):
         # the planner layer is absent iff planner is null; the frozen

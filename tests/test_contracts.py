@@ -24,9 +24,9 @@ from laycon.numkit import solve_lyapunov
 def make_spec(**overrides):
     base = dict(
         eps_e=0.05, eps_t=0.1, eps_l=(0.27, 0.01), eps_h=0.5,
-        r_bar=(0.0, 0.596), w_max=3.0, t_s=0.1, delta=0.1,
+        r_bar=(0.0, 0.596), delta=0.1,
         v_box=(380.0, 420.0), i_s_box=(-12.0, 12.0), i_b_box=(-5.0, 5.0),
-        u_bounds=(50.0, 30.0), y_goal=5.0,
+        u_bounds=(50.0, 30.0),
     )
     base.update(overrides)
     return ContractSpec(**base)

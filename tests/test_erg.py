@@ -147,8 +147,9 @@ class TestErgRhs:
 
 
 class TestConstantGamma:
-    """With every row's c_v = 0, gamma returns a threshold computed
-    once; it must equal the general evaluation."""
+    """With every row's c_v = 0, Gamma is one value for every v, +-0.0
+    included: each margin d0 - 0.0 v is d0, so gamma must equal the
+    minimum over the rows at any v."""
 
     P = solve_lyapunov(np.array([[0.0, 1.0], [-35.0, -12.0]]), np.diag([100.0, 10.0]))
 
@@ -161,20 +162,20 @@ class TestConstantGamma:
         ]
         for subset in (rows[:1], rows[:2], rows):
             gam = GammaEvaluator(subset, self.P, GAINS)
-            assert gam.constant is not None
+            first = gam.gamma(0.0)
             for v in [0.0, -0.0] + rng.uniform(-1e3, 1e3, 200).tolist():
                 general = min(gam.gamma_i(i, v) for i in range(len(subset)))
-                assert gam.gamma(v) == general
+                assert gam.gamma(v) == general == first
 
     def test_not_taken_when_a_row_depends_on_v(self):
         rows = [plain_row(d0=2.0), plain_row(d0=3.0, c_v=1.0)]
         gam = GammaEvaluator(rows, P_EYE, GAINS)
-        assert gam.constant is None
         assert gam.gamma(2.5) == pytest.approx(0.25)
+        assert gam.gamma(0.0) == pytest.approx(4.0)
 
     def test_taken_when_rows_depend_on_gamma_only(self):
         rows = [plain_row(d0=3.0), plain_row(d0=3.0, g=0.1)]
         gam = GammaEvaluator(rows, P_EYE, GAINS)
-        assert gam.constant is not None
-        assert gam.constant < 9.0  # the fixed point shrinks the second margin
-        assert gam.constant == gam.gamma_i(1, 0.0) == pytest.approx(gamma_iterated(gam, 0.0), rel=1e-12)
+        g = gam.gamma(0.0)
+        assert g < 9.0  # the fixed point shrinks the second margin
+        assert g == gam.gamma(-7.5) == gam.gamma_i(1, 0.0) == pytest.approx(gamma_iterated(gam, 0.0), rel=1e-12)

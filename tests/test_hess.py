@@ -6,6 +6,7 @@ from helpers import GAINS, bundle, gamma_iterated, load_reference
 
 from laycon.erg import GammaEvaluator
 from laycon.hess import (
+    ConstraintConfig,
     HessParams,
     LoadProfile,
     LoadSegment,
@@ -132,20 +133,20 @@ class TestErrorCoordinates:
 class TestConstraints:
     def test_published_bottleneck_threshold(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
-        rows = hess_constraints(P_B, erg_mode="input_only")
+        rows = hess_constraints(P_B, ConstraintConfig(mode="input_only"))
         assert len(rows) == 2
         g = GammaEvaluator(rows, P, GAINS).gamma(400.0)
         assert abs(g - 9.3) <= 0.1
 
     def test_voltage_row_closes_at_bound(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
-        rows = hess_constraints(P_B)
+        rows = hess_constraints(P_B, ConstraintConfig())
         v_max_row = next(r for r in rows if r.label == "v_max")
         assert GammaEvaluator([v_max_row], P, GAINS).gamma_i(0, P_B.v_max) == 0.0
 
     def test_full_set_is_min_over_rows(self):
         P = solve_lyapunov(P_B.error_matrix(), np.diag([100.0, 10.0]))
-        rows = hess_constraints(P_B, d_bar_max=6.0)
+        rows = hess_constraints(P_B, ConstraintConfig(d_bar_max=6.0))
         v = 400.0
         assert GammaEvaluator(rows, P, GAINS).gamma(v) == pytest.approx(
             min(GammaEvaluator([r], P, GAINS).gamma_i(0, v) for r in rows)

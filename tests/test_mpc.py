@@ -106,7 +106,7 @@ class TestPlan:
     def test_at_goal(self):
         cfg = make_cfg()
         res = plan(np.array([5.0, 0.0]), np.zeros(cfg.horizon), 0.0, cfg, QpSolver(*qp_matrices(cfg)))
-        assert res.r_k == (400.0, pytest.approx(0.0, abs=1e-10))
+        assert res.r_ib == pytest.approx(0.0, abs=1e-10)
         assert res.V_N_star == pytest.approx(0.0, abs=1e-10)
 
     def test_value_positive_beyond_reach(self):
@@ -122,7 +122,7 @@ class TestPlan:
         cfg = make_cfg(tighten_eps_e=100.0)
         res = plan(np.array([5.0, 0.0]), np.zeros(cfg.horizon), 0.25, cfg, QpSolver(*qp_matrices(cfg)))
         assert res.fallback_used
-        assert res.r_k == (400.0, 0.25)
+        assert res.r_ib == 0.25
         assert res.V_N_star is None
 
     def test_abstract_closed_loop_monotone_approach(self):
@@ -133,7 +133,7 @@ class TestPlan:
         for _ in range(60):
             res = planner.step(y, np.zeros(cfg.horizon))
             assert not res.fallback_used
-            y = abstract_step(y, res.r_k[1], 0.0, cfg)
+            y = abstract_step(y, res.r_ib, 0.0, cfg)
             levels.append(y[0])
         assert all(b >= a - 1e-9 for a, b in zip(levels, levels[1:]))
         assert levels[-1] == pytest.approx(5.0, abs=1e-6)
@@ -146,7 +146,7 @@ class TestPlan:
         y = np.array([0.0, 0.0])
         for _ in range(60):
             res = planner.step(y, np.zeros(cfg.horizon))
-            y = abstract_step(y, res.r_k[1], 0.0, cfg)
+            y = abstract_step(y, res.r_ib, 0.0, cfg)
         assert len(calls) == 1
 
     def test_zero_weight_planner_rejected_at_construction(self):
@@ -166,8 +166,8 @@ class TestPlan:
                 planner.cfg = cfg
             y = np.array([rng.uniform(0.0, 10.0), rng.uniform(-5.0, 5.0)])
             res = planner.step(y, np.zeros(cfg.horizon))
-            assert abs(res.r_k[1] - prev) <= cfg.slew_bound + 1e-9
-            prev = res.r_k[1]
+            assert abs(res.r_ib - prev) <= cfg.slew_bound + 1e-9
+            prev = res.r_ib
 
     @pytest.mark.parametrize("q_weight, tighten", NO_PLAN_STEPS)
     def test_infeasible_start_falls_back(self, q_weight, tighten):
@@ -177,7 +177,7 @@ class TestPlan:
         res = no_plan_step(q_weight, tighten)
         assert res.qp.status is QpStatus.INFEASIBLE
         assert res.fallback_used
-        assert res.r_k[1] == 0.5
+        assert res.r_ib == 0.5
 
     def test_nominal_recursive_feasibility(self):
         cfg = make_cfg(horizon=6)
@@ -188,11 +188,11 @@ class TestPlan:
             first = planner.step(y, np.zeros(cfg.horizon))
             if first.fallback_used:
                 continue
-            y = abstract_step(y, first.r_k[1], 0.0, cfg)
+            y = abstract_step(y, first.r_ib, 0.0, cfg)
             for _ in range(15):
                 res = planner.step(y, np.zeros(cfg.horizon))
                 assert not res.fallback_used
-                y = abstract_step(y, res.r_k[1], 0.0, cfg)
+                y = abstract_step(y, res.r_ib, 0.0, cfg)
 
 
 class TestOracleGrid:
@@ -216,7 +216,7 @@ class TestOracleGrid:
                         assert res.qp.status is status
                         statuses.add(status)
                         if status is QpStatus.OPTIMAL:
-                            assert abs(res.r_k[1] - r) <= 1e-9 * max(1.0, abs(r))
+                            assert abs(res.r_ib - r) <= 1e-9 * max(1.0, abs(r))
                             floor = q_weight * cfg.horizon * (e_b - cfg.e_b_goal) ** 2
                             assert abs(res.V_N_star - value) <= 1e-9 * max(1.0, floor)
         assert statuses == {QpStatus.OPTIMAL, QpStatus.INFEASIBLE}
@@ -324,7 +324,7 @@ class TestDescentCheck:
             res = planner.step(y, np.zeros(cfg.horizon))
             if abs(y[0] - cfg.e_b_goal) >= 0.8:
                 traj.append((y.copy(), res.V_N_star))
-            y = abstract_step(y, res.r_k[1], 0.0, cfg)
+            y = abstract_step(y, res.r_ib, 0.0, cfg)
         assert len(traj) > 5
         assert all(descent_check(traj, 0.05, 1.0, 0.0, cfg.e_b_goal))
 

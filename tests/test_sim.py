@@ -169,7 +169,7 @@ class TestRunLayered:
         assert log.steps_per_period == 100
         assert log.n_periods == len(log.plans) == 10
         assert log.y_samples.tolist() == [[c["E_B"][i], c["E_S"][i]] for i in range(0, 1001, 100)]
-        assert np.all(c["r_IB"][900:] == log.plans[-1].r_k[1])
+        assert np.all(c["r_IB"][900:] == log.plans[-1].r_ib)
         assert log.fallback_steps.tolist() == [p.fallback_used for p in log.plans]
         assert {name: len(v) for name, v in report.verdicts.items() if name not in ("A_env", "G_safe")} == {
             "G_ref": 10, "G_track": 10, "A_mis": 10, "G_iss": 11}
@@ -212,12 +212,6 @@ class TestRunLayered:
         run_layered(b)
         assert max(latest) == b.sim.last_load_time(b.planner_cfg and b.planner_cfg.horizon)
 
-    def test_period_rounding_warns(self):
-        off_grid = bundle(scenario_a(t_end=0.5), {"sim": {
-            "t_s": 0.0995, "disturbance": "none", "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": None}})
-        with pytest.warns(UserWarning, match=r"; using 0\.1$"):
-            run_layered(off_grid)
-
     def test_matches_matrix_exponential_without_noise(self):
         noiseless = bundle(scenario_a(t_end=2.0), {"sim": {"disturbance": "none"}})
         log, _ = run_layered(noiseless)
@@ -248,13 +242,16 @@ class TestRunLayered:
 
 class TestCallGraph:
     def test_per_step_calls(self, monkeypatch):
-        """rk4_step once per step, plant_rhs once per stage, and Gamma once
-        per logged row. A stage evaluates Gamma only where the governor's
-        field can be nonzero: in B, r_V = v = v_nom throughout, so without
-        repelling rows no stage does, also when the governed-full rows make
-        Gamma depend on v and on itself; with repulsion on, each stage's
-        navigation field takes the stage's Gamma. The benchmark's tracer
-        counts these calls and its closed forms assume them."""
+        """rk4_step once per step and plant_rhs once per stage. The loop
+        computes Gamma once at the start and again only on a row whose v
+        differs from the row before, and each logged Gamma_v is the Gamma
+        of its own row's v. A stage evaluates Gamma only where the
+        governor's field can be nonzero: in B, r_V = v = v_nom throughout,
+        so without repelling rows no stage does, also when the
+        governed-full rows make Gamma depend on v and on itself; with
+        repulsion on, each stage's navigation field takes the stage's
+        Gamma. The benchmark's tracer counts these calls and its closed
+        forms assume them."""
         counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
 
         def counted(name, fn):
@@ -273,10 +270,13 @@ class TestCallGraph:
         for overlay in (None, governed_full, repulsion):
             counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             run = bundle(scenario_b(seed=0, t_end=0.5), overlay)
-            assert (run.governor.constant is None) is (overlay is not None)
-            run_layered(run)
+            log, _ = run_layered(run)
+            v = log.columns["v"]
+            moved = int(np.count_nonzero(v[1:] != v[:-1]))
+            assert (moved > 0) is (overlay is repulsion)
             stages = 4 * steps if overlay is repulsion else 0
-            assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": steps + 1 + stages}
+            assert counts == {"rk4_step": steps, "plant_rhs": 4 * steps, "gamma": 1 + moved + stages}
+            assert log.columns["Gamma_v"].tolist() == [run.governor.gamma(x) for x in v.tolist()]
 
     def test_per_step_calls_governor_off(self, monkeypatch):
         """With the governor off, v is constant up to the sign of a zero, so
