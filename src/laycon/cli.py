@@ -53,24 +53,12 @@ from .sim import (
 )
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def dump_json(obj, path: Path, indent: int | None = 2) -> None:
     """Write obj as sorted-key JSON. indent=None writes it on one line,
     which json encodes in C (an indent forces its pure-Python encoder).
     A path that cannot be written raises a RuntimeError that names it in
     one line."""
-    text = json.dumps(obj, indent=indent, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(obj, indent=indent, sort_keys=True) + "\n"
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -353,16 +341,11 @@ def build_certificate(bundle: RunBundle) -> dict:
 
 
 def cmd_certify(args) -> int:
-    try:
-        cfg = resolve_config(args.scenario, args.config)
-        bundle = load_bundle(cfg)
-        out_dir = _output_dir(args.out)
-        certificate = build_certificate(bundle)
-        path = out_dir / "certificate.json"
-        dump_json(certificate, path)
-    except (ConfigError, ValueError, RuntimeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    bundle = load_bundle(resolve_config(args.scenario, args.config))
+    out_dir = _output_dir(args.out)
+    certificate = build_certificate(bundle)
+    path = out_dir / "certificate.json"
+    dump_json(certificate, path)
     print(f"wrote {path}")
     for key in ("admissibility", "vertical_compat",
                 "timing_period_covers_settling", "timing_decay_window_ok"):
@@ -534,29 +517,25 @@ def monitor_to_dict(report, log: TrajectoryLog) -> dict:
 
 
 def cmd_run(args) -> int:
+    overlay = {} if args.seed is None else {"sim": {"seed": args.seed}}
+    bundle = load_bundle(_merge(resolve_config(args.scenario, args.config), overlay))
+    out_dir = _output_dir(args.out)
+    paths = [out_dir / name for name in ("trajectory.csv", "monitor.json", "summary.json")]
+    writer = TrajectoryWriter(paths[0], bundle.sim.steps_per_period)
+    staged = []  # the JSON .part files written so far
     try:
-        overlay = {} if args.seed is None else {"sim": {"seed": args.seed}}
-        bundle = load_bundle(_merge(resolve_config(args.scenario, args.config), overlay))
-        out_dir = _output_dir(args.out)
-        paths = [out_dir / name for name in ("trajectory.csv", "monitor.json", "summary.json")]
-        writer = TrajectoryWriter(paths[0], bundle.sim.steps_per_period)
-        staged = []  # the JSON .part files written so far
-        try:
-            log, report = run_layered(bundle, on_rows=writer.send)
-            # staged while the writer renders the last rows
-            summary = summarize_run(bundle, log, report)
-            for path, obj, indent in ((paths[1], monitor_to_dict(report, log), None), (paths[2], summary, 2)):
-                dump_json(obj, _part(path), indent)
-                staged.append(_part(path))
-            write_trajectory_csv(writer)
-            _move_into_place(paths)
-        finally:
-            writer.close()
-            for part in staged:
-                part.unlink(missing_ok=True)
-    except (ConfigError, ValueError, RuntimeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+        log, report = run_layered(bundle, on_rows=writer.send)
+        # staged while the writer renders the last rows
+        summary = summarize_run(bundle, log, report)
+        for path, obj, indent in ((paths[1], monitor_to_dict(report, log), None), (paths[2], summary, 2)):
+            dump_json(obj, _part(path), indent)
+            staged.append(_part(path))
+        write_trajectory_csv(writer)
+        _move_into_place(paths)
+    finally:
+        writer.close()
+        for part in staged:
+            part.unlink(missing_ok=True)
     print(f"wrote {out_dir}/trajectory.csv, monitor.json, summary.json")
     for key in ("K_live", "max_Phi", "max_V_e", "omega_h_entry_time",
                 "safety_violations", "fallback_count"):
@@ -590,22 +569,13 @@ def _sweep_worker(payload):
 
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
-        print("seed count must be at least 1", file=sys.stderr)
-        return 1
-    try:
-        bundle = load_bundle(resolve_config(args.scenario, args.config))
-        bundle.v_bar_h  # derived once here; each worker receives it with the bundle
-        out_dir = _output_dir(args.out)
-    except (ConfigError, ValueError, RuntimeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    payloads = [(bundle, seed) for seed in range(args.seeds)]
-    if args.seeds == 1:
-        outcomes = [_sweep_worker(payloads[0])]
-    else:
-        # read as a module attribute, so that __getattr__ imports it
-        with sys.modules[__name__].ProcessPoolExecutor() as pool:
-            outcomes = list(pool.map(_sweep_worker, payloads))
+        raise ValueError("seed count must be at least 1")
+    bundle = load_bundle(resolve_config(args.scenario, args.config))
+    bundle.v_bar_h  # derived once here; each worker receives it with the bundle
+    out_dir = _output_dir(args.out)
+    # read as a module attribute, so that __getattr__ imports it
+    with sys.modules[__name__].ProcessPoolExecutor() as pool:
+        outcomes = list(pool.map(_sweep_worker, [(bundle, seed) for seed in range(args.seeds)]))
     failed = [r for r in outcomes if "error" in r]  # map keeps the seed order
     results = [r for r in outcomes if "error" not in r]
     ms = [r["m_calibrated"] for r in results]
@@ -622,11 +592,7 @@ def cmd_sweep(args) -> int:
         "per_seed": results,
     }
     path = out_dir / "aggregate.json"
-    try:
-        dump_json(aggregate, path)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    dump_json(aggregate, path)
     print(f"wrote {path}")
     print(f"  phi_violation_total: {aggregate['phi_violation_total']}")
     if ms:
@@ -680,7 +646,14 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one failure boundary of every command: bad input (a ConfigError is
+    # a ValueError), an output that cannot be written, or a failed run
+    # prints one line and exits 1
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

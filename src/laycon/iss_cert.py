@@ -165,7 +165,8 @@ def settling_time(
 def timing_check(T_s: float, times: SettlingTimes) -> TimingVerdict:
     """Evaluate both timing-compatibility readings for a sampling period."""
     window = T_s - times.tau2
+    # the taus are numpy floats (np.exp), so bool() keeps the verdicts Python bools
     return TimingVerdict(
-        period_covers_settling=T_s >= times.tau_LL,
-        window_within_transit=0.0 <= window <= times.tau1,
+        period_covers_settling=bool(T_s >= times.tau_LL),
+        window_within_transit=bool(0.0 <= window <= times.tau1),
     )

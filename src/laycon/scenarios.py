@@ -63,13 +63,14 @@ class RunBundle:
     once here and never serialised: the Lyapunov metric P (from the
     plant's error matrix and R), the governor (the Gamma evaluator over the
     rows constraint_cfg selects, P and erg_cfg; its pinv is the one P^-1
-    that the governor and the certificate read), the reference r_start at t = 0
-    (sim.frozen_reference without a planner, else (v_nom, sim.r_init_ib)),
-    the governor's start v_start, a voltage (sim.v0, or r_start's r_V when
-    v0 is None; the battery loop tracks r_IB ungoverned), the
-    optimized invariant level (computed on first use) and v_bar_h (the
-    override, else that level). A run uses the planner iff planner_cfg is
-    not None. The bundle checks the rules that span config sections."""
+    that the governor and the certificate read), the reference r_start at
+    t = 0 (sim.r0: held throughout without a planner, else the planner's
+    previous reference at its first period, with r_V = plant.v_nom), the
+    governor's start v_start, a voltage (sim.v0, or r0's r_V when v0 is
+    None; the battery loop tracks r_IB ungoverned), the optimized invariant
+    level (computed on first use) and v_bar_h (the override, else that
+    level). A run uses the planner iff planner_cfg is not None. The bundle
+    checks the rules that span config sections."""
 
     name: str
     plant: HessParams
@@ -88,9 +89,11 @@ class RunBundle:
 
     def __post_init__(self):
         # each rule spans sections, so its field is its full key path
-        if self.planner_cfg is None and self.sim.frozen_reference is None:
-            raise FieldValueError("sim.frozen_reference", "no planner: a frozen reference is required")
         if self.planner_cfg is not None:
+            if self.sim.r0[0] != self.plant.v_nom:
+                # the planner's abstract model holds the bus at v_nom
+                raise FieldValueError("sim.r0.0", f"a planner needs r_V = plant.v_nom "
+                                                  f"{self.plant.v_nom:g}, got {self.sim.r0[0]:g}")
             if not self.planner_cfg.slew_bound > 0.0:
                 # u_b_bar / lambda_b_gain (1 - exp(-lambda_b_gain t_s)) underflows to zero for a tiny t_s
                 raise FieldValueError("sim.t_s", f"t_s {self.sim.t_s:g} gives the planner no slew bound")
@@ -113,10 +116,7 @@ class RunBundle:
                                                        f"[0, {t_last}] the run reads the load at")
         P = solve_lyapunov(self.plant.error_matrix(), self.R)
         rows = hess_constraints(self.plant, self.constraint_cfg)
-        if self.planner_cfg is None:
-            r = tuple(map(float, self.sim.frozen_reference))
-        else:
-            r = (float(self.planner_cfg.v_nom), float(self.sim.r_init_ib))
+        r = tuple(map(float, self.sim.r0))
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "governor", GammaEvaluator(rows, P, self.erg_cfg))
         object.__setattr__(self, "r_start", r)
@@ -167,9 +167,9 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
         },
         "sim": {
             "t_end": t_end, "t_s": 0.1, "h": 0.001, "seed": seed, "disturbance": "mixed",
-            "w_max": 3.0, "erg_on": False, "frozen_reference": [400.0, 0.0],
+            "w_max": 3.0, "erg_on": False, "r0": [400.0, 0.0],
             "x0": [403.0, 0.0, 0.0, 0.0, 0.0],  # tracking error starts at (3, 0)
-            "v0": 400.0, "r_init_ib": 0.0,
+            "v0": 400.0,
         },
         "load": None,
         "certificates": {
@@ -205,8 +205,8 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
         },
         "sim": {
             "t_end": t_end, "t_s": t_s, "h": 0.001, "seed": seed, "disturbance": "mixed",
-            "w_max": 2.0, "erg_on": True, "frozen_reference": None,
-            "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": 400.0, "r_init_ib": 0.0,
+            "w_max": 2.0, "erg_on": True, "r0": [400.0, 0.0],
+            "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": 400.0,
         },
         # 0 A, a cubic ramp to -5 A over [0.5, 0.8] s, then constant up to the
         # planner's last forecast time, with a 0.5 A / 2 Hz ripple throughout

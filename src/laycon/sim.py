@@ -83,15 +83,14 @@ MAX_STEPS = 1_000_000  # integration steps a run may take; its log of 19 floats 
 class SimConfig:
     t_end: Positive
     t_s: Positive
+    r0: tuple[float, float]  # the reference (r_V, r_IB) at t = 0
     h: Positive = 1e-3
     seed: NonNegativeInt = 0
     disturbance: DisturbanceMode = "mixed"
     w_max: NonNegative = 3.0
     erg_on: bool = True
-    frozen_reference: tuple[float, float] | None = None
     x0: tuple[float, float, float, float, float] = (400.0, 0.0, 0.0, 0.0, 0.0)
     v0: float | None = None
-    r_init_ib: float = 0.0
 
     def __post_init__(self):
         check_fields(self)
@@ -224,7 +223,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     contract clause.
 
     The planner runs iff the bundle has one; without it the reference is
-    sim.frozen_reference throughout. The reference starts at bundle.r_start
+    sim.r0 throughout. The reference starts at bundle.r_start
     and the governor (bundle.governor) at bundle.v_start. At each sampling
     instant the planner sees only the sampled slow state; its reference is
     held for the whole period while plant and governor integrate

@@ -122,7 +122,10 @@ BAD_KEYS = [
     ("sim.h", lambda cfg: cfg["sim"].update(h=0.0)),
     ("constraints.kappa_bar", lambda cfg: cfg["constraints"].update(kappa_bar=-0.1)),
     ("planner.q_weight", lambda cfg: cfg["planner"].update(q_weight=-1.0)),
-    ("sim.frozen_reference", lambda cfg: cfg.update(planner=None)),
+    # the planner's abstract model holds the bus at v_nom, so r0 starts there
+    ("sim.r0.0", lambda cfg: cfg["sim"].update(r0=[405.0, 0.0])),
+    # r0 is the one start reference: the key it replaced is unknown
+    ("sim.frozen_reference", lambda cfg: cfg["sim"].update(frozen_reference=[410.0, 2.0])),
     ("sim.mpc_on", lambda cfg: cfg["sim"].update(mpc_on=False)),
     # every leaf is checked against its annotation, tuple elements and
     # optional scalars included, and a float must be finite
@@ -132,7 +135,7 @@ BAD_KEYS = [
     ("sim.v0", lambda cfg: cfg["sim"].update(v0="a")),
     ("contract.eps_l.0", lambda cfg: cfg["contract"].update(eps_l=["x", 1])),
     ("sim.w_max", lambda cfg: cfg["sim"].update(w_max=float("nan"))),
-    ("sim.frozen_reference.0", lambda cfg: cfg["sim"].update(frozen_reference=[float("inf"), 0.0])),
+    ("sim.r0.1", lambda cfg: cfg["sim"].update(r0=[400.0, float("inf")])),
     ("load.segments.2.level_start", lambda cfg: cfg["load"]["segments"][2].__setitem__(3, None)),
     ("lyapunov_weight.1.0", lambda cfg: cfg["lyapunov_weight"][1].__setitem__(0, "0")),
     ("scenario", lambda cfg: cfg.update(scenario=5)),
@@ -307,10 +310,10 @@ class TestConfigErrors:
         assert {"plant.k1", "sim.seed", "sim.w_max", "planner.horizon", "contract.eps_l.0", "contract.u_bounds.1",
                 "certificates.m_overshoot", "certificates.l_v", "certificates.eta",
                 "constraints.d_bar_max", "constraints.d_bar_dot_max"} <= leaves
-        assert not {"plant.v_min", "sim.r_init_ib", "sim.x0.0", "planner.e_b_goal"} & leaves
+        assert not {"plant.v_min", "sim.r0.1", "sim.x0.0", "planner.e_b_goal"} & leaves
 
     @pytest.mark.parametrize("cls, kwargs, field", [
-        (SimConfig, {"t_end": 1.0, "t_s": 0.1, "disturbance": "bogus"}, "disturbance"),
+        (SimConfig, {"t_end": 1.0, "t_s": 0.1, "r0": (400.0, 0.0), "disturbance": "bogus"}, "disturbance"),
         (LoadSegment, {"t_start": 0.0, "t_end": 1.0, "kind": "bogus", "level_start": 0.0}, "kind"),
         (ErgConfig, {"kappa_erg": 1.0, "eta": 0.1, "eta_rep": (0.1, -0.1)}, "eta_rep.1"),
         (ConstraintConfig, {"d_bar_max": -1.0}, "d_bar_max"),
@@ -324,7 +327,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text, key_path", [
         ('{"sim": {"w_max": NaN}}', "sim.w_max"),
         ('{"sim": {"w_max": -Infinity}}', "sim.w_max"),
-        ('{"sim": {"frozen_reference": [1e400, 0]}}', "sim.frozen_reference.0"),
+        ('{"sim": {"r0": [1e400, 0]}}', "sim.r0.0"),
+        # r0 is the one start reference: the key it replaced is unknown
+        ('{"sim": {"r_init_ib": 3.0}}', "sim.r_init_ib"),
         ('{"certificates": {"settle_delta": 0}}', "certificates.settle_delta"),
         ('{"certificates": {"kappa_lo": 0}}', "certificates.kappa_lo"),
         ('{"certificates": {"h_max": -1}}', "certificates.h_max"),
@@ -373,6 +378,8 @@ class TestConfigErrors:
         ('{"planner": {"horizon": 1001}}', "planner.horizon"),
         # the planner cost q ||x||^2 needs a positive weight
         ('{"planner": {"q_weight": 0.0}}', "planner.q_weight"),
+        # the planner's abstract model holds the bus at v_nom, so r0 starts there
+        ('{"sim": {"r0": [405.0, 0.0]}}', "sim.r0.0"),
     ])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_bad_planner_overlay_stops_every_command(self, tmp_path, capsys, command, text, key_path):
@@ -419,9 +426,10 @@ class TestConfigErrors:
 
     def test_step_count_cap_boundary(self):
         cap, h = sim_module.MAX_STEPS, 1e-3
-        assert round(sim_module.SimConfig(t_end=cap * h, t_s=0.1, h=h).t_end / h) == cap
+        r0 = (400.0, 0.0)
+        assert round(sim_module.SimConfig(t_end=cap * h, t_s=0.1, r0=r0, h=h).t_end / h) == cap
         with pytest.raises(ValueError, match="above MAX_STEPS"):
-            sim_module.SimConfig(t_end=(cap + 1) * h, t_s=0.1, h=h)
+            sim_module.SimConfig(t_end=(cap + 1) * h, t_s=0.1, r0=r0, h=h)
 
     def test_load_segment_gap_names_segments(self, tmp_path, capsys):
         cfg = resolve_config("b", None)
@@ -464,9 +472,9 @@ class TestDerivedOnce:
     run and certify read them from it."""
 
     def test_certify_evaluates_gamma_where_the_run_starts(self, tmp_path):
-        # without v0 the governor starts at the frozen reference, not at (v_nom, 0)
+        # without v0 the governor starts at r0's r_V, not at v_nom
         overlay = tmp_path / "v0_null.json"
-        overlay.write_text(json.dumps({"sim": {"v0": None, "frozen_reference": [405.0, 0.0], "t_end": 0.2}}))
+        overlay.write_text(json.dumps({"sim": {"v0": None, "r0": [405.0, 0.0], "t_end": 0.2}}))
         main(["certify", "--scenario", "a", "--config", str(overlay), "--out", str(tmp_path)])
         assert main(["run", "--scenario", "a", "--config", str(overlay), "--out", str(tmp_path)]) == 0
         cert = json.loads((tmp_path / "certificate.json").read_text())
@@ -879,10 +887,10 @@ class TestRunCommand:
         assert json.loads((tmp_path / "monitor.json").read_text())["all_pass"] is True
 
     def test_planner_less_scenario_b(self, tmp_path):
-        # the planner layer is absent iff planner is null; the frozen
-        # reference then holds for the whole run
+        # the planner layer is absent iff planner is null; the document's
+        # r0 then holds for the whole run
         path = tmp_path / "overlay.json"
-        path.write_text(json.dumps({"planner": None, "sim": {"frozen_reference": [400.0, 0.0]}}))
+        path.write_text(json.dumps({"planner": None}))
         out = tmp_path / "out"
         assert main(["run", "--scenario", "b", "--config", str(path), "--seed", "0", "--out", str(out)]) == 0
         monitor = json.loads((out / "monitor.json").read_text())
@@ -1129,17 +1137,18 @@ class TestSweepCommand:
         main(["sweep", "--scenario", "a", "--seeds", "3", "--out", str(b)])
         assert (a / "aggregate.json").read_bytes() == (b / "aggregate.json").read_bytes()
 
-    def test_rejects_zero_seeds(self, tmp_path):
+    def test_rejects_zero_seeds(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", "a", "--seeds", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "seed count must be at least 1\n"
 
-    def test_planner_less_config_without_reference_exits_1(self, tmp_path, capsys):
+    def test_planner_start_off_v_nom_exits_1(self, tmp_path, capsys):
         # rejected before the seeds fan out, so no worker raises
         path = tmp_path / "overlay.json"
-        path.write_text(json.dumps({"planner": None}))
+        path.write_text(json.dumps({"sim": {"r0": [405.0, 0.0]}}))
         assert main(["sweep", "--scenario", "b", "--config", str(path), "--seeds", "2",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error at sim.frozen_reference")
+        assert err.startswith("config error at sim.r0.0: ")
         assert not (tmp_path / "aggregate.json").exists()
 
     def test_level_is_derived_once_per_sweep(self, tmp_path, monkeypatch):
@@ -1173,6 +1182,24 @@ class TestSweepCommand:
         assert [r["seed"] for r in agg["per_seed"]] == [0, 2]
         assert len(agg["m_values"]) == 2 and agg["m_min"] <= agg["m_mean"] <= agg["m_max"]
         assert "seed 1 failed: non-finite state" in capsys.readouterr().err
+
+    def test_worker_error_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # an error other than a non-finite state stops the sweep at main's
+        # one failure boundary: one line, exit 1 and no aggregate
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+
+        def run_or_raise(bundle):
+            if bundle.sim.seed == 1:
+                raise ValueError("worker failed")
+            return run_layered(bundle)
+
+        monkeypatch.setattr(cli_module, "run_layered", run_or_raise)
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+        assert main(["sweep", "--scenario", "a", "--config", str(overlay), "--seeds", "2",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "worker failed\n"
+        assert not (tmp_path / "aggregate.json").exists()
 
     def test_no_finished_seed_gives_null_statistics(self, tmp_path, monkeypatch):
         # a disturbance bound this large overflows the first step of every seed

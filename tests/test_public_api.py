@@ -1,7 +1,8 @@
 """Every public symbol of the package is used by package code: a
 module-level function or class, and each public method, property and
 annotated field of a class. A symbol that only the tests use is dropped,
-or moved into the tests. The benchmark's entry points and probes resolve.
+or moved into the tests. The benchmark's entry points and probes resolve,
+and a traced pass reports every per-layer metric as a finite number.
 No package file names numpy's random package. A config dataclass states
 each field's range in its annotation, not in its __post_init__."""
 
@@ -10,7 +11,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import subprocess
+import sys
 import textwrap
 import typing
 from pathlib import Path
@@ -21,6 +25,7 @@ from laycon.scenarios import RunBundle
 
 SRC = Path(laycon.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 # tested, but no run reports it yet: the planner's dissipation inequality
 # becomes a monitored clause once its bound is floor-corrected
 UNUSED_ALLOWED = {"descent_check"}
@@ -126,6 +131,50 @@ def test_benchmark_probes_resolve():
     assert not missing, f"benchmark probes whose symbol is gone: {missing}"
     cli = importlib.import_module("laycon.cli")
     assert all(callable(getattr(cli, name, None)) for name in ("main", "resolve_config", "load_bundle"))
+
+
+TRACED_PASS = """
+import contextlib, io, json, math, sys, tempfile
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+import laycon.cli as cli
+from tracer import Tracer, collect_workers, layer_metrics, merge_states
+
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    tracer = Tracer(tmp / "workers")
+    tracer.install()
+    overlay = tmp / "short.json"
+    overlay.write_text('{"sim": {"t_end": 0.5}}')
+    common = ["--config", str(overlay), "--out"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["run", "--scenario", "b", "--seed", "0", *common, str(tmp / "run")]),
+                 cli.main(["sweep", "--scenario", "a", "--seeds", "2", *common, str(tmp / "sweep")])]
+    snap = tracer.snapshot()
+    state = merge_states([snap["state"]] + collect_workers(tmp / "workers"))
+    metrics, _ = layer_metrics(state, snap["installed"])
+not_numbers = [name for name, value in metrics.items()
+               if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)]
+print(json.dumps({"codes": codes, "missing": snap["missing"], "not_numbers": not_numbers,
+                  "metrics": metrics}, allow_nan=False))
+"""
+
+
+def test_traced_pass_reports_every_metric_as_a_number():
+    """A traced run and sweep report each per-layer metric as a finite
+    number that strict JSON encodes, so the benchmark's last line is always
+    a readable result. A subprocess, because the tracer rebinds laycon's
+    functions in place."""
+    proc = subprocess.run([sys.executable, "-c", TRACED_PASS, str(SRC.parent), str(TRACER.parent)],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    assert out["missing"] == []
+    assert out["not_numbers"] == []
+    # run.py adds the last two from the pass as a whole
+    names = {m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]}
+    assert set(out["metrics"]) == names - {"cli.traj_hash_match", "trace.overhead_s"}
 
 
 def test_no_package_file_names_numpy_random():

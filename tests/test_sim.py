@@ -195,7 +195,7 @@ class TestRunLayered:
     @pytest.mark.parametrize("overlay", [
         None,
         {"sim": {"t_end": 1.05}},  # the run ends mid-period
-        {"planner": None, "sim": {"frozen_reference": [400.0, 0.0]}},
+        {"planner": None},
     ], ids=["planner", "mid_period", "no_planner"])
     def test_last_load_time_is_the_last_time_read(self, monkeypatch, overlay):
         # the bundle checks the load's span against SimConfig.last_load_time,
@@ -429,7 +429,7 @@ class TestErgInvarianceUnderMotion:
         # must slew v without ever spending more margin than it has
         for seed in range(10):
             transit = bundle(scenario_a(seed=seed, t_end=3.0), {
-                "sim": {"erg_on": True, "frozen_reference": [415.0, 0.0]}, "erg": {"kappa_erg": 0.005}})
+                "sim": {"erg_on": True, "r0": [415.0, 0.0]}, "erg": {"kappa_erg": 0.005}})
             log, _ = run_layered(transit)
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["v"][-1] > 410.0  # transit actually happened
@@ -441,7 +441,7 @@ class TestErgInvarianceUnderMotion:
         contact = False
         for seed in range(5):
             clamped = bundle(scenario_a(seed=seed, t_end=3.0), {
-                "sim": {"erg_on": True, "frozen_reference": [425.0, 0.0]}, "erg": {"kappa_erg": 5.0}})
+                "sim": {"erg_on": True, "r0": [425.0, 0.0]}, "erg": {"kappa_erg": 5.0}})
             log, _ = run_layered(clamped)
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["V_gr"].max() <= clamped.plant.v_max + 1e-6
