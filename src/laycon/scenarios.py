@@ -34,6 +34,12 @@ from .numkit import SpdMatrix, eigenvalues, solve_lyapunov
 from .sim import MAX_STEPS, SimConfig
 
 
+def _rk4_growth(z: complex) -> float:
+    """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the factor one RK4
+    step of size h multiplies a linear mode mu by, at z = h mu."""
+    return abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+
+
 @dataclass(frozen=True)
 class CertificateInputs:
     """Knobs the offline certificate chain needs beyond the plant model."""
@@ -67,10 +73,12 @@ class RunBundle:
     t = 0 (sim.r0: held throughout without a planner, else the planner's
     previous reference at its first period, with r_V = plant.v_nom), the
     governor's start v_start, a voltage (sim.v0, or r0's r_V when v0 is
-    None; the battery loop tracks r_IB ungoverned), the optimized invariant
-    level (computed on first use) and v_bar_h (the override, else that
-    level). A run uses the planner iff planner_cfg is not None. The bundle
-    checks the rules that span config sections."""
+    None; the battery loop tracks r_IB ungoverned), v_moves (whether the
+    governor can move v off v_start: r0's r_V differs from it, or a row
+    repels), the optimized invariant level (computed on first use) and
+    v_bar_h (the override, else that level). A run uses the planner iff
+    planner_cfg is not None. The bundle checks the rules that span config
+    sections."""
 
     name: str
     plant: HessParams
@@ -86,6 +94,7 @@ class RunBundle:
     governor: GammaEvaluator = field(init=False)
     r_start: tuple[float, float] = field(init=False)
     v_start: float = field(init=False)
+    v_moves: bool = field(init=False)
 
     def __post_init__(self):
         # each rule spans sections, so its field is its full key path
@@ -103,8 +112,8 @@ class RunBundle:
                 raise FieldValueError("planner.horizon", f"{n_forecasts} forecast times (periods times "
                                                          f"horizon), above MAX_STEPS {MAX_STEPS}")
         for mu in (-self.plant.lambda_b_gain, *eigenvalues(self.plant.error_matrix())):
-            z = self.sim.h * mu  # an RK4 step multiplies the mode mu by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
-            growth = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+            z = self.sim.h * mu
+            growth = _rk4_growth(z)
             if not growth < 1.0:
                 raise FieldValueError("sim.h", f"h times the loop eigenvalue {mu:.6g} is {z:.6g}, where "
                                                f"RK4's step multiplies the mode by {growth:.6g}, not below 1")
@@ -115,12 +124,30 @@ class RunBundle:
                 raise FieldValueError("load.segments", f"load span [{t0}, {t1}] does not cover the times "
                                                        f"[0, {t_last}] the run reads the load at")
         P = solve_lyapunov(self.plant.error_matrix(), self.R)
-        rows = hess_constraints(self.plant, self.constraint_cfg)
+        governor = GammaEvaluator(hess_constraints(self.plant, self.constraint_cfg), P, self.erg_cfg)
         r = tuple(map(float, self.sim.r0))
+        v_start = r[0] if self.sim.v0 is None else float(self.sim.v0)
+        # at its command, with no repelling row, the governor's rate is 0.0
+        # (erg_rhs's own shortcut), so v never leaves v_start
+        v_moves = r[0] != v_start or bool(governor.repulsion)
+        if v_moves:
+            # at the field's zero s (r_V when no row repels) the rate
+            # kappa_erg (Gamma - V) rho has slope -kappa_erg Gamma(s) / eta in v
+            # at V = 0, a mode RK4 must damp; Gamma(s) = 0 puts the command
+            # beyond the box, where v stays frozen
+            eta = self.erg_cfg.eta
+            settle = r[0] - eta * sum(push for push, _ in governor.repulsion)
+            z = -self.sim.h * self.erg_cfg.kappa_erg * governor.gamma(settle) / eta
+            growth = _rk4_growth(z)
+            if z != 0.0 and not growth < 1.0:
+                raise FieldValueError("erg.kappa_erg", f"h kappa_erg Gamma / eta is {-z:.6g} at the governor's "
+                                                       f"settle point {settle:.6g}, where RK4's step multiplies "
+                                                       f"the mode by {growth:.6g}, not below 1")
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "governor", GammaEvaluator(rows, P, self.erg_cfg))
+        object.__setattr__(self, "governor", governor)
         object.__setattr__(self, "r_start", r)
-        object.__setattr__(self, "v_start", r[0] if self.sim.v0 is None else float(self.sim.v0))
+        object.__setattr__(self, "v_start", v_start)
+        object.__setattr__(self, "v_moves", v_moves)
 
     @functools.cached_property
     def level(self) -> tuple[float, float, tuple[float, float]]:
@@ -167,7 +194,7 @@ def scenario_a(seed: int = 0, t_end: float = 4.0) -> dict:
         },
         "sim": {
             "t_end": t_end, "t_s": 0.1, "h": 0.001, "seed": seed, "disturbance": "mixed",
-            "w_max": 3.0, "erg_on": False, "r0": [400.0, 0.0],
+            "w_max": 3.0, "r0": [400.0, 0.0],
             "x0": [403.0, 0.0, 0.0, 0.0, 0.0],  # tracking error starts at (3, 0)
             "v0": 400.0,
         },
@@ -205,7 +232,7 @@ def scenario_b(seed: int = 0, t_end: float = 6.0) -> dict:
         },
         "sim": {
             "t_end": t_end, "t_s": t_s, "h": 0.001, "seed": seed, "disturbance": "mixed",
-            "w_max": 2.0, "erg_on": True, "r0": [400.0, 0.0],
+            "w_max": 2.0, "r0": [400.0, 0.0],
             "x0": [400.0, 0.0, 0.0, 0.0, 0.0], "v0": 400.0,
         },
         # 0 A, a cubic ramp to -5 A over [0.5, 0.8] s, then constant up to the

@@ -88,7 +88,6 @@ class SimConfig:
     seed: NonNegativeInt = 0
     disturbance: DisturbanceMode = "mixed"
     w_max: NonNegative = 3.0
-    erg_on: bool = True
     x0: tuple[float, float, float, float, float] = (400.0, 0.0, 0.0, 0.0, 0.0)
     v0: float | None = None
 
@@ -224,7 +223,9 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
 
     The planner runs iff the bundle has one; without it the reference is
     sim.r0 throughout. The reference starts at bundle.r_start
-    and the governor (bundle.governor) at bundle.v_start. At each sampling
+    and the governor (bundle.governor) at bundle.v_start; a run whose v
+    cannot move (bundle.v_moves false) takes the governor's rate as the
+    constant 0.0 and never calls erg_rhs. At each sampling
     instant the planner sees only the sampled slow state; its reference is
     held for the whole period while plant and governor integrate
     continuously. Safety clauses are monitored at every integration step,
@@ -244,7 +245,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
     z = (*map(float, sim.x0), bundle.v_start)  # (V_gr, I_S, I_B, E_S, E_B, v)
     B_w = (0.0, 1.0 / plant.c_bus)
     law = feedback_law(plant)
-    erg_on = sim.erg_on
+    v_moves = bundle.v_moves
     h = sim.h
     adversarial = sim.disturbance == "adversarial"
     step_times = np.arange(n_steps + 1) * h
@@ -282,7 +283,7 @@ def run_layered(bundle: RunBundle, on_rows=None) -> tuple[TrajectoryLog, Monitor
         # the feedback law follows the stage states
         u_s, u_b, e1, e2 = law(v_gr, i_s, i_b, v, r_ib, d, d_dot)
         dx = plant_rhs(v_gr, i_s, i_b, u_s, u_b, w, d, plant)
-        return dx + ((gam.erg_rhs(e1, e2, v, r_v),) if erg_on else (0.0,))
+        return dx + ((gam.erg_rhs(e1, e2, v, r_v),) if v_moves else (0.0,))
 
     def finish(lo: int, hi: int) -> None:
         # the inputs, error, V_e and Phi of rows lo..hi-1, from their columns

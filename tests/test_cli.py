@@ -42,7 +42,14 @@ from laycon.errors import Bound, FieldValueError
 from laycon.hess import ConstraintConfig, HessParams, LoadProfile, LoadSegment
 from laycon.mpc import PlannerConfig
 from laycon.scenarios import CertificateInputs, scenario_a, scenario_b
-from laycon.sim import COLUMNS, STREAM_ROWS, NonFiniteStateError, SimConfig, run_layered
+from laycon.sim import (
+    COLUMNS,
+    STREAM_ROWS,
+    NonFiniteStateError,
+    SimConfig,
+    calibrated_overshoot_for_run,
+    run_layered,
+)
 
 
 class TestConfigRoundTrip:
@@ -330,6 +337,13 @@ class TestConfigErrors:
         ('{"sim": {"r0": [1e400, 0]}}', "sim.r0.0"),
         # r0 is the one start reference: the key it replaced is unknown
         ('{"sim": {"r_init_ib": 3.0}}', "sim.r_init_ib"),
+        # the governor has no switch: it moves v iff v can move
+        ('{"sim": {"erg_on": false}}', "sim.erg_on"),
+        # the governor's rate at its settle point is stiff under RK4:
+        # h kappa_erg Gamma / eta reads 73.79 and 14.15
+        ('{"sim": {"seed": 18, "t_end": 1.0, "r0": [412.2, 0.0], "disturbance": "none"}, '
+         '"erg": {"kappa_erg": 8.57}}', "erg.kappa_erg"),
+        ('{"sim": {"r0": [410.0, 0.0], "t_end": 1.0}}', "erg.kappa_erg"),
         ('{"certificates": {"settle_delta": 0}}', "certificates.settle_delta"),
         ('{"certificates": {"kappa_lo": 0}}', "certificates.kappa_lo"),
         ('{"certificates": {"h_max": -1}}', "certificates.h_max"),
@@ -537,6 +551,18 @@ class TestDerivedOnce:
         cert = json.loads((tmp_path / "certificate.json").read_text())
         inverse = original(np.array(cert["P"])).mat
         assert cert["eps_L"] == [math.sqrt(cert["V_bar_h"] * inverse[i, i]) for i in range(2)]
+
+    @pytest.mark.parametrize("maker, overlay, moves", [
+        (scenario_a, None, False),
+        (scenario_b, None, False),
+        # the governor starts at its command wherever that is
+        (scenario_a, {"sim": {"v0": None, "r0": [405.0, 0.0]}}, False),
+        (scenario_a, {"sim": {"v0": 395.0}, "erg": {"kappa_erg": 0.005}}, True),
+        (scenario_b, {"constraints": {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 10.0},
+                      "erg": {"eta_rep": [0.1, 0.1, 0.05, 0.05, 0.1, 0.1]}}, True),
+    ], ids=["a", "b", "a_v0_null", "a_v0_off_command", "b_repulsion"])
+    def test_v_moves_iff_off_command_or_repelled(self, maker, overlay, moves):
+        assert bundle(maker(t_end=0.2), overlay).v_moves is moves
 
     def test_with_seed_shares_the_derived_values(self):
         base = bundle(scenario_a(t_end=0.2))
@@ -1124,12 +1150,26 @@ class InProcessPool:
 
 class TestSweepCommand:
     def test_single_seed_matches_run(self, tmp_path):
-        code = main(["sweep", "--scenario", "a", "--seeds", "1", "--out", str(tmp_path)])
-        assert code == 0
-        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        # seed 0 of a sweep is `run --seed 0` under the same overlay
+        overlay = tmp_path / "short.json"
+        overlay.write_text(json.dumps({"sim": {"t_end": 0.5}}))
+        common = ["--scenario", "a", "--config", str(overlay)]
+        assert main(["sweep", *common, "--seeds", "1", "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["run", *common, "--seed", "0", "--out", str(tmp_path / "run")]) == 0
+        agg = json.loads((tmp_path / "sweep" / "aggregate.json").read_text())
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        phi = read_trajectory_csv(tmp_path / "run" / "trajectory.csv")["Phi"]
+        b = bundle(scenario_a(), {"sim": {"t_end": 0.5}})
+        m, _ = calibrated_overshoot_for_run(run_layered(b)[0], b.plant.lambda_e, 1.0 / b.plant.c_bus, b.sim.w_max)
         assert agg["seeds"] == 1
-        assert agg["phi_violation_total"] == 0
-        assert agg["m_values"] == [agg["m_min"]]
+        (record,) = agg["per_seed"]
+        assert record == {
+            "seed": 0,
+            "phi_violations": int(np.sum(phi > 1e-9)),
+            "invariant_violations": summary["invariant_violations_after_entry"],
+            "safety_violations": summary["safety_violations"],
+            "m_calibrated": m,  # bit for bit: JSON writes a float's repr
+        }
 
     def test_aggregate_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

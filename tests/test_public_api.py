@@ -4,7 +4,8 @@ annotated field of a class. A symbol that only the tests use is dropped,
 or moved into the tests. The benchmark's entry points and probes resolve,
 and a traced pass reports every per-layer metric as a finite number.
 No package file names numpy's random package. A config dataclass states
-each field's range in its annotation, not in its __post_init__."""
+each field's range in its annotation, not in its __post_init__. The
+README names every rule the run bundle checks across config sections."""
 
 import ast
 import dataclasses
@@ -26,6 +27,7 @@ from laycon.scenarios import RunBundle
 SRC = Path(laycon.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # tested, but no run reports it yet: the planner's dissipation inequality
 # becomes a monitored clause once its bound is floor-corrected
 UNUSED_ALLOWED = {"descent_check"}
@@ -244,3 +246,18 @@ def test_config_ranges_live_in_annotations():
                 if any(map(is_number, operands)) and any(map(reads_own_field, operands)):
                     flagged.append(f"{cls.__name__}: {ast.unparse(node)}")
     assert not flagged, f"single-field range checks in __post_init__: {sorted(flagged)}"
+
+
+def test_readme_names_every_cross_section_rule():
+    """Each FieldValueError that RunBundle.__post_init__ raises at a full
+    key path (a rule across config sections) appears in the README as
+    `config error at <path>: `, whitespace collapsed."""
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    tree = ast.parse(textwrap.dedent(inspect.getsource(RunBundle.__post_init__)))
+    paths = {node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "FieldValueError" and isinstance(node.args[0], ast.Constant)
+             and "." in node.args[0].value}
+    assert {"sim.r0.0", "sim.t_s", "planner.horizon", "sim.h", "load.segments", "erg.kappa_erg"} <= paths
+    undocumented = sorted(p for p in paths if f"config error at {p}: " not in readme)
+    assert not undocumented, f"cross-section rules the README does not name: {undocumented}"

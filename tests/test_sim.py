@@ -250,8 +250,10 @@ class TestCallGraph:
         so without repelling rows no stage does, also when the
         governed-full rows make Gamma depend on v and on itself; with
         repulsion on, each stage's navigation field takes the stage's
-        Gamma. The benchmark's tracer counts these calls and its closed
-        forms assume them."""
+        Gamma. Each bundle is built before the counts reset, since a
+        bundle whose v can move evaluates Gamma once at load for its
+        stiffness rule. The benchmark's tracer counts these calls and its
+        closed forms assume them."""
         counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
 
         def counted(name, fn):
@@ -268,8 +270,8 @@ class TestCallGraph:
         steps = 500
         repulsion = {**governed_full, "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}
         for overlay in (None, governed_full, repulsion):
-            counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             run = bundle(scenario_b(seed=0, t_end=0.5), overlay)
+            counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             log, _ = run_layered(run)
             v = log.columns["v"]
             moved = int(np.count_nonzero(v[1:] != v[:-1]))
@@ -279,9 +281,10 @@ class TestCallGraph:
             assert log.columns["Gamma_v"].tolist() == [run.governor.gamma(x) for x in v.tolist()]
 
     def test_per_step_calls_governor_off(self, monkeypatch):
-        """With the governor off, v is constant up to the sign of a zero, so
-        Gamma is computed once per run, and each logged row still holds the
-        Gamma of its own state's v."""
+        """Where v cannot move (it starts at its command and no row repels),
+        v is constant up to the sign of a zero, so Gamma is computed once
+        per run, and each logged row still holds the Gamma of its own
+        state's v. The signed zero starts at the command r_V = 0.0."""
         counts = {"rk4_step": 0, "plant_rhs": 0, "gamma": 0}
         states = []
         rk4 = sim_module.rk4_step
@@ -304,11 +307,11 @@ class TestCallGraph:
         monkeypatch.setattr(sim_module, "plant_rhs", counted("plant_rhs", sim_module.plant_rhs))
         monkeypatch.setattr(GammaEvaluator, "gamma", counted("gamma", GammaEvaluator.gamma))
         base = bundle(scenario_a(seed=0, t_end=0.5))
-        signed_zero = bundle(scenario_a(seed=1, t_end=0.5), {"sim": {"v0": -0.0}})
+        signed_zero = bundle(scenario_a(seed=1, t_end=0.5), {"sim": {"v0": -0.0, "r0": [0.0, 0.0]}})
         steps = 500
         gam = base.governor
         for run in (base, signed_zero):
-            assert not run.sim.erg_on
+            assert not run.v_moves
             counts.update(rk4_step=0, plant_rhs=0, gamma=0)
             states.clear()
             log, _ = run_layered(run)
@@ -324,7 +327,9 @@ class TestFusedStage:
         u_S, u_B, e1 and e2 columns come from the same law on each block's
         columns. A step's first stage sees the logged state, so its
         inputs and its governor error must equal the row's logged values
-        bit for bit."""
+        bit for bit. The run is B with unequal repulsion strengths, where
+        v moves and every stage calls the governor; B's own run, where v
+        cannot move, never calls it."""
         inputs, errors = [], []
         plant_rhs, erg_rhs = sim_module.plant_rhs, GammaEvaluator.erg_rhs
 
@@ -338,7 +343,12 @@ class TestFusedStage:
 
         monkeypatch.setattr(sim_module, "plant_rhs", record_inputs)
         monkeypatch.setattr(GammaEvaluator, "erg_rhs", record_error)
-        log, _ = run_layered(bundle(scenario_b(seed=0, t_end=0.5)))
+        run_layered(bundle(scenario_b(seed=0, t_end=0.5)))
+        assert errors == []
+        inputs.clear()
+        repulsion = {"constraints": {"mode": "full", "kappa_bar": 0.05, "d_bar_max": 5.5, "d_bar_dot_max": 10.0},
+                     "erg": {"eta_rep": [0.2, 0.05, 0.05, 0.05, 0.1, 0.1]}}
+        log, _ = run_layered(bundle(scenario_b(seed=0, t_end=0.5), repulsion))
         c = {name: col[:-1].tolist() for name, col in log.columns.items()}
         assert len(inputs) == len(errors) == 4 * len(c["t"])
         assert [tuple(map(float.hex, u)) for u in inputs[::4]] == [
@@ -429,7 +439,7 @@ class TestErgInvarianceUnderMotion:
         # must slew v without ever spending more margin than it has
         for seed in range(10):
             transit = bundle(scenario_a(seed=seed, t_end=3.0), {
-                "sim": {"erg_on": True, "r0": [415.0, 0.0]}, "erg": {"kappa_erg": 0.005}})
+                "sim": {"r0": [415.0, 0.0]}, "erg": {"kappa_erg": 0.005}})
             log, _ = run_layered(transit)
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["v"][-1] > 410.0  # transit actually happened
@@ -441,7 +451,7 @@ class TestErgInvarianceUnderMotion:
         contact = False
         for seed in range(5):
             clamped = bundle(scenario_a(seed=seed, t_end=3.0), {
-                "sim": {"erg_on": True, "r0": [425.0, 0.0]}, "erg": {"kappa_erg": 5.0}})
+                "sim": {"r0": [425.0, 0.0]}, "erg": {"kappa_erg": 5.0}})
             log, _ = run_layered(clamped)
             assert log.columns["Phi"].max() <= 1e-9
             assert log.columns["V_gr"].max() <= clamped.plant.v_max + 1e-6
